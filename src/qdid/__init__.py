@@ -14,7 +14,7 @@ from .data_model import (
     build_cells,
     validate,
 )
-from .empirical import SortedSample, StepDistribution, rank_transform
+from .empirical import SortedSample, StepDistribution, StepRows, rank_transform
 from .estimators import (
     CounterfactualResult,
     CqttProcess,
@@ -23,8 +23,10 @@ from .estimators import (
     cic_qtt,
     counterfactual_cdf_panel,
     counterfactual_cdf_rcs,
+    counterfactual_rows,
     cqtt,
     estimate_process,
+    estimate_rows,
     extract_cell,
     treated_shares,
     unconditional_qtt,
@@ -36,6 +38,7 @@ from .inference import (
     analyze_cell,
     analyze_unconditional,
     bootstrap_process,
+    bootstrap_unconditional,
     draw_weights,
     ks_test,
     pointwise_se,
@@ -61,18 +64,22 @@ __all__ = [
     "RcsData",
     "SortedSample",
     "StepDistribution",
+    "StepRows",
     "ValidationError",
     "ValidationReport",
     "analyze_cell",
     "analyze_unconditional",
     "bootstrap_process",
+    "bootstrap_unconditional",
     "build_cells",
     "cic_qtt",
     "counterfactual_cdf_panel",
     "counterfactual_cdf_rcs",
+    "counterfactual_rows",
     "cqtt",
     "draw_weights",
     "estimate_process",
+    "estimate_rows",
     "extract_cell",
     "ks_test",
     "pointwise_se",

@@ -106,6 +106,16 @@ class RunConfig:
                 raise ValueError(f"unknown estimator {est!r}")
         if self.output_format not in ("json", "csv", "both"):
             raise ValueError("output format must be json, csv, or both")
+        if self.bootstrap < 2:
+            raise ValueError(
+                f"--bootstrap {self.bootstrap}: need at least two bootstrap draws"
+            )
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"--alpha {self.alpha}: must lie strictly inside (0, 1)")
+        try:
+            tau_grid(self.tau_min, self.tau_max, self.tau_step)
+        except ValueError as exc:
+            raise ValueError(f"--tau-min/--tau-max/--tau-step: {exc}") from None
 
 
 def _parse_float(token: str, line: int, col: str) -> float:
@@ -265,12 +275,9 @@ def run_estimation(config: RunConfig) -> RunResult:
             continue
         extracted = extract_cell(dataset, cell)
         viable.append((index, extracted))
-        reports = {
-            est: analyze_cell(
-                extracted, grid, boot, est, dataset.n_total, cell_index=index
-            )
-            for est in config.estimators
-        }
+        reports = analyze_cell(
+            extracted, grid, boot, config.estimators, dataset.n_total, cell_index=index
+        )
         analyses.append(CellAnalysis(cell, reports))
     unconditional = None
     if config.unconditional:
@@ -610,48 +617,34 @@ def _cmd_estimate(args) -> int:
 def _cmd_mc(args) -> int:
     estimators = tuple(e.strip() for e in args.estimators.split(",") if e.strip())
     taus = _float_list(args.taus)
-    results: list[tuple[float, McResult]] = []
+    ns = _float_list(args.n)
     if args.dgp == 1:
         param_name = "n"
-        for n in _float_list(args.n):
-            spec = DgpSpec(variant=1, n_per_arm=int(n), te=args.te)
-            results.append(
-                (
-                    n,
-                    run_mc(
-                        spec,
-                        args.reps,
-                        taus,
-                        estimators,
-                        bootstrap_iterations=args.bootstrap,
-                        alpha=args.alpha,
-                        scheme=args.scheme,
-                        seed=args.seed,
-                    ),
-                )
-            )
+        designs = [(n, DgpSpec(variant=1, n_per_arm=int(n), te=args.te)) for n in ns]
     else:
         param_name = "rho_bar"
-        ns = _float_list(args.n)
         if len(ns) != 1:
             raise LoadError("dgp 2 tables vary rho_bar; pass a single --n")
-        for rho in _float_list(args.rho):
-            spec = DgpSpec(variant=2, n_per_arm=int(ns[0]), te=args.te, rho_bar=rho)
-            results.append(
-                (
-                    rho,
-                    run_mc(
-                        spec,
-                        args.reps,
-                        taus,
-                        estimators,
-                        bootstrap_iterations=args.bootstrap,
-                        alpha=args.alpha,
-                        scheme=args.scheme,
-                        seed=args.seed,
-                    ),
-                )
-            )
+        designs = [
+            (rho, DgpSpec(variant=2, n_per_arm=int(ns[0]), te=args.te, rho_bar=rho))
+            for rho in _float_list(args.rho)
+        ]
+    results = [
+        (
+            param,
+            run_mc(
+                spec,
+                args.reps,
+                taus,
+                estimators,
+                bootstrap_iterations=args.bootstrap,
+                alpha=args.alpha,
+                scheme=args.scheme,
+                seed=args.seed,
+            ),
+        )
+        for param, spec in designs
+    ]
     for path in write_mc_outputs(results, param_name, args.out):
         print(f"wrote {path}")
     return EXIT_OK

@@ -4,6 +4,10 @@ Everything downstream (counterfactual construction, bootstrap, bands) is
 built from the two primitives in this module: a right-continuous step CDF
 fitted to a weighted sample, and its left-continuous generalized inverse
 ``inf { y : F(y) >= tau }``. No interpolation or smoothing anywhere.
+
+``StepRows`` stacks many such CDFs, one per bootstrap draw, and evaluates
+them together; each row equals the ``StepDistribution`` built from the
+same sample and weights, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +16,14 @@ import math
 
 import numpy as np
 
-__all__ = ["StepDistribution", "SortedSample", "rank_transform"]
+__all__ = [
+    "StepDistribution",
+    "StepRows",
+    "SortedSample",
+    "rank_transform",
+    "rank_rows",
+    "searchsorted_rows",
+]
 
 
 class StepDistribution:
@@ -126,6 +137,102 @@ class StepDistribution:
         return f"StepDistribution({self.n_points} points on [{self.support[0]}, {self.support[-1]}])"
 
 
+def _row_bincount(index, weights, width: int) -> np.ndarray:
+    """Row-wise ``np.bincount``: row r of the (C, width) result is
+    ``np.bincount(index[r], weights[r], minlength=width)``, summed in the
+    same order, from one bincount over row-offset indices."""
+    rows = index.shape[0]
+    flat = (index + width * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, weights=weights.ravel(), minlength=rows * width).reshape(rows, width)
+
+
+def searchsorted_rows(rows, levels) -> np.ndarray:
+    """Left-side ``np.searchsorted`` of each nondecreasing row of a (C, S)
+    array, at one 1-d array of levels or at the matching row of (C, m) levels.
+
+    One search per row: a single search over row-offset values is not
+    exact, since adding an offset to values in [0, 1] rounds low bits away.
+    """
+    if levels.ndim == 1:
+        return np.array([np.searchsorted(row, levels) for row in rows])
+    return np.array([np.searchsorted(row, lv) for row, lv in zip(rows, levels)])
+
+
+def _take_rows(support, index) -> np.ndarray:
+    """``support[index]`` row by row; a 1-d support is shared by all rows."""
+    if support.ndim == 1:
+        return support[index]
+    return np.take_along_axis(support, index, axis=1)
+
+
+class StepRows:
+    """A stack of step CDFs, one per row: the batched ``StepDistribution``.
+
+    ``masses`` is (C, S); ``support`` is a nondecreasing (S,) array shared by
+    every row or a (C, S) array of nondecreasing rows. A repeated support
+    point carries its mass on its first occurrence and zero after it, and
+    zero-mass points carry no probability, so rows are never compacted:
+    cumulative sums over zero masses are unchanged, and every generalized
+    inverse below lands on a positive-mass point, as the per-row
+    ``StepDistribution`` (which drops zero-mass points) would.
+    """
+
+    __slots__ = ("support", "masses", "total", "cum_probs")
+
+    def __init__(self, support, masses):
+        cum = np.cumsum(masses, axis=1)
+        self.support = support
+        self.masses = masses
+        self.total = cum[:, -1].copy()
+        cum /= self.total[:, None]
+        self.cum_probs = cum
+
+    @classmethod
+    def fit(cls, values, weights) -> "StepRows":
+        """Row-wise weighted ECDF of (C, n) values under (C, n) weights.
+
+        Row r equals ``StepDistribution.fit(values[r], weights[r])``: a
+        stable sort keeps tied values in index order, so one bincount sums
+        each tie group in the order ``np.bincount`` sums it. (``reduceat``
+        would not: it adds segments of eight or more pairwise.)
+        """
+        n = values.shape[1]
+        order = np.argsort(values, axis=1, kind="stable")
+        support = np.take_along_axis(values, order, axis=1)
+        first = np.empty(values.shape, dtype=bool)
+        first[:, 0] = True
+        np.not_equal(support[:, 1:], support[:, :-1], out=first[:, 1:])
+        # position of the first occurrence of each sorted value's tie group
+        head = np.maximum.accumulate(np.where(first, np.arange(n), 0), axis=1)
+        masses = _row_bincount(head, np.take_along_axis(weights, order, axis=1), n)
+        return cls(support, masses)
+
+    @classmethod
+    def mixture(cls, components, shares) -> "StepRows":
+        """Row-wise ``StepDistribution.mixture`` of components with equal row counts."""
+        components = list(components)
+        if len(components) == 1:
+            return components[0]
+        points = np.concatenate(
+            [np.broadcast_to(c.support, c.masses.shape) for c in components], axis=1
+        )
+        probs = np.concatenate(
+            [s * (c.masses / c.total[:, None]) for s, c in zip(shares, components)], axis=1
+        )
+        return cls.fit(points, probs)
+
+    def cdf(self, y) -> np.ndarray:
+        """Row-wise right-continuous evaluation at (C, m) points; needs a shared support."""
+        idx = np.searchsorted(self.support, y, side="right")
+        below = np.take_along_axis(self.cum_probs, np.maximum(idx - 1, 0), axis=1)
+        return np.where(idx > 0, below, 0.0)
+
+    def quantile(self, levels) -> np.ndarray:
+        """Row-wise generalized inverse ``inf { y : F(y) >= level }`` at
+        levels in (0, 1]: one 1-d array for every row, or a (C, m) array."""
+        return _take_rows(self.support, searchsorted_rows(self.cum_probs, levels))
+
+
 class SortedSample:
     """Sort/tie layout of a sample, precomputed once and refit many times.
 
@@ -154,6 +261,12 @@ class SortedSample:
             masses = np.bincount(self.inverse, weights=weights, minlength=self.support.size)
         return StepDistribution(self.support, masses)
 
+    def fit_rows(self, weights) -> StepRows:
+        """Refit under each row of a (C, n) weight matrix; row r equals
+        ``fit(weights[r])``, without re-checking the fixed support."""
+        index = np.broadcast_to(self.inverse, weights.shape)
+        return StepRows(self.support, _row_bincount(index, weights, self.support.size))
+
 
 def rank_transform(source: StepDistribution, target: StepDistribution, y):
     """Map y to the target point at the same rank: quantile_target(cdf_source(y)).
@@ -173,3 +286,16 @@ def rank_transform(source: StepDistribution, target: StepDistribution, y):
     if not pos.all():
         out[~pos] = target.min_support()
     return float(out[0]) if scalar else out
+
+
+def rank_rows(source: StepRows, inverse, target: StepRows) -> np.ndarray:
+    """``rank_transform`` of a sample's own values, row by row.
+
+    ``source`` is the sample refit by ``SortedSample.fit_rows`` and
+    ``inverse`` its tie layout, so each value's source rank is the
+    cumulative probability of its support point. A rank of 0 is raised to
+    the smallest positive double, whose generalized inverse is the
+    smallest positive-mass target point: the clamp ``rank_transform`` applies.
+    """
+    ranks = np.maximum(source.cum_probs, np.nextafter(0.0, 1.0))
+    return target.quantile(ranks)[:, inverse]

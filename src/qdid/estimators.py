@@ -8,18 +8,29 @@ Panel data uses observed within-unit changes; repeated cross sections
 recover the change by rank-matching the control group across periods.
 Quantile effects are differences of generalized-inverse quantiles between
 the observed treated CDF and the counterfactual CDF.
+
+``estimate_rows`` is the bootstrap kernel: it evaluates the estimators for
+a chunk of draws at once, from one weight matrix per arm, and each row
+equals ``estimate_process`` under that row's weights, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
 from .data_model import CovariateCell, PanelData, RcsData
-from .empirical import SortedSample, StepDistribution, rank_transform
+from .empirical import (
+    SortedSample,
+    StepDistribution,
+    StepRows,
+    rank_rows,
+    rank_transform,
+    searchsorted_rows,
+)
 
 __all__ = [
     "PanelCell",
@@ -32,6 +43,8 @@ __all__ = [
     "unconditional_qtt",
     "cic_qtt",
     "estimate_process",
+    "estimate_rows",
+    "counterfactual_rows",
     "extract_cell",
     "treated_shares",
 ]
@@ -40,6 +53,9 @@ __all__ = [
 @dataclass(frozen=True)
 class PanelCell:
     """Per-cell samples from panel data, with cached sort layouts for refits."""
+
+    # weight arm of each sample (control pre, control post, treated pre, treated post)
+    SAMPLE_ARMS: ClassVar[tuple[str, ...]] = ("control", "control", "treated", "treated")
 
     code: tuple[int, ...]
     control_y_pre: np.ndarray
@@ -89,6 +105,10 @@ class PanelCell:
 @dataclass(frozen=True)
 class RcsCell:
     """Per-cell samples from repeated cross sections (four unlinked samples)."""
+
+    SAMPLE_ARMS: ClassVar[tuple[str, ...]] = (
+        "control_pre", "control_post", "treated_pre", "treated_post"
+    )
 
     code: tuple[int, ...]
     control_pre: np.ndarray
@@ -162,6 +182,19 @@ class CounterfactualResult:
     n_treated: int
 
 
+def checked_grid(tau_grid) -> np.ndarray:
+    """The tau grid as a float array, after checking it is nonempty, strictly
+    increasing and strictly inside (0, 1)."""
+    taus = np.asarray(tau_grid, dtype=float)
+    if taus.ndim != 1 or taus.size == 0:
+        raise ValueError("tau grid must be a nonempty 1-d array")
+    if not np.all((taus > 0.0) & (taus < 1.0)):
+        raise ValueError("tau grid must lie strictly inside (0, 1)")
+    if taus.size > 1 and not np.all(np.diff(taus) > 0):
+        raise ValueError("tau grid must be strictly increasing")
+    return taus
+
+
 @dataclass(frozen=True)
 class CqttProcess:
     """Quantile treatment effect on the treated, evaluated on a tau grid."""
@@ -174,14 +207,8 @@ class CqttProcess:
     n_total: int
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
+        taus = checked_grid(self.taus)
         values = np.asarray(self.values, dtype=float)
-        if taus.ndim != 1 or taus.size == 0:
-            raise ValueError("tau grid must be a nonempty 1-d array")
-        if not np.all((taus > 0.0) & (taus < 1.0)):
-            raise ValueError("tau grid must lie strictly inside (0, 1)")
-        if taus.size > 1 and not np.all(np.diff(taus) > 0):
-            raise ValueError("tau grid must be strictly increasing")
         if values.shape != taus.shape or not np.all(np.isfinite(values)):
             raise ValueError("values must be finite, one per grid point")
         object.__setattr__(self, "taus", taus)
@@ -361,34 +388,15 @@ def cic_qtt(
     )
 
 
+def _samples(cell) -> tuple[SortedSample, ...]:
+    """The cell's four samples, in ``SAMPLE_ARMS`` order."""
+    return (cell._control_pre, cell._control_post, cell._treated_pre, cell._treated_post)
+
+
 def _cic_from_cell(cell, tau_grid, weights, n_total):
-    if isinstance(cell, PanelCell):
-        w = None
-        if weights is not None:
-            w = (weights["control"], weights["control"], weights["treated"], weights["treated"])
-        return cic_qtt(
-            cell._control_pre,
-            cell._control_post,
-            cell._treated_pre,
-            cell._treated_post,
-            tau_grid,
-            weights=w,
-            code=cell.code,
-            n_total=cell.n_control + cell.n_treated if n_total is None else n_total,
-        )
-    w = None
-    if weights is not None:
-        w = (
-            weights["control_pre"],
-            weights["control_post"],
-            weights["treated_pre"],
-            weights["treated_post"],
-        )
+    w = None if weights is None else tuple(weights[arm] for arm in cell.SAMPLE_ARMS)
     return cic_qtt(
-        cell._control_pre,
-        cell._control_post,
-        cell._treated_pre,
-        cell._treated_post,
+        *_samples(cell),
         tau_grid,
         weights=w,
         code=cell.code,
@@ -413,3 +421,75 @@ def estimate_process(
     if estimator == "cic":
         return _cic_from_cell(cell, tau_grid, weights, n_total)
     raise ValueError(f"unknown estimator {estimator!r} (expected 'ddid' or 'cic')")
+
+
+def _fit_rows(cell, weights) -> list[StepRows]:
+    return [
+        sample.fit_rows(weights[arm]) for sample, arm in zip(_samples(cell), cell.SAMPLE_ARMS)
+    ]
+
+
+def _counterfactual_rows(cell, fitted, weights) -> tuple[StepRows, StepRows]:
+    pre_control, post_control, pre_treated, post_treated = fitted
+    inverse = cell._control_pre.inverse
+    if isinstance(cell, PanelCell):
+        dy = cell.control_dy
+    else:
+        dy = rank_rows(pre_control, inverse, post_control) - cell.control_pre
+    transformed = dy + rank_rows(pre_control, inverse, pre_treated)
+    return post_treated, StepRows.fit(transformed, weights[cell.SAMPLE_ARMS[0]])
+
+
+def counterfactual_rows(
+    cell: PanelCell | RcsCell, weights: Mapping[str, np.ndarray]
+) -> tuple[StepRows, StepRows]:
+    """Treated and counterfactual CDFs for a chunk of bootstrap draws.
+
+    ``weights`` maps each arm to a (C, n_arm) matrix whose row r is one
+    draw's weight vector. Row r of each result equals the ``treated`` and
+    ``counterfactual`` of ``counterfactual_cdf_panel`` / ``_rcs`` under
+    row r's weights.
+    """
+    return _counterfactual_rows(cell, _fit_rows(cell, weights), weights)
+
+
+def _cic_rows(fitted, taus) -> np.ndarray:
+    """Row-wise ``cic_qtt``. Zero-mass control post-period points are kept:
+    one with rank 0 gets composed probability 0, one after a positive-mass
+    point repeats that point's composed value, so the first point reaching
+    tau has positive mass; a search past the end clips to the last
+    positive-mass point."""
+    pre_c, post_c, pre_t, post_t = fitted
+    back = pre_c.quantile(post_c.cum_probs)
+    composed = np.where(post_c.cum_probs > 0, pre_t.cdf(back), 0.0)
+    width = post_c.support.size
+    last = width - 1 - np.argmax(post_c.masses[:, ::-1] > 0, axis=1)
+    idx = np.minimum(searchsorted_rows(composed, taus), last[:, None])
+    return post_t.quantile(taus) - post_c.support[idx]
+
+
+def estimate_rows(
+    cell: PanelCell | RcsCell,
+    tau_grid,
+    weights: Mapping[str, np.ndarray],
+    estimators: Sequence[str] = ("ddid",),
+) -> dict[str, np.ndarray]:
+    """Bootstrap kernel: every estimator on a chunk of draws at once.
+
+    ``weights`` maps each arm to a (C, n_arm) matrix whose row r is one
+    draw's weight vector; the estimators share the samples refit under it.
+    Returns one (C, len(grid)) array per estimator, whose row r equals
+    ``estimate_process(cell, tau_grid, estimator, row r's weights).values``.
+    """
+    taus = checked_grid(tau_grid)
+    fitted = _fit_rows(cell, weights)
+    out = {}
+    for est in estimators:
+        if est == "ddid":
+            treated, counterfactual = _counterfactual_rows(cell, fitted, weights)
+            out[est] = treated.quantile(taus) - counterfactual.quantile(taus)
+        elif est == "cic":
+            out[est] = _cic_rows(fitted, taus)
+        else:
+            raise ValueError(f"unknown estimator {est!r} (expected 'ddid' or 'cic')")
+    return out

@@ -9,6 +9,10 @@ confidence band of constant half-width around the estimated process.
 
 Every draw is generated from a substream keyed by (seed, cell index, draw
 index), so results are reproducible and independent of evaluation order.
+Draws are evaluated in chunks: the weight vectors of a run of draws are
+stacked into one matrix per arm, at most ``CHUNK_ELEMENTS`` entries for the
+largest arm, and the batched kernel ``estimate_rows`` refits every row at
+once, sharing each draw's weights between the estimators of a cell.
 """
 
 from __future__ import annotations
@@ -18,13 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .empirical import StepRows
 from .estimators import (
     CqttProcess,
     PanelCell,
     RcsCell,
+    checked_grid,
     counterfactual_cdf_panel,
     counterfactual_cdf_rcs,
+    counterfactual_rows,
     estimate_process,
+    estimate_rows,
     treated_shares,
     unconditional_qtt,
 )
@@ -37,6 +45,7 @@ __all__ = [
     "draw_weight_vector",
     "draw_weights",
     "bootstrap_process",
+    "bootstrap_unconditional",
     "ks_test",
     "uniform_band",
     "pointwise_se",
@@ -46,6 +55,14 @@ __all__ = [
 ]
 
 SCHEMES = ("multinomial", "dirichlet")
+
+# Entries in one chunk's weight matrix for the largest arm (for all cells
+# together in the unconditional pass); sets the draws per chunk. Larger
+# chunks spread numpy's per-call cost over more draws but hold more memory
+# at once. At 250 units per arm, 8192 (32 draws) kept peak memory within
+# 1 MB of the one-draw-at-a-time loop, and 16384 cost 1 MB more for a
+# saving lost in run-to-run noise.
+CHUNK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -94,29 +111,49 @@ def draw_weights(
     return {arm: draw_weight_vector(arm_sizes[arm], scheme, rng) for arm in sorted(arm_sizes)}
 
 
+def _chunks(iterations: int, width: int):
+    """Consecutive runs of draw indices, each filling at most CHUNK_ELEMENTS
+    entries of a matrix ``width`` columns wide."""
+    step = max(1, CHUNK_ELEMENTS // width)
+    return [range(start, min(start + step, iterations)) for start in range(0, iterations, step)]
+
+
+def _weight_rows(
+    arm_sizes: dict[str, int], config: BootstrapConfig, key: tuple[int, ...], draws: range
+) -> dict[str, np.ndarray]:
+    """One (len(draws), n_arm) matrix per arm; row i is the weight vector of
+    draw ``draws[i]``, drawn from its own substream (config.seed, *key, draw)."""
+    rows = [draw_weights(arm_sizes, config.scheme, substream(config.seed, *key, b)) for b in draws]
+    return {arm: np.stack([w[arm] for w in rows]) for arm in arm_sizes}
+
+
 def bootstrap_process(
     cell: PanelCell | RcsCell,
     tau_grid,
     config: BootstrapConfig,
-    estimator: str = "ddid",
+    estimator: str | tuple[str, ...] = "ddid",
     n_total: int | None = None,
     cell_index: int = 0,
     key_prefix: tuple[int, ...] = (),
-) -> np.ndarray:
+) -> np.ndarray | dict[str, np.ndarray]:
     """B bootstrap replicates of the effect process; shape (B, len(grid)).
 
     Draw b uses the substream keyed (*key_prefix, cell_index, b) under
     config.seed, so replicates are reproducible regardless of evaluation
-    order and distinct cells never share draws.
+    order and distinct cells never share draws. Given a tuple of
+    estimators, returns a dict of replicates per estimator, all computed
+    from the same draws. ``n_total`` only labels a process, so replicates
+    do not depend on it.
     """
+    names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
     taus = np.asarray(tau_grid, dtype=float)
     sizes = cell.arm_sizes()
-    draws = np.empty((config.iterations, taus.size))
-    for b in range(config.iterations):
-        rng = substream(config.seed, *key_prefix, cell_index, b)
-        weights = draw_weights(sizes, config.scheme, rng)
-        draws[b] = estimate_process(cell, taus, estimator, weights, n_total).values
-    return draws
+    draws = {est: np.empty((config.iterations, taus.size)) for est in names}
+    for chunk in _chunks(config.iterations, max(sizes.values())):
+        weights = _weight_rows(sizes, config, (*key_prefix, cell_index), chunk)
+        for est, rows in estimate_rows(cell, taus, weights, names).items():
+            draws[est][chunk.start : chunk.stop] = rows
+    return draws[estimator] if isinstance(estimator, str) else draws
 
 
 def empirical_quantile(sample, q: float) -> float:
@@ -217,16 +254,57 @@ def analyze_cell(
     cell: PanelCell | RcsCell,
     tau_grid,
     config: BootstrapConfig,
-    estimator: str = "ddid",
+    estimator: str | tuple[str, ...] = "ddid",
     n_total: int | None = None,
     cell_index: int = 0,
-) -> InferenceReport:
-    """Point process, bootstrap, sup test, band, and pointwise SEs for one cell."""
-    process = estimate_process(cell, tau_grid, estimator, None, n_total)
-    draws = bootstrap_process(
-        cell, tau_grid, config, estimator, n_total, cell_index=cell_index
-    )
-    return _assemble_report(process, draws, config)
+) -> InferenceReport | dict[str, InferenceReport]:
+    """Point process, bootstrap, sup test, band, and pointwise SEs for one cell.
+
+    Given a tuple of estimators, returns a dict of reports per estimator,
+    whose bootstraps share each draw's weights.
+    """
+    names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
+    draws = bootstrap_process(cell, tau_grid, config, names, n_total, cell_index=cell_index)
+    reports = {
+        est: _assemble_report(
+            estimate_process(cell, tau_grid, est, None, n_total), draws[est], config
+        )
+        for est in names
+    }
+    return reports[estimator] if isinstance(estimator, str) else reports
+
+
+def bootstrap_unconditional(
+    cells: list[tuple[int, PanelCell | RcsCell]],
+    tau_grid,
+    config: BootstrapConfig,
+) -> np.ndarray:
+    """B bootstrap replicates of the unconditional process; shape (B, len(grid)).
+
+    Draw b of the cell at index i uses the substream keyed (i, b), the key
+    of that cell's own bootstrap, and mixes the cells' treated and
+    counterfactual CDFs by their treated shares.
+    """
+    if not cells:
+        raise ValueError("need at least one viable cell")
+    taus = checked_grid(tau_grid)
+    shares = treated_shares([cell for _, cell in cells])
+    draws = np.empty((config.iterations, taus.size))
+    # the mixtures concatenate every cell's rows
+    width = sum(max(cell.arm_sizes().values()) for _, cell in cells)
+    for chunk in _chunks(config.iterations, width):
+        treated, counterfactual = zip(
+            *(
+                counterfactual_rows(
+                    cell, _weight_rows(cell.arm_sizes(), config, (cell_index,), chunk)
+                )
+                for cell_index, cell in cells
+            )
+        )
+        draws[chunk.start : chunk.stop] = StepRows.mixture(treated, shares).quantile(
+            taus
+        ) - StepRows.mixture(counterfactual, shares).quantile(taus)
+    return draws
 
 
 def analyze_unconditional(
@@ -242,29 +320,12 @@ def analyze_unconditional(
     keying as the per-cell analyses. Mixture shares are the treated counts,
     which multinomial resampling holds fixed.
     """
-    taus = np.asarray(tau_grid, dtype=float)
-    if not cells:
-        raise ValueError("need at least one viable cell")
-
-    def counterfactuals(weights_by_cell):
-        out = []
-        for (_, cell), w in zip(cells, weights_by_cell):
-            if isinstance(cell, PanelCell):
-                out.append(counterfactual_cdf_panel(cell, w))
-            else:
-                out.append(counterfactual_cdf_rcs(cell, w))
-        return out
-
-    results = counterfactuals([None] * len(cells))
-    shares = treated_shares(results)
-    process = unconditional_qtt(results, shares, taus, n_total)
-
-    draws = np.empty((config.iterations, taus.size))
-    for b in range(config.iterations):
-        weights_by_cell = []
-        for cell_index, cell in cells:
-            rng = substream(config.seed, cell_index, b)
-            weights_by_cell.append(draw_weights(cell.arm_sizes(), config.scheme, rng))
-        star = counterfactuals(weights_by_cell)
-        draws[b] = unconditional_qtt(star, shares, taus, n_total).values
+    draws = bootstrap_unconditional(cells, tau_grid, config)
+    results = [
+        counterfactual_cdf_panel(cell)
+        if isinstance(cell, PanelCell)
+        else counterfactual_cdf_rcs(cell)
+        for _, cell in cells
+    ]
+    process = unconditional_qtt(results, treated_shares(results), tau_grid, n_total)
     return _assemble_report(process, draws, config)

@@ -26,7 +26,14 @@ import numpy as np
 
 from .data_model import PanelData
 from .estimators import PanelCell, estimate_process
-from .inference import draw_weights, empirical_quantile, substream
+# draw_weights is not called here; bench/tracer.py rebinds it by this module path
+from .inference import (
+    BootstrapConfig,
+    bootstrap_process,
+    draw_weights,  # noqa: F401
+    empirical_quantile,
+    substream,
+)
 
 __all__ = ["DgpSpec", "McResult", "simulate_dgp1", "simulate_dgp2", "simulate", "run_mc"]
 
@@ -184,10 +191,14 @@ def run_mc(
         else None
     )
 
+    config = (
+        BootstrapConfig(iterations=bootstrap_iterations, seed=seed, scheme=scheme)
+        if rejections is not None
+        else None
+    )
     for r in range(reps):
         data = simulate(spec, substream(seed, r))
         cell = _single_cell(data)
-        sizes = cell.arm_sizes()
         point = {
             est: estimate_process(cell, grid, est, None, data.n_total).values
             for est in estimators
@@ -196,13 +207,7 @@ def run_mc(
             errors[est][r] = point[est] - spec.te
         if rejections is None:
             continue
-        draws = {est: np.empty((bootstrap_iterations, grid.size)) for est in estimators}
-        for b in range(bootstrap_iterations):
-            weights = draw_weights(sizes, scheme, substream(seed, r, 0, b))
-            for est in estimators:
-                draws[est][b] = estimate_process(
-                    cell, grid, est, weights, data.n_total
-                ).values
+        draws = bootstrap_process(cell, grid, config, estimators, cell_index=0, key_prefix=(r,))
         for est in estimators:
             deviations = np.abs(draws[est] - point[est])
             for j in range(grid.size):

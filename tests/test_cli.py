@@ -242,6 +242,24 @@ class TestMainExitCodes:
         assert code == EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["-b", "1"], "--bootstrap"),
+            (["--alpha", "0"], "--alpha"),
+            (["--alpha", "1.5"], "--alpha"),
+            (["--tau-min", "0.9", "--tau-max", "0.1"], "--tau-"),
+            (["--tau-step", "0"], "--tau-"),
+        ],
+    )
+    def test_bad_bootstrap_settings_fail_before_loading(self, tmp_path, capsys, flags, name):
+        missing = tmp_path / "missing.csv"
+        code = main(["estimate", "-i", str(missing), "-o", str(tmp_path / "out")] + flags)
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert name in err
+        assert "cannot open" not in err
+
     def test_infeasible_is_3(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
         write_rows(
