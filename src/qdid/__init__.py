@@ -16,11 +16,13 @@ from .data_model import (
 )
 from .empirical import SortedSample, StepDistribution, StepRows, rank_transform
 from .estimators import (
+    Cell,
     CounterfactualResult,
     CqttProcess,
     PanelCell,
     RcsCell,
     cic_qtt,
+    counterfactual_cdf,
     counterfactual_cdf_panel,
     counterfactual_cdf_rcs,
     counterfactual_rows,
@@ -51,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BootstrapConfig",
+    "Cell",
     "CounterfactualResult",
     "CovariateCell",
     "CqttProcess",
@@ -73,6 +76,7 @@ __all__ = [
     "bootstrap_unconditional",
     "build_cells",
     "cic_qtt",
+    "counterfactual_cdf",
     "counterfactual_cdf_panel",
     "counterfactual_cdf_rcs",
     "counterfactual_rows",

@@ -586,6 +586,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_if_critical_value_is_largest_draw(bootstrap: int, alpha: float) -> None:
+    """Warn when the (1 - alpha) quantile of the draws is always the largest
+    draw: the share (B - 1) / B of the others falls short of 1 - alpha, that
+    is, there are fewer than 1/alpha draws."""
+    if bootstrap > 0 and 0.0 < alpha < 1.0 and (bootstrap - 1) / bootstrap < 1.0 - alpha:
+        print(
+            f"warning: --bootstrap {bootstrap} is below 1/--alpha (--alpha {alpha}), "
+            "so every critical value is the largest bootstrap draw",
+            file=sys.stderr,
+        )
+
+
 def _cmd_estimate(args) -> int:
     covs = tuple(c.strip() for c in args.covariates.split(",") if c.strip())
     config = RunConfig(
@@ -608,6 +620,7 @@ def _cmd_estimate(args) -> int:
         min_cell_size=args.min_cell_size,
         output_format=args.format,
     )
+    _warn_if_critical_value_is_largest_draw(config.bootstrap, config.alpha)
     result = run_estimation(config)
     for path in write_report(result, args.out):
         print(f"wrote {path}")
@@ -629,6 +642,7 @@ def _cmd_mc(args) -> int:
             (rho, DgpSpec(variant=2, n_per_arm=int(ns[0]), te=args.te, rho_bar=rho))
             for rho in _float_list(args.rho)
         ]
+    _warn_if_critical_value_is_largest_draw(args.bootstrap, args.alpha)
     results = [
         (
             param,

@@ -271,10 +271,12 @@ class SortedSample:
 def rank_transform(source: StepDistribution, target: StepDistribution, y):
     """Map y to the target point at the same rank: quantile_target(cdf_source(y)).
 
-    A value strictly below the source support has rank 0; it is clamped to
-    the smallest positive-mass point of the target so the output stays on
-    the target support (rank 0 only arises from sampling noise under a
-    common-support design).
+    A value below every positive-mass source point has rank 0; it is
+    clamped to the smallest positive-mass point of the target so the output
+    stays on the target support. Inside the estimators the source is always
+    the refit of the sample the values come from, so a value has rank 0
+    only when its own weight is 0: it then carries no mass downstream, and
+    the clamp never moves an estimate.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
@@ -295,7 +297,9 @@ def rank_rows(source: StepRows, inverse, target: StepRows) -> np.ndarray:
     ``inverse`` its tie layout, so each value's source rank is the
     cumulative probability of its support point. A rank of 0 is raised to
     the smallest positive double, whose generalized inverse is the
-    smallest positive-mass target point: the clamp ``rank_transform`` applies.
+    smallest positive-mass target point: the clamp ``rank_transform``
+    applies. A value's rank is 0 only when its own weight in that row is 0,
+    so the clamp never moves an estimate.
     """
     ranks = np.maximum(source.cum_probs, np.nextafter(0.0, 1.0))
     return target.quantile(ranks)[:, inverse]

@@ -33,10 +33,12 @@ from .empirical import (
 )
 
 __all__ = [
+    "Cell",
     "PanelCell",
     "RcsCell",
     "CounterfactualResult",
     "CqttProcess",
+    "counterfactual_cdf",
     "counterfactual_cdf_panel",
     "counterfactual_cdf_rcs",
     "cqtt",
@@ -51,13 +53,62 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PanelCell:
-    """Per-cell samples from panel data, with cached sort layouts for refits."""
+class Cell:
+    """Per-cell samples, with cached sort layouts for refits.
 
-    # weight arm of each sample (control pre, control post, treated pre, treated post)
-    SAMPLE_ARMS: ClassVar[tuple[str, ...]] = ("control", "control", "treated", "treated")
+    A cell has four samples: control pre, control post, treated pre and
+    treated post, in that order. ``SAMPLE_ARMS`` names the weight arm of
+    each; a bootstrap draw has one weight vector per distinct arm, and it
+    reweights every sample of that arm. ``observed_dy`` is the control
+    change, aligned with the control pre-period sample, where the data
+    observe it (panel), and None where it is recovered by rank matching the
+    control group across periods (repeated cross sections). Subclasses give
+    the four samples' values, in order, as ``sample_values``.
+    """
+
+    SAMPLE_ARMS: ClassVar[tuple[str, ...]]
+    observed_dy = None
 
     code: tuple[int, ...]
+
+    def arm_sizes(self) -> dict[str, int]:
+        return {arm: len(v) for arm, v in zip(self.SAMPLE_ARMS, self.sample_values)}
+
+    def _observations(self, arms) -> int:
+        sizes = self.arm_sizes()
+        return sum(sizes[arm] for arm in set(arms))
+
+    @property
+    def n_control(self) -> int:
+        return self._observations(self.SAMPLE_ARMS[:2])
+
+    @property
+    def n_treated(self) -> int:
+        return self._observations(self.SAMPLE_ARMS[2:])
+
+    def sample_weights(self, weights: Mapping[str, np.ndarray] | None) -> tuple:
+        """Each sample's weight vector from a map of arm to weights."""
+        if weights is None:
+            return (None,) * len(self.SAMPLE_ARMS)
+        return tuple(weights[arm] for arm in self.SAMPLE_ARMS)
+
+    @cached_property
+    def samples(self) -> tuple[SortedSample, ...]:
+        """The four samples, in ``SAMPLE_ARMS`` order."""
+        return tuple(SortedSample(v) for v in self.sample_values)
+
+    _control_pre = property(lambda self: self.samples[0])
+    _control_post = property(lambda self: self.samples[1])
+    _treated_pre = property(lambda self: self.samples[2])
+    _treated_post = property(lambda self: self.samples[3])
+
+
+@dataclass(frozen=True)
+class PanelCell(Cell):
+    """Panel cell: each unit is seen in both periods, so its change is observed."""
+
+    SAMPLE_ARMS: ClassVar[tuple[str, ...]] = ("control", "control", "treated", "treated")
+
     control_y_pre: np.ndarray
     control_dy: np.ndarray
     treated_y_pre: np.ndarray
@@ -75,42 +126,27 @@ class PanelCell:
         )
 
     @property
-    def n_control(self) -> int:
-        return len(self.control_y_pre)
-
-    @property
-    def n_treated(self) -> int:
-        return len(self.treated_y_pre)
-
-    def arm_sizes(self) -> dict[str, int]:
-        return {"control": self.n_control, "treated": self.n_treated}
+    def observed_dy(self) -> np.ndarray:
+        return self.control_dy
 
     @cached_property
-    def _control_pre(self) -> SortedSample:
-        return SortedSample(self.control_y_pre)
-
-    @cached_property
-    def _control_post(self) -> SortedSample:
-        return SortedSample(self.control_y_pre + self.control_dy)
-
-    @cached_property
-    def _treated_pre(self) -> SortedSample:
-        return SortedSample(self.treated_y_pre)
-
-    @cached_property
-    def _treated_post(self) -> SortedSample:
-        return SortedSample(self.treated_y_post)
+    def sample_values(self) -> tuple[np.ndarray, ...]:
+        return (
+            self.control_y_pre,
+            self.control_y_pre + self.control_dy,
+            self.treated_y_pre,
+            self.treated_y_post,
+        )
 
 
 @dataclass(frozen=True)
-class RcsCell:
-    """Per-cell samples from repeated cross sections (four unlinked samples)."""
+class RcsCell(Cell):
+    """Repeated cross-section cell: four unlinked samples."""
 
     SAMPLE_ARMS: ClassVar[tuple[str, ...]] = (
         "control_pre", "control_post", "treated_pre", "treated_post"
     )
 
-    code: tuple[int, ...]
     control_pre: np.ndarray
     control_post: np.ndarray
     treated_pre: np.ndarray
@@ -132,42 +168,13 @@ class RcsCell:
         )
 
     @property
-    def n_control(self) -> int:
-        return len(self.control_pre) + len(self.control_post)
-
-    @property
-    def n_treated(self) -> int:
-        return len(self.treated_pre) + len(self.treated_post)
-
-    def arm_sizes(self) -> dict[str, int]:
-        return {
-            "control_pre": len(self.control_pre),
-            "control_post": len(self.control_post),
-            "treated_pre": len(self.treated_pre),
-            "treated_post": len(self.treated_post),
-        }
-
-    @cached_property
-    def _control_pre(self) -> SortedSample:
-        return SortedSample(self.control_pre)
-
-    @cached_property
-    def _control_post(self) -> SortedSample:
-        return SortedSample(self.control_post)
-
-    @cached_property
-    def _treated_pre(self) -> SortedSample:
-        return SortedSample(self.treated_pre)
-
-    @cached_property
-    def _treated_post(self) -> SortedSample:
-        return SortedSample(self.treated_post)
+    def sample_values(self) -> tuple[np.ndarray, ...]:
+        return (self.control_pre, self.control_post, self.treated_pre, self.treated_post)
 
 
-def extract_cell(data: PanelData | RcsData, cell: CovariateCell) -> "PanelCell | RcsCell":
-    if isinstance(data, PanelData):
-        return PanelCell.from_dataset(data, cell)
-    return RcsCell.from_dataset(data, cell)
+def extract_cell(data: PanelData | RcsData, cell: CovariateCell) -> Cell:
+    kind = PanelCell if isinstance(data, PanelData) else RcsCell
+    return kind.from_dataset(data, cell)
 
 
 @dataclass(frozen=True)
@@ -215,70 +222,43 @@ class CqttProcess:
         object.__setattr__(self, "values", values)
 
 
-def _weights_for(weights, *names):
-    if weights is None:
-        return (None,) * len(names)
-    return tuple(weights[name] for name in names)
-
-
-def counterfactual_cdf_panel(
-    cell: PanelCell,
+def counterfactual_cdf(
+    cell: Cell,
     weights: Mapping[str, np.ndarray] | None = None,
 ) -> CounterfactualResult:
-    """Counterfactual CDF for the treated from panel control units.
+    """Counterfactual CDF for the treated from the cell's control units.
 
-    Each control unit contributes its observed change plus the treated-group
-    pre-period value at its control-group pre-period rank. When bootstrap
-    weights are supplied (keys "control", "treated"), the same weight vector
-    enters every ECDF on its arm, inner rank maps included.
+    Each control unit contributes its change plus the treated-group
+    pre-period value at its control-group pre-period rank. The change is
+    ``cell.observed_dy`` where the data observe it; otherwise it is
+    recovered under rank invariance, by mapping each control pre-period
+    outcome to the control post-period value at the same rank. When
+    bootstrap weights are supplied (one vector per arm in
+    ``cell.SAMPLE_ARMS``), each arm's vector enters every ECDF of its
+    samples, inner rank maps included.
     """
-    if cell.n_control == 0 or cell.n_treated == 0:
-        raise ValueError(f"cell {cell.code}: both arms must be nonempty")
-    w0, w1 = _weights_for(weights, "control", "treated")
-    pre_control = cell._control_pre.fit(w0)
-    pre_treated = cell._treated_pre.fit(w1)
-    transformed = cell.control_dy + rank_transform(
-        pre_control, pre_treated, cell.control_y_pre
-    )
+    if min(cell.arm_sizes().values()) == 0:
+        raise ValueError(f"cell {cell.code}: every sample must be nonempty")
+    w_cpre, w_cpost, w_tpre, w_tpost = cell.sample_weights(weights)
+    control_pre, control_post, treated_pre, treated_post = cell.samples
+    pre_control = control_pre.fit(w_cpre)
+    y = control_pre.values
+    dy = cell.observed_dy
+    if dy is None:
+        dy = rank_transform(pre_control, control_post.fit(w_cpost), y) - y
+    transformed = dy + rank_transform(pre_control, treated_pre.fit(w_tpre), y)
     return CounterfactualResult(
         code=cell.code,
-        treated=cell._treated_post.fit(w1),
-        counterfactual=StepDistribution.fit(transformed, w0),
-        transformed_outcomes=transformed,
-        n_control=cell.n_control,
-        n_treated=cell.n_treated,
-    )
-
-
-def counterfactual_cdf_rcs(
-    cell: RcsCell,
-    weights: Mapping[str, np.ndarray] | None = None,
-) -> CounterfactualResult:
-    """Counterfactual CDF from repeated cross sections under rank invariance.
-
-    The unobserved control-group change is recovered by mapping each control
-    pre-period outcome to the control post-period value at the same rank.
-    Weight keys: "control_pre", "control_post", "treated_pre", "treated_post".
-    """
-    sizes = cell.arm_sizes()
-    if min(sizes.values()) == 0:
-        raise ValueError(f"cell {cell.code}: all four samples must be nonempty")
-    w_cpre, w_cpost, w_tpre, w_tpost = _weights_for(
-        weights, "control_pre", "control_post", "treated_pre", "treated_post"
-    )
-    pre_control = cell._control_pre.fit(w_cpre)
-    post_control = cell._control_post.fit(w_cpost)
-    pre_treated = cell._treated_pre.fit(w_tpre)
-    dy = rank_transform(pre_control, post_control, cell.control_pre) - cell.control_pre
-    transformed = dy + rank_transform(pre_control, pre_treated, cell.control_pre)
-    return CounterfactualResult(
-        code=cell.code,
-        treated=cell._treated_post.fit(w_tpost),
+        treated=treated_post.fit(w_tpost),
         counterfactual=StepDistribution.fit(transformed, w_cpre),
         transformed_outcomes=transformed,
         n_control=cell.n_control,
         n_treated=cell.n_treated,
     )
+
+
+# aliases for callers of the per-design names
+counterfactual_cdf_panel = counterfactual_cdf_rcs = counterfactual_cdf
 
 
 def cqtt(
@@ -388,24 +368,8 @@ def cic_qtt(
     )
 
 
-def _samples(cell) -> tuple[SortedSample, ...]:
-    """The cell's four samples, in ``SAMPLE_ARMS`` order."""
-    return (cell._control_pre, cell._control_post, cell._treated_pre, cell._treated_post)
-
-
-def _cic_from_cell(cell, tau_grid, weights, n_total):
-    w = None if weights is None else tuple(weights[arm] for arm in cell.SAMPLE_ARMS)
-    return cic_qtt(
-        *_samples(cell),
-        tau_grid,
-        weights=w,
-        code=cell.code,
-        n_total=cell.n_control + cell.n_treated if n_total is None else n_total,
-    )
-
-
 def estimate_process(
-    cell: PanelCell | RcsCell,
+    cell: Cell,
     tau_grid,
     estimator: str = "ddid",
     weights: Mapping[str, np.ndarray] | None = None,
@@ -413,42 +377,40 @@ def estimate_process(
 ) -> CqttProcess:
     """Evaluate one estimator on one cell, optionally under bootstrap weights."""
     if estimator == "ddid":
-        if isinstance(cell, PanelCell):
-            result = counterfactual_cdf_panel(cell, weights)
-        else:
-            result = counterfactual_cdf_rcs(cell, weights)
-        return cqtt(result, tau_grid, n_total)
+        return cqtt(counterfactual_cdf(cell, weights), tau_grid, n_total)
     if estimator == "cic":
-        return _cic_from_cell(cell, tau_grid, weights, n_total)
+        return cic_qtt(
+            *cell.samples,
+            tau_grid,
+            weights=cell.sample_weights(weights),
+            code=cell.code,
+            n_total=cell.n_control + cell.n_treated if n_total is None else n_total,
+        )
     raise ValueError(f"unknown estimator {estimator!r} (expected 'ddid' or 'cic')")
 
 
 def _fit_rows(cell, weights) -> list[StepRows]:
-    return [
-        sample.fit_rows(weights[arm]) for sample, arm in zip(_samples(cell), cell.SAMPLE_ARMS)
-    ]
+    return [s.fit_rows(w) for s, w in zip(cell.samples, cell.sample_weights(weights))]
 
 
 def _counterfactual_rows(cell, fitted, weights) -> tuple[StepRows, StepRows]:
     pre_control, post_control, pre_treated, post_treated = fitted
-    inverse = cell._control_pre.inverse
-    if isinstance(cell, PanelCell):
-        dy = cell.control_dy
-    else:
-        dy = rank_rows(pre_control, inverse, post_control) - cell.control_pre
-    transformed = dy + rank_rows(pre_control, inverse, pre_treated)
+    sample = cell.samples[0]
+    dy = cell.observed_dy
+    if dy is None:
+        dy = rank_rows(pre_control, sample.inverse, post_control) - sample.values
+    transformed = dy + rank_rows(pre_control, sample.inverse, pre_treated)
     return post_treated, StepRows.fit(transformed, weights[cell.SAMPLE_ARMS[0]])
 
 
 def counterfactual_rows(
-    cell: PanelCell | RcsCell, weights: Mapping[str, np.ndarray]
+    cell: Cell, weights: Mapping[str, np.ndarray]
 ) -> tuple[StepRows, StepRows]:
     """Treated and counterfactual CDFs for a chunk of bootstrap draws.
 
     ``weights`` maps each arm to a (C, n_arm) matrix whose row r is one
     draw's weight vector. Row r of each result equals the ``treated`` and
-    ``counterfactual`` of ``counterfactual_cdf_panel`` / ``_rcs`` under
-    row r's weights.
+    ``counterfactual`` of ``counterfactual_cdf`` under row r's weights.
     """
     return _counterfactual_rows(cell, _fit_rows(cell, weights), weights)
 
@@ -469,7 +431,7 @@ def _cic_rows(fitted, taus) -> np.ndarray:
 
 
 def estimate_rows(
-    cell: PanelCell | RcsCell,
+    cell: Cell,
     tau_grid,
     weights: Mapping[str, np.ndarray],
     estimators: Sequence[str] = ("ddid",),

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import StepRows
+# counterfactual_cdf_panel/_rcs are unused here; bench/tracer.py rebinds them by this path
 from .estimators import (
+    Cell,
     CqttProcess,
-    PanelCell,
-    RcsCell,
     checked_grid,
-    counterfactual_cdf_panel,
-    counterfactual_cdf_rcs,
+    counterfactual_cdf,
+    counterfactual_cdf_panel,  # noqa: F401
+    counterfactual_cdf_rcs,  # noqa: F401
     counterfactual_rows,
     estimate_process,
     estimate_rows,
@@ -128,7 +129,7 @@ def _weight_rows(
 
 
 def bootstrap_process(
-    cell: PanelCell | RcsCell,
+    cell: Cell,
     tau_grid,
     config: BootstrapConfig,
     estimator: str | tuple[str, ...] = "ddid",
@@ -251,7 +252,7 @@ def _assemble_report(process, draws, config) -> InferenceReport:
 
 
 def analyze_cell(
-    cell: PanelCell | RcsCell,
+    cell: Cell,
     tau_grid,
     config: BootstrapConfig,
     estimator: str | tuple[str, ...] = "ddid",
@@ -275,7 +276,7 @@ def analyze_cell(
 
 
 def bootstrap_unconditional(
-    cells: list[tuple[int, PanelCell | RcsCell]],
+    cells: list[tuple[int, Cell]],
     tau_grid,
     config: BootstrapConfig,
 ) -> np.ndarray:
@@ -308,7 +309,7 @@ def bootstrap_unconditional(
 
 
 def analyze_unconditional(
-    cells: list[tuple[int, PanelCell | RcsCell]],
+    cells: list[tuple[int, Cell]],
     tau_grid,
     config: BootstrapConfig,
     n_total: int,
@@ -321,11 +322,6 @@ def analyze_unconditional(
     which multinomial resampling holds fixed.
     """
     draws = bootstrap_unconditional(cells, tau_grid, config)
-    results = [
-        counterfactual_cdf_panel(cell)
-        if isinstance(cell, PanelCell)
-        else counterfactual_cdf_rcs(cell)
-        for _, cell in cells
-    ]
+    results = [counterfactual_cdf(cell) for _, cell in cells]
     process = unconditional_qtt(results, treated_shares(results), tau_grid, n_total)
     return _assemble_report(process, draws, config)

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data_model import PanelData
+from .data_model import PanelData, build_cells
 from .estimators import PanelCell, estimate_process
 # draw_weights is not called here; bench/tracer.py rebinds it by this module path
 from .inference import (
@@ -132,17 +132,6 @@ def simulate(spec: DgpSpec, rng: np.random.Generator) -> PanelData:
     return simulate_dgp1(spec, rng) if spec.variant == 1 else simulate_dgp2(spec, rng)
 
 
-def _single_cell(data: PanelData) -> PanelCell:
-    treated = data.treated
-    return PanelCell(
-        code=(),
-        control_y_pre=data.y_pre[~treated],
-        control_dy=data.y_post[~treated] - data.y_pre[~treated],
-        treated_y_pre=data.y_pre[treated],
-        treated_y_post=data.y_post[treated],
-    )
-
-
 @dataclass(frozen=True)
 class McResult:
     """Aggregated Monte Carlo performance of the estimators on one design."""
@@ -198,7 +187,7 @@ def run_mc(
     )
     for r in range(reps):
         data = simulate(spec, substream(seed, r))
-        cell = _single_cell(data)
+        cell = PanelCell.from_dataset(data, build_cells(data)[0])
         point = {
             est: estimate_process(cell, grid, est, None, data.n_total).values
             for est in estimators

@@ -1,0 +1,78 @@
+"""extract_cell / from_dataset: a cell's samples are the rows build_cells
+assigned to it, units for panel data and observations per period for
+repeated cross sections, in row order."""
+
+import numpy as np
+import pytest
+
+from qdid.data_model import PanelData, RcsData, build_cells
+from qdid.estimators import PanelCell, RcsCell, extract_cell
+
+
+def _samples(cell):
+    return [s.values for s in (cell._control_pre, cell._control_post,
+                               cell._treated_pre, cell._treated_post)]
+
+
+def _assert_arrays(actual, expected):
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        np.testing.assert_array_equal(a, e)
+
+
+@pytest.mark.parametrize("n_covariates", [0, 2])
+def test_panel_cells_hold_their_units(n_covariates):
+    rng = np.random.default_rng(5)
+    n = 40
+    data = PanelData(
+        unit_ids=np.arange(100, 100 + n),
+        y_pre=rng.normal(size=n).round(1),
+        y_post=rng.normal(size=n).round(1),
+        treated=rng.random(n) < 0.4,
+        covariates=rng.integers(0, 2, size=(n, n_covariates)),
+    )
+    cells = build_cells(data, min_cell_size=1)
+    assert sum(c.n_control + c.n_treated for c in cells) == n
+    for covariate_cell in cells:
+        c, t = covariate_cell.control_rows, covariate_cell.treated_rows
+        cell = extract_cell(data, covariate_cell)
+        assert isinstance(cell, PanelCell)
+        assert cell.code == covariate_cell.code
+        assert cell.SAMPLE_ARMS == ("control", "control", "treated", "treated")
+        assert cell.arm_sizes() == {"control": len(c), "treated": len(t)}
+        assert (cell.n_control, cell.n_treated) == (len(c), len(t))
+        dy = data.y_post[c] - data.y_pre[c]
+        _assert_arrays([cell.control_y_pre, cell.control_dy], [data.y_pre[c], dy])
+        _assert_arrays(
+            _samples(cell),
+            [data.y_pre[c], data.y_pre[c] + dy, data.y_pre[t], data.y_post[t]],
+        )
+
+
+def test_rcs_cells_hold_their_observations_per_period():
+    rng = np.random.default_rng(6)
+    n = 120
+    data = RcsData(
+        y=rng.normal(size=n).round(1),
+        period=rng.integers(0, 2, size=n),
+        treated=rng.random(n) < 0.5,
+        covariates=rng.integers(0, 2, size=(n, 2)),
+    )
+    cells = build_cells(data, min_cell_size=1)
+    assert sum(c.n_control + c.n_treated for c in cells) == n
+    arms = ("control_pre", "control_post", "treated_pre", "treated_post")
+    for covariate_cell in cells:
+        c, t = covariate_cell.control_rows, covariate_cell.treated_rows
+        rows = [
+            c[data.period[c] == 0],
+            c[data.period[c] == 1],
+            t[data.period[t] == 0],
+            t[data.period[t] == 1],
+        ]
+        cell = extract_cell(data, covariate_cell)
+        assert isinstance(cell, RcsCell)
+        assert cell.code == covariate_cell.code
+        assert cell.SAMPLE_ARMS == arms
+        assert cell.arm_sizes() == {arm: len(r) for arm, r in zip(arms, rows)}
+        assert (cell.n_control, cell.n_treated) == (len(c), len(t))
+        _assert_arrays(_samples(cell), [data.y[r] for r in rows])
