@@ -7,8 +7,10 @@ plot-ready band file (one row per cell, estimator, and tau) and a compact
 per-cell summary with the sup-test decision and estimates at selected
 quantiles.
 
-Exit codes: 0 success, 2 input/validation failure, 3 estimation infeasible
-(no covariate cell is large enough).
+Exit codes: 0 success, 2 input/validation failure or a bad flag value (an
+unwritable --out included), 3 estimation infeasible (no covariate cell is
+large enough), 4 internal error (an unexpected exception: a bug, not a
+problem with the input).
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from .data_model import (
     PanelData,
     RcsData,
     ValidationError,
+    _repeated_rows,
     build_cells,
     validate,
 )
-from .estimators import extract_cell
+from .estimators import checked_grid, extract_cell
 from .inference import (
     BootstrapConfig,
     InferenceReport,
@@ -44,6 +47,7 @@ __all__ = [
     "RunResult",
     "CellAnalysis",
     "LoadError",
+    "FlagError",
     "InfeasibleError",
     "load_csv",
     "tau_grid",
@@ -55,6 +59,7 @@ __all__ = [
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL = 4
 
 REPORT_SCHEMA = "qdid.report.v1"
 SUMMARY_TAUS = (0.1, 0.5, 0.9)
@@ -62,6 +67,10 @@ SUMMARY_TAUS = (0.1, 0.5, 0.9)
 
 class LoadError(ValueError):
     """Input file cannot be parsed into a dataset."""
+
+
+class FlagError(ValueError):
+    """A command-line flag has a value the run cannot use; the message names it."""
 
 
 class InfeasibleError(RuntimeError):
@@ -100,22 +109,40 @@ class RunConfig:
 
     def __post_init__(self):
         if self.mode not in ("panel", "rcs"):
-            raise ValueError("mode must be 'panel' or 'rcs'")
-        for est in self.estimators:
-            if est not in ("ddid", "cic"):
-                raise ValueError(f"unknown estimator {est!r}")
+            raise FlagError("--mode must be 'panel' or 'rcs'")
         if self.output_format not in ("json", "csv", "both"):
-            raise ValueError("output format must be json, csv, or both")
-        if self.bootstrap < 2:
-            raise ValueError(
-                f"--bootstrap {self.bootstrap}: need at least two bootstrap draws"
-            )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"--alpha {self.alpha}: must lie strictly inside (0, 1)")
-        try:
-            tau_grid(self.tau_min, self.tau_max, self.tau_step)
-        except ValueError as exc:
-            raise ValueError(f"--tau-min/--tau-max/--tau-step: {exc}") from None
+            raise FlagError("--format must be json, csv, or both")
+        _check_draw_flags(self.estimators, self.bootstrap, self.alpha, self.seed)
+        if self.min_cell_size < 1:
+            raise FlagError(f"--min-cell-size {self.min_cell_size}: must be at least 1")
+        _flag_value(
+            "--tau-min/--tau-max/--tau-step",
+            lambda: tau_grid(self.tau_min, self.tau_max, self.tau_step),
+        )
+
+
+def _flag_value(flags: str, build):
+    """``build()``, with a ValueError (or OverflowError) it raises reported as
+    a bad value of ``flags``."""
+    try:
+        return build()
+    except (ValueError, OverflowError) as exc:
+        raise FlagError(f"{flags}: {exc}") from None
+
+
+def _check_draw_flags(estimators, bootstrap: int, alpha: float, seed: int, no_test_ok=False):
+    """Reject bad draw settings before any work; ``no_test_ok`` admits the
+    --bootstrap 0 with which ``qdid mc`` skips the test."""
+    for est in estimators:
+        if est not in ("ddid", "cic"):
+            raise FlagError(f"--estimators: unknown estimator {est!r}")
+    if bootstrap < 2 and not (no_test_ok and bootstrap == 0):
+        need = "0 (no test) or " if no_test_ok else ""
+        raise FlagError(f"--bootstrap {bootstrap}: need {need}at least two bootstrap draws")
+    if not 0.0 < alpha < 1.0:
+        raise FlagError(f"--alpha {alpha}: must lie strictly inside (0, 1)")
+    if seed < 0:
+        raise FlagError(f"--seed {seed}: must be a non-negative integer")
 
 
 def _parse_float(token: str, line: int, col: str) -> float:
@@ -136,15 +163,29 @@ def _parse_binary(token: str, line: int, col: str) -> int:
 
 def _parse_code(token: str, line: int, col: str) -> int:
     try:
-        return int(token.strip())
+        code = int(token.strip())
     except ValueError:
         raise LoadError(
             f"line {line}: covariate {col}={token!r} must be an integer code"
         ) from None
+    if not -(2**63) <= code < 2**63:
+        raise LoadError(f"line {line}: covariate {col}={token!r} is outside the 64-bit range")
+    return code
+
+
+def _coded(tokens: list[str], convert) -> np.ndarray:
+    """Integer column: each distinct token is stripped and converted once."""
+    codes = {t: convert(t.strip()) for t in set(tokens)}
+    return np.fromiter(map(codes.__getitem__, tokens), int, len(tokens))
 
 
 def load_csv(config: RunConfig) -> PanelData | RcsData:
-    """Read a long-format CSV into a dataset; errors carry file line numbers."""
+    """Read a long-format CSV into a dataset; errors carry file line numbers.
+
+    Fields are gathered column by column and converted in one pass each.
+    Only when a conversion fails are the rows walked with the scalar parsers,
+    which raise the error of the first bad row, as a row-by-row read would.
+    """
     try:
         handle = open(config.input_path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -166,70 +207,88 @@ def load_csv(config: RunConfig) -> PanelData | RcsData:
             raise LoadError(f"missing columns: {', '.join(missing)}")
         pos = {c: header.index(c) for c in header}
 
-        rows = []
-        for i, row in enumerate(reader):
-            line = i + 2
-            if not row:
-                continue
+        names = [config.outcome_col, config.period_col, config.treatment_col]
+        names += list(config.covariate_cols) + ([config.unit_col] if has_unit else [])
+        columns: list[list[str]] = [[] for _ in names]
+        fill = list(zip([col.append for col in columns], [pos[c] for c in names]))
+        blanks: list[int] = []  # data rows read before each blank line
+        bad_width = None
+        for line, row in enumerate(reader, 2):
             if len(row) != len(header):
-                raise LoadError(f"line {line}: expected {len(header)} fields, got {len(row)}")
-            y = _parse_float(row[pos[config.outcome_col]], line, config.outcome_col)
-            period = _parse_binary(row[pos[config.period_col]], line, config.period_col)
-            d = _parse_binary(row[pos[config.treatment_col]], line, config.treatment_col)
-            covs = tuple(
-                _parse_code(row[pos[c]], line, c) for c in config.covariate_cols
-            )
-            unit = row[pos[config.unit_col]].strip() if has_unit else None
-            rows.append((unit, period, y, d, covs, line))
-        if not rows:
-            raise LoadError("no data rows")
+                if not row:
+                    blanks.append(len(columns[0]))
+                    continue
+                bad_width = LoadError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+                break
+            for append, p in fill:
+                append(row[p])
 
+    n = len(columns[0])
+
+    def line_of(k: int) -> int:
+        return k + 2 + int(np.searchsorted(blanks, k, side="right"))
+
+    try:
+        y = np.fromiter(map(float, columns[0]), float, n)
+        if not np.all(np.isfinite(y)):
+            raise ValueError
+        period, d = (_coded(tokens, ("0", "1").index) for tokens in columns[1:3])
+        covariates = np.empty((n, len(config.covariate_cols)), dtype=int)
+        for j, tokens in enumerate(columns[3 : 3 + covariates.shape[1]]):
+            covariates[:, j] = _coded(tokens, int)
+    except (ValueError, OverflowError):
+        parsers = [_parse_float, _parse_binary, _parse_binary]
+        parsers += [_parse_code] * len(config.covariate_cols)
+        for k, fields in enumerate(zip(*columns)):
+            for parse, token, name in zip(parsers, fields, names):
+                parse(token, line_of(k), name)
+        raise
+    if bad_width is not None:
+        raise bad_width
+    if not n:
+        raise LoadError("no data rows")
+    units = np.array([u.strip() for u in columns[-1]]) if has_unit else None
+    del columns
     if config.mode == "rcs":
-        unit_ids = np.array([r[0] for r in rows]) if has_unit else None
         return RcsData(
-            y=np.array([r[2] for r in rows]),
-            period=np.array([r[1] for r in rows]),
-            treated=np.array([r[3] for r in rows], dtype=bool),
-            covariates=np.array([r[4] for r in rows], dtype=int).reshape(
-                len(rows), len(config.covariate_cols)
-            ),
-            unit_ids=unit_ids,
+            y=y, period=period, treated=d.astype(bool), covariates=covariates, unit_ids=units
         )
 
-    by_unit: dict[str, dict[int, tuple]] = {}
-    for unit, period, y, d, covs, line in rows:
-        periods = by_unit.setdefault(unit, {})
-        if period in periods:
-            raise LoadError(f"line {line}: duplicate (unit={unit}, period={period}) row")
-        periods[period] = (y, d, covs, line)
-    units = list(by_unit)
-    for unit in units:
-        periods = by_unit[unit]
-        if set(periods) != {0, 1}:
+    repeated = _repeated_rows(units, period)
+    if repeated.size:
+        k = repeated[0]
+        raise LoadError(f"line {line_of(k)}: duplicate (unit={units[k]}, period={period[k]}) row")
+    ids, first, unit = np.unique(units, return_index=True, return_inverse=True)
+    rows = np.full((ids.size, 2), -1)
+    rows[unit, period] = np.arange(n)
+    order = np.argsort(first)  # units in first-appearance order, as weights follow it
+    ids, pre, post = ids[order], rows[order, 0], rows[order, 1]
+    one_period = (pre < 0) | (post < 0)
+    differ = ~one_period & np.any(covariates[pre] != covariates[post], axis=1)
+    treated_before = ~one_period & (d[pre] > d[post])
+    bad = np.flatnonzero(one_period | differ | treated_before)
+    if bad.size:
+        j = bad[0]
+        if one_period[j]:
             raise LoadError(
-                f"unit {unit}: panel mode requires exactly one row per period "
-                f"(found periods {sorted(periods)})"
+                f"unit {ids[j]}: panel mode requires exactly one row per period "
+                f"(found periods {[0] if post[j] < 0 else [1]})"
             )
-        y0, d0, x0, line0 = periods[0]
-        y1, d1, x1, line1 = periods[1]
-        if x0 != x1:
+        if differ[j]:
             raise LoadError(
-                f"unit {unit}: covariates differ across periods "
-                f"(lines {line0} and {line1})"
+                f"unit {ids[j]}: covariates differ across periods "
+                f"(lines {line_of(pre[j])} and {line_of(post[j])})"
             )
-        if d0 not in (0, d1):
-            raise LoadError(
-                f"unit {unit}: pre-period treatment flag {d0} inconsistent with "
-                f"post-period {d1} (no one is treated before the policy)"
-            )
+        raise LoadError(
+            f"unit {ids[j]}: pre-period treatment flag {d[pre[j]]} inconsistent with "
+            f"post-period {d[post[j]]} (no one is treated before the policy)"
+        )
     return PanelData(
-        unit_ids=np.array(units),
-        y_pre=np.array([by_unit[u][0][0] for u in units]),
-        y_post=np.array([by_unit[u][1][0] for u in units]),
-        treated=np.array([by_unit[u][1][1] for u in units], dtype=bool),
-        covariates=np.array(
-            [by_unit[u][1][2] for u in units], dtype=int
-        ).reshape(len(units), len(config.covariate_cols)),
+        unit_ids=ids,
+        y_pre=y[pre],
+        y_post=y[post],
+        treated=d[post].astype(bool),
+        covariates=covariates[post],
     )
 
 
@@ -527,7 +586,10 @@ def write_mc_outputs(
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError("expected comma-separated numbers")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -590,7 +652,7 @@ def _warn_if_critical_value_is_largest_draw(bootstrap: int, alpha: float) -> Non
     """Warn when the (1 - alpha) quantile of the draws is always the largest
     draw: the share (B - 1) / B of the others falls short of 1 - alpha, that
     is, there are fewer than 1/alpha draws."""
-    if bootstrap > 0 and 0.0 < alpha < 1.0 and (bootstrap - 1) / bootstrap < 1.0 - alpha:
+    if bootstrap > 0 and (bootstrap - 1) / bootstrap < 1.0 - alpha:
         print(
             f"warning: --bootstrap {bootstrap} is below 1/--alpha (--alpha {alpha}), "
             "so every critical value is the largest bootstrap draw",
@@ -629,18 +691,23 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_mc(args) -> int:
     estimators = tuple(e.strip() for e in args.estimators.split(",") if e.strip())
-    taus = _float_list(args.taus)
-    ns = _float_list(args.n)
+    _check_draw_flags(estimators, args.bootstrap, args.alpha, args.seed, no_test_ok=True)
+    if args.reps < 1:
+        raise FlagError(f"--reps {args.reps}: must be at least 1")
+    taus = _flag_value("--taus", lambda: _float_list(args.taus))
+    _flag_value("--taus", lambda: checked_grid(taus))
+    ns = _flag_value("--n", lambda: _float_list(args.n))
     if args.dgp == 1:
         param_name = "n"
-        designs = [(n, DgpSpec(variant=1, n_per_arm=int(n), te=args.te)) for n in ns]
+        designs = [(n, _flag_value("--n/--te", lambda: DgpSpec(1, int(n), args.te))) for n in ns]
     else:
         param_name = "rho_bar"
         if len(ns) != 1:
-            raise LoadError("dgp 2 tables vary rho_bar; pass a single --n")
+            raise FlagError("--n: dgp 2 tables vary rho_bar; pass a single --n")
+        rhos = _flag_value("--rho", lambda: _float_list(args.rho))
         designs = [
-            (rho, DgpSpec(variant=2, n_per_arm=int(ns[0]), te=args.te, rho_bar=rho))
-            for rho in _float_list(args.rho)
+            (rho, _flag_value("--n/--te/--rho", lambda: DgpSpec(2, int(ns[0]), args.te, rho)))
+            for rho in rhos
         ]
     _warn_if_critical_value_is_largest_draw(args.bootstrap, args.alpha)
     results = [
@@ -665,7 +732,9 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = DgpSpec(variant=args.dgp, n_per_arm=args.n, te=args.te, rho_bar=args.rho)
+    if args.seed < 0:
+        raise FlagError(f"--seed {args.seed}: must be a non-negative integer")
+    spec = _flag_value("--n/--te/--rho", lambda: DgpSpec(args.dgp, args.n, args.te, args.rho))
     data = simulate(spec, substream(args.seed, 0))
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -687,12 +756,17 @@ def main(argv=None) -> int:
         if args.command == "mc":
             return _cmd_mc(args)
         return _cmd_simulate(args)
-    except (LoadError, ValidationError, ValueError) as exc:
+    except (LoadError, ValidationError, FlagError, OSError) as exc:  # OSError: --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except Exception:
+        import traceback  # only on this path, so start-up imports stay as they are
+        traceback.print_exc()
+        print("internal error: an unexpected exception (a bug, not bad input)", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

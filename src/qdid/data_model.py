@@ -152,6 +152,16 @@ def _rows_msg(rows: np.ndarray, what: str) -> ValidationIssue:
     return ValidationIssue(what, idx, f"{what} at rows [{shown}]")
 
 
+def _repeated_rows(unit_ids: np.ndarray, period: np.ndarray) -> np.ndarray:
+    """Rows whose (unit, period) pair already occurred on an earlier row."""
+    _, unit = np.unique(unit_ids, return_inverse=True, equal_nan=False)
+    _, phase = np.unique(period, return_inverse=True)
+    _, first = np.unique(unit * (phase.max(initial=0) + 1) + phase, return_index=True)
+    repeat = np.ones(len(period), dtype=bool)
+    repeat[first] = False
+    return np.flatnonzero(repeat)
+
+
 def validate(dataset: PanelData | RcsData) -> ValidationReport:
     """Check finiteness, covariate coding, and row identity constraints."""
     issues: list[ValidationIssue] = []
@@ -178,16 +188,9 @@ def validate(dataset: PanelData | RcsData) -> ValidationReport:
         if bad.size:
             issues.append(_rows_msg(bad, "period not in {0, 1}"))
         if dataset.unit_ids is not None:
-            pairs = list(zip(dataset.unit_ids.tolist(), dataset.period.tolist()))
-            seen: dict[tuple, int] = {}
-            dup_rows = []
-            for i, key in enumerate(pairs):
-                if key in seen:
-                    dup_rows.append(i)
-                else:
-                    seen[key] = i
-            if dup_rows:
-                issues.append(_rows_msg(np.asarray(dup_rows), "duplicate (unit, period) row"))
+            dup_rows = _repeated_rows(dataset.unit_ids, dataset.period)
+            if dup_rows.size:
+                issues.append(_rows_msg(dup_rows, "duplicate (unit, period) row"))
 
     x = dataset.covariates
     if x.size:
@@ -241,18 +244,20 @@ def build_cells(
     the four period-by-group arms) is flagged as non-viable with a reason.
     """
     x = dataset.covariates
-    n = x.shape[0]
-    if x.shape[1] == 0:
-        groups: dict[tuple[int, ...], list[int]] = {(): list(range(n))}
+    n, k = x.shape
+    if k == 0:
+        groups = [np.arange(n)]
     else:
-        groups = {}
-        for i, row in enumerate(x.tolist()):
-            groups.setdefault(tuple(int(v) for v in row), []).append(i)
+        codes = x.astype(int)
+        order = np.lexsort(codes.T[::-1])  # stable: rows stay ascending in a cell
+        ranked = codes[order]
+        starts = np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1
+        groups = np.split(order, starts) if n else []
 
     treated = dataset.treated
     cells = []
-    for code in sorted(groups):
-        rows = np.asarray(groups[code], dtype=int)
+    for rows in groups:
+        code = tuple(int(v) for v in codes[rows[0]]) if k else ()
         t_rows = rows[treated[rows]]
         c_rows = rows[~treated[rows]]
         viable, reason = True, None

@@ -55,6 +55,8 @@ class DgpSpec:
             raise ValueError("variant must be 1 or 2")
         if self.n_per_arm < 1:
             raise ValueError("n_per_arm must be >= 1")
+        if not np.isfinite([self.te, self.rho_bar]).all():
+            raise ValueError("te and rho_bar must be finite")
         if self.variant == 2:
             for d in (0, 1):
                 try:

@@ -5,14 +5,30 @@ linear scans, no shared code with the package. Floating-point results
 coincide bit-for-bit with the engine on integer-valued inputs because both
 reduce to ratios of small integer counts.
 
+The ingest references are the row-by-row reader, validator and cell
+partition the package ran before its columnar ingest. The columnar code must
+give the same arrays, dtypes and row order, and the same errors.
+
 The per-draw references at the end are the draw loops the package ran
 before its batched bootstrap kernel: one substream, one weight vector per
 arm and one full ``estimate_process`` per draw. The kernel must reproduce
 them bit for bit.
 """
 
+import csv
+
 import numpy as np
 
+from qdid.cli import LoadError, _parse_binary, _parse_code, _parse_float
+from qdid.data_model import (
+    DEFAULT_MIN_CELL_SIZE,
+    CovariateCell,
+    PanelData,
+    RcsData,
+    ValidationIssue,
+    ValidationReport,
+    _rows_msg,
+)
 from qdid.estimators import (
     PanelCell,
     counterfactual_cdf_panel,
@@ -162,3 +178,189 @@ def per_draw_mc_rejections(spec, reps, taus, estimators, bootstrap_iterations,
                 crit = empirical_quantile(deviations[:, j], 1.0 - alpha)
                 rejections[est][r, j] = abs(point[est][j]) > crit
     return {est: rejections[est].mean(axis=0) for est in estimators}
+
+
+def row_by_row_load_csv(config):
+    """The loader before columnar ingest: every field parsed on its own."""
+    try:
+        handle = open(config.input_path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise LoadError(f"cannot open {config.input_path}: {exc}") from None
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise LoadError("empty file") from None
+        header = [h.strip() for h in header]
+        required = [config.period_col, config.outcome_col, config.treatment_col]
+        required += list(config.covariate_cols)
+        has_unit = config.unit_col in header
+        if config.mode == "panel" and not has_unit:
+            required = [config.unit_col] + required
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise LoadError(f"missing columns: {', '.join(missing)}")
+        pos = {c: header.index(c) for c in header}
+
+        rows = []
+        for i, row in enumerate(reader):
+            line = i + 2
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise LoadError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+            y = _parse_float(row[pos[config.outcome_col]], line, config.outcome_col)
+            period = _parse_binary(row[pos[config.period_col]], line, config.period_col)
+            d = _parse_binary(row[pos[config.treatment_col]], line, config.treatment_col)
+            covs = tuple(
+                _parse_code(row[pos[c]], line, c) for c in config.covariate_cols
+            )
+            unit = row[pos[config.unit_col]].strip() if has_unit else None
+            rows.append((unit, period, y, d, covs, line))
+        if not rows:
+            raise LoadError("no data rows")
+
+    if config.mode == "rcs":
+        unit_ids = np.array([r[0] for r in rows]) if has_unit else None
+        return RcsData(
+            y=np.array([r[2] for r in rows]),
+            period=np.array([r[1] for r in rows]),
+            treated=np.array([r[3] for r in rows], dtype=bool),
+            covariates=np.array([r[4] for r in rows], dtype=int).reshape(
+                len(rows), len(config.covariate_cols)
+            ),
+            unit_ids=unit_ids,
+        )
+
+    by_unit: dict[str, dict[int, tuple]] = {}
+    for unit, period, y, d, covs, line in rows:
+        periods = by_unit.setdefault(unit, {})
+        if period in periods:
+            raise LoadError(f"line {line}: duplicate (unit={unit}, period={period}) row")
+        periods[period] = (y, d, covs, line)
+    units = list(by_unit)
+    for unit in units:
+        periods = by_unit[unit]
+        if set(periods) != {0, 1}:
+            raise LoadError(
+                f"unit {unit}: panel mode requires exactly one row per period "
+                f"(found periods {sorted(periods)})"
+            )
+        y0, d0, x0, line0 = periods[0]
+        y1, d1, x1, line1 = periods[1]
+        if x0 != x1:
+            raise LoadError(
+                f"unit {unit}: covariates differ across periods "
+                f"(lines {line0} and {line1})"
+            )
+        if d0 not in (0, d1):
+            raise LoadError(
+                f"unit {unit}: pre-period treatment flag {d0} inconsistent with "
+                f"post-period {d1} (no one is treated before the policy)"
+            )
+    return PanelData(
+        unit_ids=np.array(units),
+        y_pre=np.array([by_unit[u][0][0] for u in units]),
+        y_post=np.array([by_unit[u][1][0] for u in units]),
+        treated=np.array([by_unit[u][1][1] for u in units], dtype=bool),
+        covariates=np.array(
+            [by_unit[u][1][2] for u in units], dtype=int
+        ).reshape(len(units), len(config.covariate_cols)),
+    )
+
+
+def row_by_row_validate(dataset):
+    """``validate`` with the (unit, period) duplicate check as a dict loop."""
+    issues: list[ValidationIssue] = []
+
+    if isinstance(dataset, PanelData):
+        bad = np.flatnonzero(~np.isfinite(dataset.y_pre) | ~np.isfinite(dataset.y_post))
+        if bad.size:
+            issues.append(_rows_msg(bad, "non-finite outcome"))
+        ids, counts = np.unique(dataset.unit_ids, return_counts=True)
+        dup = ids[counts > 1]
+        if dup.size:
+            issues.append(
+                ValidationIssue(
+                    "duplicate unit",
+                    (),
+                    f"duplicate unit ids: {', '.join(map(str, dup[:10]))}",
+                )
+            )
+    else:
+        bad = np.flatnonzero(~np.isfinite(dataset.y))
+        if bad.size:
+            issues.append(_rows_msg(bad, "non-finite outcome"))
+        bad = np.flatnonzero(~np.isin(dataset.period, (0, 1)))
+        if bad.size:
+            issues.append(_rows_msg(bad, "period not in {0, 1}"))
+        if dataset.unit_ids is not None:
+            pairs = list(zip(dataset.unit_ids.tolist(), dataset.period.tolist()))
+            seen: dict[tuple, int] = {}
+            dup_rows = []
+            for i, key in enumerate(pairs):
+                if key in seen:
+                    dup_rows.append(i)
+                else:
+                    seen[key] = i
+            if dup_rows:
+                issues.append(_rows_msg(np.asarray(dup_rows), "duplicate (unit, period) row"))
+
+    x = dataset.covariates
+    if x.size:
+        if not np.issubdtype(x.dtype, np.integer):
+            as_float = x.astype(float)
+            frac = np.flatnonzero(np.any(as_float != np.floor(as_float), axis=1))
+            if frac.size or not np.all(np.isfinite(as_float)):
+                issues.append(
+                    _rows_msg(
+                        frac if frac.size else np.arange(len(as_float)),
+                        "non-integer covariate value (covariates must be discrete codes)",
+                    )
+                )
+    return ValidationReport(tuple(issues))
+
+
+def dict_build_cells(dataset, min_cell_size=DEFAULT_MIN_CELL_SIZE):
+    """``build_cells`` grouping rows in a dict keyed by covariate tuples."""
+    x = dataset.covariates
+    n = x.shape[0]
+    if x.shape[1] == 0:
+        groups: dict[tuple[int, ...], list[int]] = {(): list(range(n))}
+    else:
+        groups = {}
+        for i, row in enumerate(x.tolist()):
+            groups.setdefault(tuple(int(v) for v in row), []).append(i)
+
+    treated = dataset.treated
+    cells = []
+    for code in sorted(groups):
+        rows = np.asarray(groups[code], dtype=int)
+        t_rows = rows[treated[rows]]
+        c_rows = rows[~treated[rows]]
+        viable, reason = True, None
+        if isinstance(dataset, RcsData):
+            arms = {
+                "control pre": int(np.sum(dataset.period[c_rows] == 0)),
+                "control post": int(np.sum(dataset.period[c_rows] == 1)),
+                "treated pre": int(np.sum(dataset.period[t_rows] == 0)),
+                "treated post": int(np.sum(dataset.period[t_rows] == 1)),
+            }
+        else:
+            arms = {"control": len(c_rows), "treated": len(t_rows)}
+        short = {name: size for name, size in arms.items() if size < min_cell_size}
+        if short:
+            viable = False
+            parts = ", ".join(f"{name} arm has {size} rows" for name, size in short.items())
+            reason = f"{parts} (< min_cell_size {min_cell_size})"
+        cells.append(
+            CovariateCell(
+                code=code,
+                treated_rows=t_rows,
+                control_rows=c_rows,
+                viable=viable,
+                reason=reason,
+            )
+        )
+    return cells
