@@ -35,6 +35,7 @@ from .data_model import (
 )
 from .estimators import checked_grid, extract_cell
 from .inference import (
+    SCHEMES,
     BootstrapConfig,
     InferenceReport,
     analyze_cell,
@@ -112,6 +113,8 @@ class RunConfig:
             raise FlagError("--mode must be 'panel' or 'rcs'")
         if self.output_format not in ("json", "csv", "both"):
             raise FlagError("--format must be json, csv, or both")
+        if self.scheme not in SCHEMES:
+            raise FlagError(f"--scheme must be one of {', '.join(SCHEMES)}")
         _check_draw_flags(self.estimators, self.bootstrap, self.alpha, self.seed)
         if self.min_cell_size < 1:
             raise FlagError(f"--min-cell-size {self.min_cell_size}: must be at least 1")
@@ -133,6 +136,8 @@ def _flag_value(flags: str, build):
 def _check_draw_flags(estimators, bootstrap: int, alpha: float, seed: int, no_test_ok=False):
     """Reject bad draw settings before any work; ``no_test_ok`` admits the
     --bootstrap 0 with which ``qdid mc`` skips the test."""
+    if not estimators:
+        raise FlagError("--estimators: name at least one of ddid, cic")
     for est in estimators:
         if est not in ("ddid", "cic"):
             raise FlagError(f"--estimators: unknown estimator {est!r}")
@@ -402,149 +407,74 @@ def _fnum(x) -> str:
     return repr(float(x))
 
 
-def _cell_columns(config: RunConfig) -> list[str]:
-    return ["cell"] + list(config.covariate_cols)
-
-
-def _cell_values(config: RunConfig, code: tuple[int, ...] | None) -> list[str]:
-    if code is None:
-        return ["unconditional"] + ["*"] * len(config.covariate_cols)
-    label = "all" if not code else "|".join(map(str, code))
-    return [label] + [str(c) for c in code]
-
-
-def write_bands_csv(path: str, result: RunResult) -> None:
-    """One row per (cell, estimator, tau): estimate with simultaneous band and SE."""
-    config = result.config
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            _cell_columns(config)
-            + ["estimator", "tau", "estimate", "lower", "upper", "pointwise_se"]
-        )
-
-        def rows_for(code, est, rep: InferenceReport):
-            for j, tau in enumerate(rep.process.taus):
-                writer.writerow(
-                    _cell_values(config, code)
-                    + [
-                        est,
-                        _fnum(tau),
-                        _fnum(rep.process.values[j]),
-                        _fnum(rep.lower[j]),
-                        _fnum(rep.upper[j]),
-                        _fnum(rep.pointwise_se[j]),
-                    ]
-                )
-
-        for analysis in result.cells:
-            if analysis.reports is None:
-                continue
-            for est, rep in analysis.reports.items():
-                rows_for(analysis.cell.code, est, rep)
-        if result.unconditional is not None:
-            rows_for(None, "ddid", result.unconditional)
-
-
-def _nearest_indices(grid: np.ndarray, targets) -> list[int]:
-    return [int(np.argmin(np.abs(grid - t))) for t in targets]
-
-
-def write_summary_csv(path: str, result: RunResult) -> None:
-    """One row per (cell, estimator): sup-test decision plus selected quantiles."""
-    config = result.config
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        stat_cols = []
-        for t in SUMMARY_TAUS:
-            stat_cols += [f"estimate_{t}", f"se_{t}"]
-        writer.writerow(
-            _cell_columns(config)
-            + ["estimator", "n_control", "n_treated", "viable", "reason"]
-            + ["ks_statistic", "critical_value", "reject"]
-            + stat_cols
-        )
-
-        def row_for(code, est, rep: InferenceReport | None, cell: CovariateCell | None):
-            base = _cell_values(config, code)
-            if rep is None:
-                writer.writerow(
-                    base
-                    + [est, cell.n_control, cell.n_treated, "false", cell.reason]
-                    + [""] * (3 + 2 * len(SUMMARY_TAUS))
-                )
-                return
-            picks = _nearest_indices(rep.process.taus, SUMMARY_TAUS)
-            stats = []
-            for j in picks:
-                stats += [_fnum(rep.process.values[j]), _fnum(rep.pointwise_se[j])]
-            writer.writerow(
-                base
-                + [est, rep.process.n_control, rep.process.n_treated, "true", ""]
-                + [
-                    _fnum(rep.ks_statistic),
-                    _fnum(rep.critical_value),
-                    "true" if rep.reject else "false",
-                ]
-                + stats
-            )
-
-        for analysis in result.cells:
-            if analysis.reports is None:
-                row_for(analysis.cell.code, "", None, analysis.cell)
-                continue
-            for est, rep in analysis.reports.items():
-                row_for(analysis.cell.code, est, rep, analysis.cell)
-        if result.unconditional is not None:
-            row_for(None, "ddid", result.unconditional, None)
-
-
 def write_report(result: RunResult, out_prefix: str) -> list[str]:
+    """Write the JSON report and/or its two CSV views, read from one
+    ``report_dict``: a bands file (one row per cell, estimator and tau) and a
+    summary (one row per cell and estimator; a non-viable cell gets one)."""
+    report = report_dict(result)
     written = []
     fmt = result.config.output_format
     if fmt in ("json", "both"):
         path = f"{out_prefix}.json"
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(report_dict(result), handle, indent=2)
+            json.dump(report, handle, indent=2)
             handle.write("\n")
         written.append(path)
-    if fmt in ("csv", "both"):
-        bands = f"{out_prefix}.bands.csv"
-        write_bands_csv(bands, result)
-        summary = f"{out_prefix}.summary.csv"
-        write_summary_csv(summary, result)
-        written += [bands, summary]
-    return written
-
-
-def _mc_table_rows(results: list[tuple[float, McResult]], param_name: str):
-    """Rows (statistic, param, est x tau values...) in table order."""
-    first = results[0][1]
-    header = ["statistic", param_name]
-    for est in first.estimators:
-        for tau in first.taus:
-            header.append(f"{est}_{tau}")
-    rows = [header]
-    stats = [("bias", "bias"), ("rmse", "rmse")]
-    if first.rejection is not None:
-        stats.append(("rej_prob", "rejection"))
-    for label, attr in stats:
-        for param, res in results:
-            row = [label, repr(float(param)) if param_name == "rho_bar" else str(int(param))]
-            table = getattr(res, attr)
-            for est in res.estimators:
-                row += [_fnum(v) for v in table[est]]
-            rows.append(row)
-    return rows
+    if fmt not in ("csv", "both"):
+        return written
+    covariates = report["config"]["covariate_cols"]
+    cells = [
+        (["|".join(map(str, entry["code"])) or "all"] + [str(c) for c in entry["code"]], entry)
+        for entry in report["cells"]
+    ]
+    if report["unconditional"] is not None:
+        unconditional = {"estimators": {"ddid": report["unconditional"]}}
+        cells.append((["unconditional"] + ["*"] * len(covariates), unconditional))
+    band_columns = ("taus", "estimate", "lower", "upper", "pointwise_se")
+    paths = [f"{out_prefix}.bands.csv", f"{out_prefix}.summary.csv"]
+    with (
+        open(paths[0], "w", newline="", encoding="utf-8") as bands_file,
+        open(paths[1], "w", newline="", encoding="utf-8") as summary_file,
+    ):
+        bands, summary = csv.writer(bands_file), csv.writer(summary_file)
+        bands.writerow(
+            ["cell", *covariates, "estimator", "tau", "estimate", "lower", "upper", "pointwise_se"]
+        )
+        summary.writerow(
+            ["cell", *covariates, "estimator", "n_control", "n_treated", "viable", "reason"]
+            + ["ks_statistic", "critical_value", "reject"]
+            + [f"{stat}_{t}" for t in SUMMARY_TAUS for stat in ("estimate", "se")]
+        )
+        for columns, entry in cells:
+            if entry["estimators"] is None:
+                summary.writerow(
+                    columns
+                    + ["", entry["n_control"], entry["n_treated"], "false", entry["reason"]]
+                    + [""] * (3 + 2 * len(SUMMARY_TAUS))
+                )
+                continue
+            for est, block in entry["estimators"].items():
+                for values in zip(*(block[key] for key in band_columns)):
+                    bands.writerow(columns + [est] + [_fnum(v) for v in values])
+                taus, stats = np.asarray(block["taus"]), []
+                for t in SUMMARY_TAUS:
+                    j = int(np.argmin(np.abs(taus - t)))
+                    stats += [_fnum(block["estimate"][j]), _fnum(block["pointwise_se"][j])]
+                summary.writerow(
+                    columns
+                    + [est, block["n_control"], block["n_treated"], "true", ""]
+                    + [_fnum(block["ks_statistic"]), _fnum(block["critical_value"])]
+                    + ["true" if block["reject"] else "false"]
+                    + stats
+                )
+    return written + paths
 
 
 def write_mc_outputs(
     results: list[tuple[float, McResult]], param_name: str, out_prefix: str
 ) -> list[str]:
-    rows = _mc_table_rows(results, param_name)
-    csv_path = f"{out_prefix}.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerows(rows)
+    """Write the mc JSON payload and its CSV table (statistic, param, one
+    column per estimator and tau), read from the payload."""
     first = results[0][1]
     payload = {
         "schema": "qdid.mc.v1",
@@ -578,11 +508,34 @@ def write_mc_outputs(
             for param, res in results
         ],
     }
+    estimators, designs = payload["estimators"], payload["results"]
+    rows = [
+        ["statistic", param_name]
+        + [f"{est}_{tau}" for est in estimators for tau in payload["taus"]]
+    ]
+    stats = [("bias", "bias"), ("rmse", "rmse")]
+    if designs[0]["rejection"] is not None:
+        stats.append(("rej_prob", "rejection"))
+    for label, key in stats:
+        for design in designs:
+            param = design[param_name]
+            rows.append(
+                [label, _fnum(param) if param_name == "rho_bar" else str(int(param))]
+                + [_fnum(v) for est in estimators for v in design[key][est]]
+            )
+    csv_path = f"{out_prefix}.csv"
+    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
     json_path = f"{out_prefix}.json"
     with open(json_path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     return [csv_path, json_path]
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """Comma-separated names, blanks dropped."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
 def _float_list(text: str) -> list[float]:
@@ -599,29 +552,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", help="estimate effect processes from a CSV file")
-    est.add_argument("--input", "-i", required=True)
-    est.add_argument("--mode", choices=("panel", "rcs"), default="panel")
-    est.add_argument("--unit", default="unit", help="unit id column")
-    est.add_argument("--period", default="period", help="period column (0=pre, 1=post)")
-    est.add_argument("--outcome", default="y", help="outcome column")
-    est.add_argument("--treatment", default="d", help="treatment group column (0/1)")
+    est = sub.add_parser(
+        "estimate",
+        help="estimate effect processes from a CSV file",
+        argument_default=argparse.SUPPRESS,  # an absent flag takes the RunConfig default
+    )
+    est.add_argument("--input", "-i", dest="input_path", required=True)
+    est.add_argument("--mode", choices=("panel", "rcs"))
+    est.add_argument("--unit", dest="unit_col", help="unit id column")
+    est.add_argument("--period", dest="period_col", help="period column (0=pre, 1=post)")
+    est.add_argument("--outcome", dest="outcome_col", help="outcome column")
+    est.add_argument("--treatment", dest="treatment_col", help="treatment group column (0/1)")
     est.add_argument(
         "--covariates",
-        default="",
+        dest="covariate_cols",
+        type=_names,
         help="comma-separated covariate columns (integer-coded)",
     )
-    est.add_argument("--tau-min", type=float, default=0.05)
-    est.add_argument("--tau-max", type=float, default=0.95)
-    est.add_argument("--tau-step", type=float, default=0.01)
-    est.add_argument("--bootstrap", "-b", type=int, default=1000)
-    est.add_argument("--alpha", type=float, default=0.05)
-    est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--scheme", choices=("multinomial", "dirichlet"), default="multinomial")
-    est.add_argument("--estimators", default="ddid", help="comma-separated: ddid,cic")
+    est.add_argument("--tau-min", type=float)
+    est.add_argument("--tau-max", type=float)
+    est.add_argument("--tau-step", type=float)
+    est.add_argument("--bootstrap", "-b", type=int)
+    est.add_argument("--alpha", type=float)
+    est.add_argument("--seed", type=int)
+    est.add_argument("--scheme", choices=SCHEMES)
+    est.add_argument("--estimators", type=_names, help="comma-separated: ddid,cic")
     est.add_argument("--unconditional", action="store_true")
-    est.add_argument("--min-cell-size", type=int, default=DEFAULT_MIN_CELL_SIZE)
-    est.add_argument("--format", choices=("json", "csv", "both"), default="both")
+    est.add_argument("--min-cell-size", type=int)
+    est.add_argument("--format", dest="output_format", choices=("json", "csv", "both"))
     est.add_argument("--out", "-o", required=True, help="output path prefix")
 
     mc = sub.add_parser("mc", help="Monte Carlo performance tables")
@@ -634,8 +592,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--bootstrap", "-b", type=int, default=1000)
     mc.add_argument("--alpha", type=float, default=0.05)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--scheme", choices=("multinomial", "dirichlet"), default="multinomial")
-    mc.add_argument("--estimators", default="ddid,cic")
+    mc.add_argument("--scheme", choices=SCHEMES, default="multinomial")
+    mc.add_argument("--estimators", type=_names, default="ddid,cic")
     mc.add_argument("--out", "-o", required=True, help="output path prefix")
 
     sim = sub.add_parser("simulate", help="write one simulated draw as a long CSV")
@@ -661,37 +619,19 @@ def _warn_if_critical_value_is_largest_draw(bootstrap: int, alpha: float) -> Non
 
 
 def _cmd_estimate(args) -> int:
-    covs = tuple(c.strip() for c in args.covariates.split(",") if c.strip())
-    config = RunConfig(
-        input_path=args.input,
-        mode=args.mode,
-        unit_col=args.unit,
-        period_col=args.period,
-        outcome_col=args.outcome,
-        treatment_col=args.treatment,
-        covariate_cols=covs,
-        tau_min=args.tau_min,
-        tau_max=args.tau_max,
-        tau_step=args.tau_step,
-        bootstrap=args.bootstrap,
-        alpha=args.alpha,
-        seed=args.seed,
-        scheme=args.scheme,
-        estimators=tuple(e.strip() for e in args.estimators.split(",") if e.strip()),
-        unconditional=args.unconditional,
-        min_cell_size=args.min_cell_size,
-        output_format=args.format,
-    )
+    flags = dict(vars(args))
+    del flags["command"]
+    out = flags.pop("out")
+    config = RunConfig(**flags)
     _warn_if_critical_value_is_largest_draw(config.bootstrap, config.alpha)
     result = run_estimation(config)
-    for path in write_report(result, args.out):
+    for path in write_report(result, out):
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_mc(args) -> int:
-    estimators = tuple(e.strip() for e in args.estimators.split(",") if e.strip())
-    _check_draw_flags(estimators, args.bootstrap, args.alpha, args.seed, no_test_ok=True)
+    _check_draw_flags(args.estimators, args.bootstrap, args.alpha, args.seed, no_test_ok=True)
     if args.reps < 1:
         raise FlagError(f"--reps {args.reps}: must be at least 1")
     taus = _flag_value("--taus", lambda: _float_list(args.taus))
@@ -717,7 +657,7 @@ def _cmd_mc(args) -> int:
                 spec,
                 args.reps,
                 taus,
-                estimators,
+                args.estimators,
                 bootstrap_iterations=args.bootstrap,
                 alpha=args.alpha,
                 scheme=args.scheme,

@@ -130,9 +130,6 @@ class StepDistribution:
         """Smallest support point carrying positive mass."""
         return float(self.support[np.searchsorted(self.cum_probs, 0.0, side="right")])
 
-    def max_support(self) -> float:
-        return float(self.support[-1])
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"StepDistribution({self.n_points} points on [{self.support[0]}, {self.support[-1]}])"
 

@@ -250,6 +250,7 @@ class TestMainExitCodes:
             (["--alpha", "1.5"], "--alpha"),
             (["--tau-min", "0.9", "--tau-max", "0.1"], "--tau-"),
             (["--tau-step", "0"], "--tau-"),
+            (["--estimators", ""], "--estimators"),
         ],
     )
     def test_bad_bootstrap_settings_fail_before_loading(self, tmp_path, capsys, flags, name):

@@ -34,6 +34,7 @@ def no_simulation(monkeypatch):
         (["--estimators", "ddid,qr"], "--estimators"),
         (["--seed", "-1"], "--seed"),
         (["--te", "nan"], "--n/--te"),
+        (["--estimators", ""], "--estimators"),
     ],
 )
 def test_mc_rejects_bad_flags_before_simulating(tmp_path, capsys, no_simulation, flags, name):
@@ -78,7 +79,8 @@ def test_simulate_rejects_bad_flags(tmp_path, capsys, flags, name):
 @pytest.mark.parametrize(
     "field, value, name",
     [("seed", -1, "--seed"), ("min_cell_size", 0, "--min-cell-size"),
-     ("estimators", ("ddid", "qr"), "--estimators")],
+     ("estimators", ("ddid", "qr"), "--estimators"), ("estimators", (), "--estimators"),
+     ("scheme", "bogus", "--scheme")],
 )
 def test_run_config_names_the_flag(field, value, name):
     with pytest.raises(FlagError, match=f"^{name}"):

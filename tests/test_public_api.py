@@ -1,0 +1,47 @@
+"""The public surface: every exported name resolves, and the ``estimate``
+flags bind to ``RunConfig`` fields by name, so its defaults live there only."""
+
+import argparse
+import dataclasses
+import importlib
+import pkgutil
+
+import pytest
+
+import qdid
+import qdid.cli
+from qdid.cli import EXIT_OK, RunConfig, main
+
+MODULES = ["qdid"] + [
+    f"qdid.{m.name}" for m in pkgutil.iter_modules(qdid.__path__) if m.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+def estimate_parser():
+    (subparsers,) = [
+        action
+        for action in qdid.cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return subparsers.choices["estimate"]
+
+
+def test_every_run_config_field_is_an_estimate_flag():
+    dests = {action.dest for action in estimate_parser()._actions}
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    assert fields - dests == set()
+
+
+def test_estimate_without_flags_takes_the_run_config_defaults(monkeypatch):
+    configs = []
+    monkeypatch.setattr(qdid.cli, "run_estimation", configs.append)
+    monkeypatch.setattr(qdid.cli, "write_report", lambda result, out_prefix: [])
+    assert main(["estimate", "-i", "x", "-o", "y"]) == EXIT_OK
+    assert configs == [RunConfig(input_path="x")]
