@@ -116,6 +116,7 @@ class RunConfig:
         if self.scheme not in SCHEMES:
             raise FlagError(f"--scheme must be one of {', '.join(SCHEMES)}")
         _check_draw_flags(self.estimators, self.bootstrap, self.alpha, self.seed)
+        _check_distinct("--covariates", self.covariate_cols)
         if self.min_cell_size < 1:
             raise FlagError(f"--min-cell-size {self.min_cell_size}: must be at least 1")
         _flag_value(
@@ -141,6 +142,7 @@ def _check_draw_flags(estimators, bootstrap: int, alpha: float, seed: int, no_te
     for est in estimators:
         if est not in ("ddid", "cic"):
             raise FlagError(f"--estimators: unknown estimator {est!r}")
+    _check_distinct("--estimators", estimators)
     if bootstrap < 2 and not (no_test_ok and bootstrap == 0):
         need = "0 (no test) or " if no_test_ok else ""
         raise FlagError(f"--bootstrap {bootstrap}: need {need}at least two bootstrap draws")
@@ -148,6 +150,12 @@ def _check_draw_flags(estimators, bootstrap: int, alpha: float, seed: int, no_te
         raise FlagError(f"--alpha {alpha}: must lie strictly inside (0, 1)")
     if seed < 0:
         raise FlagError(f"--seed {seed}: must be a non-negative integer")
+
+
+def _check_distinct(flag: str, names) -> None:
+    for name in names:
+        if names.count(name) > 1:
+            raise FlagError(f"{flag}: {name!r} is named more than once")
 
 
 def _parse_float(token: str, line: int, col: str) -> float:
@@ -162,7 +170,7 @@ def _parse_float(token: str, line: int, col: str) -> float:
 
 def _parse_binary(token: str, line: int, col: str) -> int:
     if token.strip() in ("0", "1"):
-        return int(token)
+        return int(token.strip())
     raise LoadError(f"line {line}: {col}={token!r} must be 0 or 1")
 
 
@@ -184,12 +192,17 @@ def _coded(tokens: list[str], convert) -> np.ndarray:
     return np.fromiter(map(codes.__getitem__, tokens), int, len(tokens))
 
 
+_UNIT_BYTES = 16  # bytes a unit id may take in the bulk read; a longer one falls back
+_PLAIN_BYTES = bytes([9, 10, 11, 12, 13, *range(32, 127)])
+
+
 def load_csv(config: RunConfig) -> PanelData | RcsData:
     """Read a long-format CSV into a dataset; errors carry file line numbers.
 
-    Fields are gathered column by column and converted in one pass each.
-    Only when a conversion fails are the rows walked with the scalar parsers,
-    which raise the error of the first bad row, as a row-by-row read would.
+    A well-formed file is read in bulk, by one C-parsed ``np.loadtxt`` call.
+    A file on which that read could part from the row reader, and any error
+    that names a file line, goes to the row reader, which accepts the file or
+    raises the error of its first bad row. The result is the same either way.
     """
     try:
         handle = open(config.input_path, newline="", encoding="utf-8")
@@ -214,21 +227,107 @@ def load_csv(config: RunConfig) -> PanelData | RcsData:
 
         names = [config.outcome_col, config.period_col, config.treatment_col]
         names += list(config.covariate_cols) + ([config.unit_col] if has_unit else [])
-        columns: list[list[str]] = [[] for _ in names]
-        fill = list(zip([col.append for col in columns], [pos[c] for c in names]))
-        blanks: list[int] = []  # data rows read before each blank line
-        bad_width = None
-        for line, row in enumerate(reader, 2):
-            if len(row) != len(header):
-                if not row:
-                    blanks.append(len(columns[0]))
-                    continue
-                bad_width = LoadError(f"line {line}: expected {len(header)} fields, got {len(row)}")
-                break
-            for append, p in fill:
-                append(row[p])
+        used = [pos[c] for c in names]
+        if handle.seekable():  # a pipe is read once, by the row reader
+            columns = _bulk_columns(handle, config.input_path, len(header), used, has_unit)
+            dataset = None if columns is None else _dataset(config, *columns, line_of=None)
+            if dataset is not None:
+                return dataset
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+        columns, line_of = _row_columns(reader, len(header), used, names, has_unit)
+    return _dataset(config, *columns, line_of=line_of)
+
+
+def _plain_ascii(path: str) -> bool:
+    """Every byte of the file is printable ASCII or ASCII whitespace.
+
+    Only then do the C parser's fields agree with the row reader's: a bytes
+    field drops trailing NULs, and the C number parser also skips \\x1c-\\x1f
+    and non-ASCII spaces, which ``float`` rejects."""
+    with open(path, "rb") as raw:
+        chunks = iter(lambda: raw.read(1 << 20), b"")
+        return not any(chunk.translate(None, _PLAIN_BYTES) for chunk in chunks)
+
+
+def _bulk_columns(handle, path: str, width: int, used: list[int], has_unit: bool):
+    """(y, period, d, covariates, units) of every data row after the header,
+    from one ``np.loadtxt`` call with a field per header column; None when a
+    field might read differently from the row reader.
+
+    ``used`` gives the positions of y, period, d, the covariates and, with
+    ``has_unit``, the unit. Flags are read as text and taken only as the
+    exact tokens 0 and 1, since an integer read would accept +1 and 01; an
+    integer covariate read is exact on what it accepts (``int`` of the
+    stripped token)."""
+    import warnings
+
+    if len(set(used)) < len(used) or not _plain_ascii(path):
+        return None  # one column in two roles, or bytes the C parser reads otherwise
+    n_codes = len(used) - 3 - has_unit
+    roles = ["y", "period", "d"] + [f"x{j}" for j in range(n_codes)] + ["unit"] * has_unit
+    kinds = {"y": "f8", "period": "S2", "d": "S2", "unit": f"S{_UNIT_BYTES}"}
+    fields = [(f"_{at}", "S1") for at in range(width)]  # unused, but read: a ragged row fails
+    for role, at in zip(roles, used):
+        fields[at] = (role, kinds.get(role, int))
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data", and an int read of "1.0" before numpy 2
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                handle, dtype=fields, delimiter=",", comments=None, quotechar='"', ndmin=1
+            )
+    except (ValueError, OverflowError, Warning):
+        return None
+
+    units = None
+    if has_unit:
+        if np.any(np.char.str_len(table["unit"]) == _UNIT_BYTES):
+            return None  # may have been cut to the field width
+        units = np.char.strip(table["unit"])
+    y = np.ascontiguousarray(table["y"])
+    if not np.all(np.isfinite(y)):
+        return None
+    flags = []
+    for role in ("period", "d"):
+        one = table[role] == b"1"
+        if not np.all(one | (table[role] == b"0")):
+            return None
+        flags.append(one.astype(int))
+    covariates = np.empty((len(table), n_codes), dtype=int)
+    for j in range(n_codes):
+        covariates[:, j] = table[f"x{j}"]
+    del table  # before the unit ids widen to str
+    if has_unit:
+        units = units.astype(f"U{np.char.str_len(units).max(initial=1)}")
+    return y, *flags, covariates, units
+
+
+def _row_columns(reader, width: int, used: list[int], names: list[str], has_unit: bool):
+    """(y, period, d, covariates, units) and the data-row-to-file-line map,
+    read row by row.
+
+    Fields are gathered column by column and converted in one pass each.
+    Only when a conversion fails are the rows walked with the scalar parsers,
+    which raise the error of the first bad row, as a row-by-row read would.
+    """
+    columns: list[list[str]] = [[] for _ in names]
+    fill = list(zip([col.append for col in columns], used))
+    blanks: list[int] = []  # data rows read before each blank line
+    bad_width = None
+    for line, row in enumerate(reader, 2):
+        if len(row) != width:
+            if not row:
+                blanks.append(len(columns[0]))
+                continue
+            bad_width = LoadError(f"line {line}: expected {width} fields, got {len(row)}")
+            break
+        for append, p in fill:
+            append(row[p])
 
     n = len(columns[0])
+    n_codes = len(names) - 3 - has_unit
 
     def line_of(k: int) -> int:
         return k + 2 + int(np.searchsorted(blanks, k, side="right"))
@@ -238,12 +337,11 @@ def load_csv(config: RunConfig) -> PanelData | RcsData:
         if not np.all(np.isfinite(y)):
             raise ValueError
         period, d = (_coded(tokens, ("0", "1").index) for tokens in columns[1:3])
-        covariates = np.empty((n, len(config.covariate_cols)), dtype=int)
-        for j, tokens in enumerate(columns[3 : 3 + covariates.shape[1]]):
+        covariates = np.empty((n, n_codes), dtype=int)
+        for j, tokens in enumerate(columns[3 : 3 + n_codes]):
             covariates[:, j] = _coded(tokens, int)
     except (ValueError, OverflowError):
-        parsers = [_parse_float, _parse_binary, _parse_binary]
-        parsers += [_parse_code] * len(config.covariate_cols)
+        parsers = [_parse_float, _parse_binary, _parse_binary] + [_parse_code] * n_codes
         for k, fields in enumerate(zip(*columns)):
             for parse, token, name in zip(parsers, fields, names):
                 parse(token, line_of(k), name)
@@ -253,7 +351,14 @@ def load_csv(config: RunConfig) -> PanelData | RcsData:
     if not n:
         raise LoadError("no data rows")
     units = np.array([u.strip() for u in columns[-1]]) if has_unit else None
-    del columns
+    return (y, period, d, covariates, units), line_of
+
+
+def _dataset(config: RunConfig, y, period, d, covariates, units, line_of):
+    """The dataset of the parsed columns, or None when an error must name a
+    file line and ``line_of`` is None (a bulk read, which skips blank lines
+    without counting them)."""
+    n = len(y)
     if config.mode == "rcs":
         return RcsData(
             y=y, period=period, treated=d.astype(bool), covariates=covariates, unit_ids=units
@@ -261,6 +366,8 @@ def load_csv(config: RunConfig) -> PanelData | RcsData:
 
     repeated = _repeated_rows(units, period)
     if repeated.size:
+        if line_of is None:
+            return None
         k = repeated[0]
         raise LoadError(f"line {line_of(k)}: duplicate (unit={units[k]}, period={period[k]}) row")
     ids, first, unit = np.unique(units, return_index=True, return_inverse=True)
@@ -280,6 +387,8 @@ def load_csv(config: RunConfig) -> PanelData | RcsData:
                 f"(found periods {[0] if post[j] < 0 else [1]})"
             )
         if differ[j]:
+            if line_of is None:
+                return None
             raise LoadError(
                 f"unit {ids[j]}: covariates differ across periods "
                 f"(lines {line_of(pre[j])} and {line_of(post[j])})"

@@ -154,12 +154,10 @@ def _rows_msg(rows: np.ndarray, what: str) -> ValidationIssue:
 
 def _repeated_rows(unit_ids: np.ndarray, period: np.ndarray) -> np.ndarray:
     """Rows whose (unit, period) pair already occurred on an earlier row."""
-    _, unit = np.unique(unit_ids, return_inverse=True, equal_nan=False)
-    _, phase = np.unique(period, return_inverse=True)
-    _, first = np.unique(unit * (phase.max(initial=0) + 1) + phase, return_index=True)
-    repeat = np.ones(len(period), dtype=bool)
-    repeat[first] = False
-    return np.flatnonzero(repeat)
+    order = np.lexsort((period, unit_ids))  # stable: a pair's first row leads its run
+    ids, phase = unit_ids[order], period[order]
+    repeat = (ids[1:] == ids[:-1]) & (phase[1:] == phase[:-1])  # NaN ids never equal
+    return np.sort(order[1:][repeat])
 
 
 def validate(dataset: PanelData | RcsData) -> ValidationReport:

@@ -35,6 +35,7 @@ def no_simulation(monkeypatch):
         (["--seed", "-1"], "--seed"),
         (["--te", "nan"], "--n/--te"),
         (["--estimators", ""], "--estimators"),
+        (["--estimators", "ddid,ddid"], "--estimators"),
     ],
 )
 def test_mc_rejects_bad_flags_before_simulating(tmp_path, capsys, no_simulation, flags, name):
@@ -80,7 +81,8 @@ def test_simulate_rejects_bad_flags(tmp_path, capsys, flags, name):
     "field, value, name",
     [("seed", -1, "--seed"), ("min_cell_size", 0, "--min-cell-size"),
      ("estimators", ("ddid", "qr"), "--estimators"), ("estimators", (), "--estimators"),
-     ("scheme", "bogus", "--scheme")],
+     ("scheme", "bogus", "--scheme"), ("estimators", ("ddid", "ddid"), "--estimators"),
+     ("covariate_cols", ("x1", "x1"), "--covariates")],
 )
 def test_run_config_names_the_flag(field, value, name):
     with pytest.raises(FlagError, match=f"^{name}"):

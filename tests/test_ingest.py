@@ -3,27 +3,43 @@
 Generated panel and RCS files mix valid rows with blank lines, quoted and
 space-padded fields, non-finite outcomes, odd but valid codes (``+1``,
 negative, 64-bit extremes), bad tokens, wrong field counts, duplicate and
-missing periods and shuffled units. Both loaders must return the same arrays
-with the same dtypes and unit order, or raise the same ``LoadError`` text;
-``validate`` and ``build_cells`` must match their references on the result.
+missing periods and shuffled units, plus the tokens on which a bulk
+``np.loadtxt`` read and the row reader could part: ``#``, long and non-ASCII
+unit ids, ``1_0`` and non-ASCII digits, ``\x1f`` padding, inner quotes and
+CRLF line ends. Both loaders must return the same arrays with the same dtypes
+and unit order, or raise the same ``LoadError`` text; ``validate`` and
+``build_cells`` must match their references on the result.
 """
+
+import csv
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qdid.cli
 from oracles import dict_build_cells, row_by_row_load_csv, row_by_row_validate
 from qdid.cli import LoadError, RunConfig, load_csv
 from qdid.data_model import RcsData, build_cells, validate
 
+# Valid tokens; a file draws from the ODD_ pools only sometimes, so that many
+# files are plain enough for the bulk read and the rest must fall back exactly.
+WIDE = "w" * 15  # with a one-digit suffix: exactly the bulk read's unit width
 UNITS = ["a", "b", " b", "u1", "10", "010", ""]
+ODD_UNITS = ["u#1", WIDE[1:], WIDE, WIDE + "w", "é", "\x1fa", "b\x1f", 'a"b', '"a""b"']
 OUTCOMES = ["0", "1.5", "-2.25", "3", "1e3", " 4.5", "7 ", "1.0", "2.5"]
-BAD_OUTCOMES = ["nan", "inf", "-inf", "oops", "", "1e400"]
-FLAGS = ["0", "1", " 1", "0 "]
-BAD_FLAGS = ["2", "1.0", "+1", "", "x", "-0"]
+ODD_OUTCOMES = ["1_0", "١"]
+FLAGS = ["0", "1"]
+ODD_FLAGS = [" 1", "0 ", "\x1f1"]
 CODES = ["0", "1", "2", "-3", " 5 ", "+1", "9223372036854775807", "-9223372036854775808"]
+ODD_CODES = ["1_0", "١"]
+BAD_OUTCOMES = ["nan", "inf", "-inf", "oops", "", "1e400", "3#x"]
+BAD_FLAGS = ["2", "1.0", "+1", "", "x", "-0", "01"]
 BAD_CODES = ["1.0", "x", "", "1.5", "0x1", "9223372036854775808", "-9223372036854775809"]
+BAD_CODES += ["3#x"]
 BAD_TOKENS = {"y": BAD_OUTCOMES, "period": BAD_FLAGS, "d": BAD_FLAGS}
 MUTATIONS = ["drop", "repeat", "token", "flag", "width", "covariate", "blank"]
 
@@ -37,18 +53,22 @@ def csv_files(draw):
     if mode == "rcs" and draw(st.booleans()):
         columns.remove("unit")
     columns = draw(st.permutations(columns))
+    odd = draw(st.booleans())
+
+    def valid(pool, odd_pool):
+        return draw(st.sampled_from(pool + odd_pool if odd else pool))
 
     records = []
     for u in range(draw(st.integers(1, 5))):
-        name = draw(st.sampled_from(UNITS))
+        name = valid(UNITS, ODD_UNITS)
         unit = {
             # Mostly distinct ids; a bare pool name may repeat another unit's.
             "unit": name + str(u) if draw(st.integers(0, 3)) else name,
-            "d": draw(st.sampled_from(FLAGS)),
-            **{c: draw(st.sampled_from(CODES)) for c in covariates},
+            "d": valid(FLAGS, ODD_FLAGS),
+            **{c: valid(CODES, ODD_CODES) for c in covariates},
         }
         for period in ("0", "1"):
-            record = {**unit, "period": period, "y": draw(st.sampled_from(OUTCOMES))}
+            record = {**unit, "period": period, "y": valid(OUTCOMES, ODD_OUTCOMES)}
             if period == "0" and draw(st.booleans()):
                 record["d"] = "0"  # a panel may flag treatment in the post period only
             records.append(record)
@@ -67,11 +87,11 @@ def csv_files(draw):
             column = draw(st.sampled_from(columns))
             records[i][column] = draw(st.sampled_from(BAD_TOKENS.get(column, BAD_CODES)))
         elif mutation == "flag":
-            records[i]["d"] = draw(st.sampled_from(FLAGS))
+            records[i]["d"] = valid(FLAGS, ODD_FLAGS)
         elif mutation == "width":
             records[i]["width"] = draw(st.sampled_from([-1, 1]))
         elif mutation == "covariate" and covariates:
-            records[i][draw(st.sampled_from(covariates))] = draw(st.sampled_from(CODES))
+            records[i][draw(st.sampled_from(covariates))] = valid(CODES, ODD_CODES)
         elif mutation == "blank":
             blanks.add(i)
 
@@ -87,7 +107,8 @@ def csv_files(draw):
         lines.append(",".join(fields))
     if draw(st.booleans()):
         lines.append("")
-    return "\n".join(lines) + "\n", mode, tuple(covariates)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol, mode, tuple(covariates)
 
 
 def _load(loader, config):
@@ -233,3 +254,162 @@ def test_code_outside_64_bits_names_its_line(tmp_path):
     config = RunConfig(input_path=str(path), covariate_cols=("x",))
     with pytest.raises(LoadError, match=r"^line 3: covariate x='9223372036854775808'"):
         load_csv(config)
+
+
+def _row_reader_calls(monkeypatch):
+    """A list that gains an entry whenever ``load_csv`` falls back to the row reader."""
+    calls = []
+    row_columns = qdid.cli._row_columns
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return row_columns(*args, **kwargs)
+
+    monkeypatch.setattr(qdid.cli, "_row_columns", spy)
+    return calls
+
+
+def _clean_lines():
+    rng = np.random.default_rng(3)
+    lines = ["unit,period,y,d,x1,x2"]
+    for u in range(40):
+        d, codes = u % 2, f"{u % 3},{-(u % 2)}"
+        for period in (0, 1):
+            lines.append(f"unit{u},{period},{float(rng.standard_normal())!r},{d},{codes}")
+    return lines
+
+
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_clean_files_are_read_in_bulk(tmp_path, monkeypatch, mode, eol):
+    lines = _clean_lines()
+    lines[3] = lines[3].replace("unit1", '"unit1"')
+    lines.insert(5, "")
+    path = tmp_path / "clean.csv"
+    path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+    config = RunConfig(input_path=str(path), mode=mode, covariate_cols=("x1", "x2"))
+    want = row_by_row_load_csv(config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the row reader ran")
+
+    monkeypatch.setattr(qdid.cli, "_row_columns", refuse)
+    assert_same_dataset(load_csv(config), want)
+
+
+TEMPLATE = "unit,period,y,d,x\n{u},0,1.5,0,1\n{u},1,{y},{d},{x}\nb,0,0.5,1,2\nb,1,3.5,{e},2\n"
+# hazard: (fields of TEMPLATE, the reader that must serve the file in panel mode)
+HAZARDS = {
+    "comment in outcome": ({"y": "3#x"}, "row"),
+    "comment in code": ({"x": "3#x"}, "row"),
+    "unit below the bulk width": ({"u": "u" * 15}, "bulk"),
+    "unit at the bulk width": ({"u": "u" * 16}, "row"),
+    "unit past the bulk width": ({"u": "u" * 20}, "row"),
+    "non-ASCII unit": ({"u": "é"}, "row"),
+    "unit padded with spaces": ({"u": " a\t"}, "bulk"),
+    "unit padded with \\x1f": ({"u": "\x1fa\x1f"}, "row"),
+    "inner quote in unit": ({"u": 'a"b'}, "bulk"),
+    "doubled quote in unit": ({"u": '"a""b"'}, "bulk"),
+    "quoted line break in unit": ({"u": '"a\nb"'}, "bulk"),
+    "underscore in outcome": ({"y": "1_0"}, "row"),
+    "non-ASCII digit in outcome": ({"y": "١"}, "row"),
+    "non-ASCII digit in code": ({"x": "١"}, "row"),
+    "\\x1f before outcome": ({"y": "\x1f2.5"}, "row"),
+    "overflowing outcome": ({"y": "1e400"}, "row"),
+    "nan outcome": ({"y": "nan"}, "row"),
+    "flag 01": ({"d": "01"}, "row"),
+    "flag +1": ({"d": "+1"}, "row"),
+    "flag space 1": ({"d": " 1"}, "row"),
+    "flag with NUL": ({"d": "1\x00"}, "row"),
+    "flag padded with \\x1f": ({"d": "\x1f1"}, "row"),
+    "signed padded code": ({"x": " +1 "}, "bulk"),
+    "fractional code": ({"x": "1.0"}, "row"),
+    "code past 64 bits": ({"x": "9223372036854775808"}, "row"),
+    "ragged row": ({"x": "1,7"}, "row"),
+    "covariates differ": ({"x": "5"}, "row"),  # the error names file lines
+    "one period of a unit": ({"u": "c"}, "bulk"),
+    "duplicate unit and period": ({"u": "b"}, "row"),  # the error names a file line
+    "treated before the policy": ({"e": "0"}, "bulk"),
+}
+
+
+def _load_or_error(loader, config):
+    try:
+        return loader(config)
+    except (LoadError, csv.Error) as exc:  # csv.Error: a NUL byte before Python 3.11
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+@pytest.mark.parametrize("hazard", sorted(HAZARDS))
+def test_hazard_files_load_as_the_row_reader_does(tmp_path, monkeypatch, hazard, mode):
+    fields, reader = HAZARDS[hazard]
+    path = tmp_path / "hazard.csv"
+    text = TEMPLATE.format(**{"u": "a", "y": "2.5", "d": "0", "x": "1", "e": "1", **fields})
+    path.write_bytes(text.encode("utf-8"))
+    config = RunConfig(input_path=str(path), mode=mode, covariate_cols=("x",))
+    calls = _row_reader_calls(monkeypatch)
+    want = _load_or_error(row_by_row_load_csv, config)
+    assert_same_dataset(_load_or_error(load_csv, config), want)
+    if mode == "rcs" and hazard in ("covariates differ", "duplicate unit and period"):
+        reader = "bulk"  # panel checks: an RCS load names no line
+    assert bool(calls) == (reader == "row")
+
+
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+def test_a_column_in_two_roles_takes_the_row_reader(tmp_path, monkeypatch, mode):
+    path = tmp_path / "roles.csv"
+    path.write_text(TEMPLATE.format(u="a", y="2.5", d="0", x="1", e="1"), encoding="utf-8")
+    config = RunConfig(input_path=str(path), mode=mode, covariate_cols=("period", "x"))
+    calls = _row_reader_calls(monkeypatch)
+    assert_same_dataset(_load(load_csv, config), _load(row_by_row_load_csv, config))
+    assert calls
+
+
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+def test_header_only_file_reports_no_data_rows_quietly(tmp_path, capsys, recwarn, mode):
+    path = tmp_path / "header.csv"
+    path.write_text("unit,period,y,d\n\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=r"^no data rows$"):
+        load_csv(RunConfig(input_path=str(path), mode=mode))
+    assert capsys.readouterr().err == ""
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("unit,period,y,d,x\na,0,1,0,1\n\nb,0,2,0,1\n\na,0,3,0,1\n",
+         r"^line 6: duplicate \(unit=a, period=0\) row$"),
+        ("unit,period,y,d,x\na,0,1,0,1\n\nb,0,2,0,1\n\nb,1,3,0,1\n\na,1,4,0,2\n",
+         r"^unit a: covariates differ across periods \(lines 2 and 8\)$"),
+    ],
+)
+def test_blank_lines_count_in_panel_errors_after_a_bulk_read(tmp_path, monkeypatch, text, message):
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    config = RunConfig(input_path=str(path), covariate_cols=("x",))
+    calls = _row_reader_calls(monkeypatch)
+    for loader in (load_csv, row_by_row_load_csv):
+        with pytest.raises(LoadError, match=message):
+            loader(config)
+    assert calls  # the bulk read cannot count blank lines, so the row reader names the line
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
+def test_a_pipe_is_read_once_by_the_row_reader(tmp_path):
+    text = "\n".join(_clean_lines()) + "\n"
+    (tmp_path / "file.csv").write_text(text, encoding="utf-8")
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True
+    )
+    writer.start()
+    try:
+        got = load_csv(RunConfig(input_path=str(fifo), covariate_cols=("x1", "x2")))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    config = RunConfig(input_path=str(tmp_path / "file.csv"), covariate_cols=("x1", "x2"))
+    assert_same_dataset(got, row_by_row_load_csv(config))
