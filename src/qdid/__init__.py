@@ -26,12 +26,10 @@ from .estimators import (
     counterfactual_cdf_panel,
     counterfactual_cdf_rcs,
     counterfactual_rows,
-    cqtt,
     estimate_process,
     estimate_rows,
     extract_cell,
     treated_shares,
-    unconditional_qtt,
 )
 from .inference import (
     BootstrapConfig,
@@ -45,6 +43,7 @@ from .inference import (
     ks_test,
     pointwise_se,
     substream,
+    unconditional_process,
     uniform_band,
 )
 from .simulation import DgpSpec, McResult, run_mc, simulate, simulate_dgp1, simulate_dgp2
@@ -80,7 +79,6 @@ __all__ = [
     "counterfactual_cdf_panel",
     "counterfactual_cdf_rcs",
     "counterfactual_rows",
-    "cqtt",
     "draw_weights",
     "estimate_process",
     "estimate_rows",
@@ -94,7 +92,7 @@ __all__ = [
     "simulate_dgp2",
     "substream",
     "treated_shares",
-    "unconditional_qtt",
+    "unconditional_process",
     "uniform_band",
     "validate",
 ]

@@ -208,35 +208,38 @@ def load_csv(config: RunConfig) -> PanelData | RcsData:
         handle = open(config.input_path, newline="", encoding="utf-8")
     except OSError as exc:
         raise LoadError(f"cannot open {config.input_path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError("empty file") from None
-        header = [h.strip() for h in header]
-        required = [config.period_col, config.outcome_col, config.treatment_col]
-        required += list(config.covariate_cols)
-        has_unit = config.unit_col in header
-        if config.mode == "panel" and not has_unit:
-            required = [config.unit_col] + required
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise LoadError(f"missing columns: {', '.join(missing)}")
-        pos = {c: header.index(c) for c in header}
-
-        names = [config.outcome_col, config.period_col, config.treatment_col]
-        names += list(config.covariate_cols) + ([config.unit_col] if has_unit else [])
-        used = [pos[c] for c in names]
-        if handle.seekable():  # a pipe is read once, by the row reader
-            columns = _bulk_columns(handle, config.input_path, len(header), used, has_unit)
-            dataset = None if columns is None else _dataset(config, *columns, line_of=None)
-            if dataset is not None:
-                return dataset
-            handle.seek(0)
+    try:
+        with handle:
             reader = csv.reader(handle)
-            next(reader)
-        columns, line_of = _row_columns(reader, len(header), used, names, has_unit)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise LoadError("empty file") from None
+            header = [h.strip() for h in header]
+            required = [config.period_col, config.outcome_col, config.treatment_col]
+            required += list(config.covariate_cols)
+            has_unit = config.unit_col in header
+            if config.mode == "panel" and not has_unit:
+                required = [config.unit_col] + required
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise LoadError(f"missing columns: {', '.join(missing)}")
+            pos = {c: header.index(c) for c in header}
+
+            names = [config.outcome_col, config.period_col, config.treatment_col]
+            names += list(config.covariate_cols) + ([config.unit_col] if has_unit else [])
+            used = [pos[c] for c in names]
+            if handle.seekable():  # a pipe is read once, by the row reader
+                columns = _bulk_columns(handle, config.input_path, len(header), used, has_unit)
+                dataset = None if columns is None else _dataset(config, *columns, line_of=None)
+                if dataset is not None:
+                    return dataset
+                handle.seek(0)
+                reader = csv.reader(handle)
+                next(reader)
+            columns, line_of = _row_columns(reader, len(header), used, names, has_unit)
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"cannot read {config.input_path}: not UTF-8 text ({exc.reason})") from None
     return _dataset(config, *columns, line_of=line_of)
 
 

@@ -246,7 +246,7 @@ def build_cells(
     if k == 0:
         groups = [np.arange(n)]
     else:
-        codes = x.astype(int)
+        codes = x if np.issubdtype(x.dtype, np.integer) else x.astype(int)
         order = np.lexsort(codes.T[::-1])  # stable: rows stay ascending in a cell
         ranked = codes[order]
         starts = np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1

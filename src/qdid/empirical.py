@@ -6,13 +6,13 @@ fitted to a weighted sample, and its left-continuous generalized inverse
 ``inf { y : F(y) >= tau }``. No interpolation or smoothing anywhere.
 
 ``StepRows`` stacks many such CDFs, one per bootstrap draw, and evaluates
-them together; each row equals the ``StepDistribution`` built from the
-same sample and weights, bit for bit.
+them together; the estimators run on it alone, the point estimate being the
+row whose weights are all 1. ``StepDistribution`` is the same CDF for one
+weight vector, and each ``StepRows`` row equals the ``StepDistribution``
+built from the same sample and weights, bit for bit.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -85,26 +85,6 @@ class StepDistribution:
                 raise ValueError("weights sum to zero")
             support, masses = support[keep], masses[keep]
         return cls(support, masses)
-
-    @classmethod
-    def mixture(cls, components, shares) -> "StepDistribution":
-        """Share-weighted mixture of step CDFs on the merged support."""
-        components = list(components)
-        shares = np.asarray(shares, dtype=float)
-        if not components:
-            raise ValueError("mixture of zero components")
-        if shares.shape != (len(components),) or np.any(shares < 0):
-            raise ValueError("one non-negative share per component required")
-        if not math.isclose(float(shares.sum()), 1.0, abs_tol=1e-8):
-            raise ValueError("shares must sum to 1")
-        if len(components) == 1:
-            # exact: a one-component mixture is the component itself
-            return components[0]
-        points = np.concatenate([c.support for c in components])
-        probs = np.concatenate(
-            [s * (c.masses / c.total) for s, c in zip(shares, components)]
-        )
-        return cls.fit(points, probs)
 
     @property
     def n_points(self) -> int:
@@ -206,7 +186,9 @@ class StepRows:
 
     @classmethod
     def mixture(cls, components, shares) -> "StepRows":
-        """Row-wise ``StepDistribution.mixture`` of components with equal row counts."""
+        """Row-wise mixture of components with equal row counts: row r is the
+        share-weighted mixture of every component's row r on their merged
+        support."""
         components = list(components)
         if len(components) == 1:
             return components[0]
@@ -244,6 +226,8 @@ class SortedSample:
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("need at least one value")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         self.values = values
         self.support, self.inverse = np.unique(values, return_inverse=True)
 

@@ -9,9 +9,12 @@ recover the change by rank-matching the control group across periods.
 Quantile effects are differences of generalized-inverse quantiles between
 the observed treated CDF and the counterfactual CDF.
 
-``estimate_rows`` is the bootstrap kernel: it evaluates the estimators for
-a chunk of draws at once, from one weight matrix per arm, and each row
-equals ``estimate_process`` under that row's weights, bit for bit.
+``estimate_rows`` is the one estimator: it evaluates the estimators for a
+chunk of bootstrap draws at once, from one weight matrix per arm. The
+bootstrap is linear in its weights, so the point estimate is the draw whose
+weights are all 1: ``estimate_process`` is the one-row case of the kernel.
+``counterfactual_cdf`` builds the same CDFs one weight vector at a time; the
+pipeline does not call it.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ __all__ = [
     "counterfactual_cdf",
     "counterfactual_cdf_panel",
     "counterfactual_cdf_rcs",
-    "cqtt",
-    "unconditional_qtt",
     "cic_qtt",
     "estimate_process",
     "estimate_rows",
@@ -91,6 +92,10 @@ class Cell:
         if weights is None:
             return (None,) * len(self.SAMPLE_ARMS)
         return tuple(weights[arm] for arm in self.SAMPLE_ARMS)
+
+    def unit_weights(self) -> dict[str, np.ndarray]:
+        """The weight rows of the point estimate: one row of ones per arm."""
+        return {arm: np.ones((1, n)) for arm, n in self.arm_sizes().items()}
 
     @cached_property
     def samples(self) -> tuple[SortedSample, ...]:
@@ -261,61 +266,9 @@ def counterfactual_cdf(
 counterfactual_cdf_panel = counterfactual_cdf_rcs = counterfactual_cdf
 
 
-def cqtt(
-    result: CounterfactualResult,
-    tau_grid,
-    n_total: int | None = None,
-) -> CqttProcess:
-    """Quantile difference between the treated and counterfactual CDFs."""
-    taus = np.asarray(tau_grid, dtype=float)
-    values = np.asarray(result.treated.quantile(taus)) - np.asarray(
-        result.counterfactual.quantile(taus)
-    )
-    return CqttProcess(
-        taus=taus,
-        values=values,
-        code=result.code,
-        n_control=result.n_control,
-        n_treated=result.n_treated,
-        n_total=result.n_control + result.n_treated if n_total is None else n_total,
-    )
-
-
-def treated_shares(results: Sequence[CounterfactualResult]) -> np.ndarray:
+def treated_shares(results: Sequence[Cell | CounterfactualResult]) -> np.ndarray:
     counts = np.array([r.n_treated for r in results], dtype=float)
     return counts / counts.sum()
-
-
-def unconditional_qtt(
-    results: Sequence[CounterfactualResult],
-    shares,
-    tau_grid,
-    n_total: int | None = None,
-) -> CqttProcess:
-    """QTT on the whole treated population: share-weighted mixture of the
-    per-cell CDFs, inverted with the same generalized inverse."""
-    results = list(results)
-    if not results:
-        raise ValueError("need at least one cell")
-    shares = np.asarray(shares, dtype=float)
-    taus = np.asarray(tau_grid, dtype=float)
-    mix_treated = StepDistribution.mixture([r.treated for r in results], shares)
-    mix_counterfactual = StepDistribution.mixture(
-        [r.counterfactual for r in results], shares
-    )
-    values = np.asarray(mix_treated.quantile(taus)) - np.asarray(
-        mix_counterfactual.quantile(taus)
-    )
-    n_control = sum(r.n_control for r in results)
-    n_treated = sum(r.n_treated for r in results)
-    return CqttProcess(
-        taus=taus,
-        values=values,
-        code=(),
-        n_control=n_control,
-        n_treated=n_treated,
-        n_total=n_control + n_treated if n_total is None else n_total,
-    )
 
 
 def cic_qtt(
@@ -338,55 +291,66 @@ def cic_qtt(
     post-period quantile minus the generalized inverse of that composed CDF;
     quantile levels beyond its reach (support imbalance between groups) clip
     to the extreme control post-period points.
+
+    The four samples are arrays or ``SortedSample``s, and ``weights`` one
+    vector (or None, for all ones) per sample: ``estimate_process`` on the
+    repeated cross-section cell of the four samples.
     """
-    w = weights if weights is not None else (None, None, None, None)
-    dists = []
-    for sample, wv in zip((control_pre, control_post, treated_pre, treated_post), w):
-        if isinstance(sample, SortedSample):
-            dists.append(sample.fit(wv))
-        else:
-            dists.append(StepDistribution.fit(sample, wv))
-    pre_c, post_c, pre_t, post_t = dists
-    taus = np.asarray(tau_grid, dtype=float)
-
-    keep = post_c.masses > 0
-    support = post_c.support[keep]
-    back = pre_c.quantile(post_c.cum_probs[keep])
-    composed = np.asarray(pre_t.cdf(back))
-    idx = np.minimum(np.searchsorted(composed, taus, side="left"), support.size - 1)
-    values = np.asarray(post_t.quantile(taus)) - support[idx]
-
-    n_control = len(control_pre) + len(control_post)
-    n_treated = len(treated_pre) + len(treated_post)
-    return CqttProcess(
-        taus=taus,
-        values=np.atleast_1d(values),
-        code=code,
-        n_control=n_control,
-        n_treated=n_treated,
-        n_total=n_control + n_treated if n_total is None else n_total,
+    samples = (control_pre, control_post, treated_pre, treated_post)
+    cell = RcsCell(
+        code,
+        *(np.asarray(s.values if isinstance(s, SortedSample) else s, dtype=float) for s in samples),
     )
+    if weights is not None:
+        weights = {
+            arm: np.ones(len(v)) if w is None else w
+            for arm, v, w in zip(cell.SAMPLE_ARMS, cell.sample_values, weights)
+        }
+    return estimate_process(cell, tau_grid, "cic", weights, n_total)
+
+
+def _weight_row(weights, n: int) -> np.ndarray:
+    """One arm's weight vector as a (1, n) row, after checking that it is
+    1-d and n long, finite and non-negative, with a positive total."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise ValueError("weights must have the same shape as values")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ValueError("weights must be finite and non-negative")
+    if not weights.sum() > 0:
+        raise ValueError("weights sum to zero")
+    return weights[None, :]
 
 
 def estimate_process(
     cell: Cell,
     tau_grid,
-    estimator: str = "ddid",
+    estimator: str | tuple[str, ...] = "ddid",
     weights: Mapping[str, np.ndarray] | None = None,
     n_total: int | None = None,
-) -> CqttProcess:
-    """Evaluate one estimator on one cell, optionally under bootstrap weights."""
-    if estimator == "ddid":
-        return cqtt(counterfactual_cdf(cell, weights), tau_grid, n_total)
-    if estimator == "cic":
-        return cic_qtt(
-            *cell.samples,
-            tau_grid,
-            weights=cell.sample_weights(weights),
-            code=cell.code,
-            n_total=cell.n_control + cell.n_treated if n_total is None else n_total,
-        )
-    raise ValueError(f"unknown estimator {estimator!r} (expected 'ddid' or 'cic')")
+) -> CqttProcess | dict[str, CqttProcess]:
+    """Evaluate estimators on one cell: the one-row case of ``estimate_rows``.
+
+    With ``weights=None`` the row is all ones, the point estimate; otherwise
+    it is one draw's weight vector per arm. Given a tuple of estimators,
+    returns a dict of processes per estimator, from one kernel call.
+    """
+    names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
+    taus = checked_grid(tau_grid)
+    if weights is None:
+        rows = cell.unit_weights()
+    else:
+        rows = {arm: _weight_row(weights[arm], n) for arm, n in cell.arm_sizes().items()}
+    values = estimate_rows(cell, taus, rows, names)
+    if n_total is None:
+        n_total = cell.n_control + cell.n_treated
+    n = [len(v) for v in cell.sample_values]
+    # cic counts the observations of its samples: a panel unit once per period
+    counts = {"ddid": (cell.n_control, cell.n_treated), "cic": (n[0] + n[1], n[2] + n[3])}
+    processes = {
+        est: CqttProcess(taus, values[est][0], cell.code, *counts[est], n_total) for est in names
+    }
+    return processes[estimator] if isinstance(estimator, str) else processes
 
 
 def _fit_rows(cell, weights) -> list[StepRows]:
@@ -416,11 +380,11 @@ def counterfactual_rows(
 
 
 def _cic_rows(fitted, taus) -> np.ndarray:
-    """Row-wise ``cic_qtt``. Zero-mass control post-period points are kept:
-    one with rank 0 gets composed probability 0, one after a positive-mass
-    point repeats that point's composed value, so the first point reaching
-    tau has positive mass; a search past the end clips to the last
-    positive-mass point."""
+    """Changes in changes (see ``cic_qtt``), row by row. Zero-mass control
+    post-period points are kept: one with rank 0 gets composed probability
+    0, one after a positive-mass point repeats that point's composed value,
+    so the first point reaching tau has positive mass; a search past the end
+    clips to the last positive-mass point."""
     pre_c, post_c, pre_t, post_t = fitted
     back = pre_c.quantile(post_c.cum_probs)
     composed = np.where(post_c.cum_probs > 0, pre_t.cdf(back), 0.0)
@@ -440,8 +404,8 @@ def estimate_rows(
 
     ``weights`` maps each arm to a (C, n_arm) matrix whose row r is one
     draw's weight vector; the estimators share the samples refit under it.
-    Returns one (C, len(grid)) array per estimator, whose row r equals
-    ``estimate_process(cell, tau_grid, estimator, row r's weights).values``.
+    Returns one (C, len(grid)) array per estimator, whose row r is the
+    estimate under row r's weights; a row of ones gives the point estimate.
     """
     taus = checked_grid(tau_grid)
     fitted = _fit_rows(cell, weights)

@@ -6,6 +6,8 @@ the full estimator with those weights threaded through every ECDF. The
 critical value for the sup test is the empirical (1-alpha) quantile of the
 recentered bootstrap sup process; the same value gives a simultaneous
 confidence band of constant half-width around the estimated process.
+The point estimate is the draw whose weights are all 1, computed by the same
+kernel as the draws.
 
 Every draw is generated from a substream keyed by (seed, cell index, draw
 index), so results are reproducible and independent of evaluation order.
@@ -28,14 +30,12 @@ from .estimators import (
     Cell,
     CqttProcess,
     checked_grid,
-    counterfactual_cdf,
     counterfactual_cdf_panel,  # noqa: F401
     counterfactual_cdf_rcs,  # noqa: F401
     counterfactual_rows,
     estimate_process,
     estimate_rows,
     treated_shares,
-    unconditional_qtt,
 )
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "draw_weights",
     "bootstrap_process",
     "bootstrap_unconditional",
+    "unconditional_process",
     "ks_test",
     "uniform_band",
     "pointwise_se",
@@ -265,14 +266,38 @@ def analyze_cell(
     whose bootstraps share each draw's weights.
     """
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
+    points = estimate_process(cell, tau_grid, names, None, n_total)
     draws = bootstrap_process(cell, tau_grid, config, names, n_total, cell_index=cell_index)
-    reports = {
-        est: _assemble_report(
-            estimate_process(cell, tau_grid, est, None, n_total), draws[est], config
-        )
-        for est in names
-    }
+    reports = {est: _assemble_report(points[est], draws[est], config) for est in names}
     return reports[estimator] if isinstance(estimator, str) else reports
+
+
+def _mixture_rows(cells: list[Cell], taus, weights: list) -> np.ndarray:
+    """The unconditional process under a chunk of draws: row r mixes the
+    cells' treated and counterfactual CDFs under row r of each cell's weights
+    (``weights[i]`` maps each arm of cell i to a (C, n_arm) matrix) by
+    their treated shares."""
+    shares = treated_shares(cells)
+    treated, counterfactual = zip(*map(counterfactual_rows, cells, weights))
+    mixed = StepRows.mixture(treated, shares).quantile(taus)
+    return mixed - StepRows.mixture(counterfactual, shares).quantile(taus)
+
+
+def unconditional_process(
+    cells: list[tuple[int, Cell]], tau_grid, n_total: int | None = None
+) -> CqttProcess:
+    """QTT on the whole treated population: the treated-share mixture of the
+    cells' CDFs under weights of all ones."""
+    if not cells:
+        raise ValueError("need at least one viable cell")
+    taus = checked_grid(tau_grid)
+    members = [cell for _, cell in cells]
+    values = _mixture_rows(members, taus, [cell.unit_weights() for cell in members])[0]
+    n_control = sum(cell.n_control for cell in members)
+    n_treated = sum(cell.n_treated for cell in members)
+    if n_total is None:
+        n_total = n_control + n_treated
+    return CqttProcess(taus, values, (), n_control, n_treated, n_total)
 
 
 def bootstrap_unconditional(
@@ -289,22 +314,13 @@ def bootstrap_unconditional(
     if not cells:
         raise ValueError("need at least one viable cell")
     taus = checked_grid(tau_grid)
-    shares = treated_shares([cell for _, cell in cells])
+    members = [cell for _, cell in cells]
     draws = np.empty((config.iterations, taus.size))
     # the mixtures concatenate every cell's rows
-    width = sum(max(cell.arm_sizes().values()) for _, cell in cells)
+    width = sum(max(cell.arm_sizes().values()) for cell in members)
     for chunk in _chunks(config.iterations, width):
-        treated, counterfactual = zip(
-            *(
-                counterfactual_rows(
-                    cell, _weight_rows(cell.arm_sizes(), config, (cell_index,), chunk)
-                )
-                for cell_index, cell in cells
-            )
-        )
-        draws[chunk.start : chunk.stop] = StepRows.mixture(treated, shares).quantile(
-            taus
-        ) - StepRows.mixture(counterfactual, shares).quantile(taus)
+        weights = [_weight_rows(cell.arm_sizes(), config, (i,), chunk) for i, cell in cells]
+        draws[chunk.start : chunk.stop] = _mixture_rows(members, taus, weights)
     return draws
 
 
@@ -322,6 +338,4 @@ def analyze_unconditional(
     which multinomial resampling holds fixed.
     """
     draws = bootstrap_unconditional(cells, tau_grid, config)
-    results = [counterfactual_cdf(cell) for _, cell in cells]
-    process = unconditional_qtt(results, treated_shares(results), tau_grid, n_total)
-    return _assemble_report(process, draws, config)
+    return _assemble_report(unconditional_process(cells, tau_grid, n_total), draws, config)

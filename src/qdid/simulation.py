@@ -190,10 +190,8 @@ def run_mc(
     for r in range(reps):
         data = simulate(spec, substream(seed, r))
         cell = PanelCell.from_dataset(data, build_cells(data)[0])
-        point = {
-            est: estimate_process(cell, grid, est, None, data.n_total).values
-            for est in estimators
-        }
+        processes = estimate_process(cell, grid, estimators, None, data.n_total)
+        point = {est: process.values for est, process in processes.items()}
         for est in estimators:
             errors[est][r] = point[est] - spec.te
         if rejections is None:

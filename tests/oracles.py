@@ -9,13 +9,20 @@ The ingest references are the row-by-row reader, validator and cell
 partition the package ran before its columnar ingest. The columnar code must
 give the same arrays, dtypes and row order, and the same errors.
 
+The scalar estimators are the one-weight-vector code the package ran for
+every point estimate before each reported number became a row of the
+bootstrap kernel: ``cqtt`` of a ``counterfactual_cdf``, the scalar
+changes-in-changes body, their dispatch, and the share-weighted mixture of
+``StepDistribution``s behind ``unconditional_qtt``.
+
 The per-draw references at the end are the draw loops the package ran
 before its batched bootstrap kernel: one substream, one weight vector per
-arm and one full ``estimate_process`` per draw. The kernel must reproduce
-them bit for bit.
+arm and one full ``scalar_estimate_process`` per draw. The kernel must
+reproduce them bit for bit.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -29,13 +36,14 @@ from qdid.data_model import (
     ValidationReport,
     _rows_msg,
 )
+from qdid.empirical import SortedSample, StepDistribution
 from qdid.estimators import (
+    CqttProcess,
     PanelCell,
+    counterfactual_cdf,
     counterfactual_cdf_panel,
     counterfactual_cdf_rcs,
-    estimate_process,
     treated_shares,
-    unconditional_qtt,
 )
 from qdid.inference import draw_weights, empirical_quantile, substream
 from qdid.simulation import simulate
@@ -100,6 +108,116 @@ def brute_counterfactual_panel(control_pairs, treated_pre):
     return sorted(transformed), masses
 
 
+# -- scalar point estimators -------------------------------------------------
+
+
+def mixture(components, shares):
+    """Share-weighted mixture of step CDFs on the merged support."""
+    components = list(components)
+    shares = np.asarray(shares, dtype=float)
+    if not components:
+        raise ValueError("mixture of zero components")
+    if shares.shape != (len(components),) or np.any(shares < 0):
+        raise ValueError("one non-negative share per component required")
+    if not math.isclose(float(shares.sum()), 1.0, abs_tol=1e-8):
+        raise ValueError("shares must sum to 1")
+    if len(components) == 1:
+        # exact: a one-component mixture is the component itself
+        return components[0]
+    points = np.concatenate([c.support for c in components])
+    probs = np.concatenate(
+        [s * (c.masses / c.total) for s, c in zip(shares, components)]
+    )
+    return StepDistribution.fit(points, probs)
+
+
+def cqtt(result, tau_grid, n_total=None):
+    """Quantile difference between the treated and counterfactual CDFs."""
+    taus = np.asarray(tau_grid, dtype=float)
+    values = np.asarray(result.treated.quantile(taus)) - np.asarray(
+        result.counterfactual.quantile(taus)
+    )
+    return CqttProcess(
+        taus=taus,
+        values=values,
+        code=result.code,
+        n_control=result.n_control,
+        n_treated=result.n_treated,
+        n_total=result.n_control + result.n_treated if n_total is None else n_total,
+    )
+
+
+def unconditional_qtt(results, shares, tau_grid, n_total=None):
+    """QTT on the whole treated population: share-weighted mixture of the
+    per-cell CDFs, inverted with the same generalized inverse."""
+    results = list(results)
+    if not results:
+        raise ValueError("need at least one cell")
+    taus = np.asarray(tau_grid, dtype=float)
+    mix_treated = mixture([r.treated for r in results], shares)
+    mix_counterfactual = mixture([r.counterfactual for r in results], shares)
+    values = np.asarray(mix_treated.quantile(taus)) - np.asarray(
+        mix_counterfactual.quantile(taus)
+    )
+    n_control = sum(r.n_control for r in results)
+    n_treated = sum(r.n_treated for r in results)
+    return CqttProcess(
+        taus=taus,
+        values=values,
+        code=(),
+        n_control=n_control,
+        n_treated=n_treated,
+        n_total=n_control + n_treated if n_total is None else n_total,
+    )
+
+
+def scalar_cic_qtt(control_pre, control_post, treated_pre, treated_post, tau_grid,
+                   weights=None, code=(), n_total=None):
+    """Changes in changes for one weight vector per sample (None: all ones)."""
+    w = weights if weights is not None else (None, None, None, None)
+    dists = []
+    for sample, wv in zip((control_pre, control_post, treated_pre, treated_post), w):
+        if isinstance(sample, SortedSample):
+            dists.append(sample.fit(wv))
+        else:
+            dists.append(StepDistribution.fit(sample, wv))
+    pre_c, post_c, pre_t, post_t = dists
+    taus = np.asarray(tau_grid, dtype=float)
+
+    keep = post_c.masses > 0
+    support = post_c.support[keep]
+    back = pre_c.quantile(post_c.cum_probs[keep])
+    composed = np.asarray(pre_t.cdf(back))
+    idx = np.minimum(np.searchsorted(composed, taus, side="left"), support.size - 1)
+    values = np.asarray(post_t.quantile(taus)) - support[idx]
+
+    n_control = len(control_pre) + len(control_post)
+    n_treated = len(treated_pre) + len(treated_post)
+    return CqttProcess(
+        taus=taus,
+        values=np.atleast_1d(values),
+        code=code,
+        n_control=n_control,
+        n_treated=n_treated,
+        n_total=n_control + n_treated if n_total is None else n_total,
+    )
+
+
+def scalar_estimate_process(cell, tau_grid, estimator="ddid", weights=None, n_total=None):
+    """One estimator on one cell under one weight vector per arm (None: all ones)."""
+    if estimator == "ddid":
+        return cqtt(counterfactual_cdf(cell, weights), tau_grid, n_total)
+    if estimator == "cic":
+        return scalar_cic_qtt(
+            *cell.samples,
+            tau_grid,
+            weights=cell.sample_weights(weights),
+            code=cell.code,
+            n_total=cell.n_control + cell.n_treated if n_total is None else n_total,
+        )
+    raise ValueError(f"unknown estimator {estimator!r} (expected 'ddid' or 'cic')")
+
+
 # -- per-draw bootstrap references ------------------------------------------
 
 
@@ -116,7 +234,7 @@ def per_draw_bootstrap(cell, tau_grid, config, estimator="ddid", n_total=None,
         weights = _per_draw_weights(
             cell, config.scheme, config.seed, (*key_prefix, cell_index, b)
         )
-        draws[b] = estimate_process(cell, taus, estimator, weights, n_total).values
+        draws[b] = scalar_estimate_process(cell, taus, estimator, weights, n_total).values
     return draws
 
 
@@ -162,14 +280,14 @@ def per_draw_mc_rejections(spec, reps, taus, estimators, bootstrap_iterations,
             treated_y_post=data.y_post[t],
         )
         point = {
-            est: estimate_process(cell, grid, est, None, data.n_total).values
+            est: scalar_estimate_process(cell, grid, est, None, data.n_total).values
             for est in estimators
         }
         draws = {est: np.empty((bootstrap_iterations, grid.size)) for est in estimators}
         for b in range(bootstrap_iterations):
             weights = _per_draw_weights(cell, scheme, seed, (r, 0, b))
             for est in estimators:
-                draws[est][b] = estimate_process(
+                draws[est][b] = scalar_estimate_process(
                     cell, grid, est, weights, data.n_total
                 ).values
         for est in estimators:

@@ -20,7 +20,6 @@ from qdid.estimators import (
     RcsCell,
     counterfactual_cdf_panel,
     counterfactual_cdf_rcs,
-    cqtt,
 )
 from qdid.inference import BootstrapConfig, analyze_cell, substream
 from qdid.simulation import DgpSpec, run_mc, simulate_dgp2

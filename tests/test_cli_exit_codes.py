@@ -1,5 +1,9 @@
 """Flag errors fail fast and name the flag; only input errors exit 2."""
 
+import contextlib
+import os
+import threading
+
 import pytest
 
 import qdid.cli
@@ -117,3 +121,44 @@ def test_unwritable_output_path_is_an_input_error(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "internal error" not in err
+
+
+def _non_utf8_input(where: str) -> bytes:
+    """A panel file with one \\xff byte in the header or in a data row's
+    flag field; the data row is near the end, past the first 8 KB."""
+    rows = [b"%d,%d,%d.5,%d" % (u, p, u % 7, u % 2) for u in range(400) for p in (0, 1)]
+    header = b"unit,period,y,d"
+    if where == "header":
+        header = b"unit,period,y\xff,d"
+    else:
+        rows[-5] = rows[-5][:-1] + b"\xff"
+    return b"\n".join([header, *rows]) + b"\n"
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, where, source):
+    data = _non_utf8_input(where)
+    path = tmp_path / "data.csv"
+    writer = None
+    if source == "file":
+        path.write_bytes(data)
+    else:
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("named pipes are POSIX only")
+        os.mkfifo(path)
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), open(path, "wb") as pipe:
+                pipe.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+    code = main(["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20"])
+    if writer is not None:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
+    assert "internal error" not in err

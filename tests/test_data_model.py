@@ -84,6 +84,21 @@ class TestBuildCells:
             np.testing.assert_array_equal(a.treated_rows, b.treated_rows)
             np.testing.assert_array_equal(a.control_rows, b.control_rows)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, float])
+    def test_any_code_dtype_gives_the_int64_cells(self, dtype):
+        rng = np.random.default_rng(4)
+        covs = rng.integers(0, 3, size=(60, 2))
+        treated = rng.integers(0, 2, 60).astype(bool)
+        expect = build_cells(make_panel(np.zeros(60), np.zeros(60), treated, covariates=covs))
+        cells = build_cells(
+            make_panel(np.zeros(60), np.zeros(60), treated, covariates=covs.astype(dtype))
+        )
+        assert [c.code for c in cells] == [c.code for c in expect]
+        assert all(type(v) is int for c in cells for v in c.code)
+        for a, b in zip(cells, expect):
+            np.testing.assert_array_equal(a.treated_rows, b.treated_rows)
+            np.testing.assert_array_equal(a.control_rows, b.control_rows)
+
     def test_rcs_viability_checks_all_four_arms(self):
         data = RcsData(
             y=np.arange(5.0),

