@@ -6,7 +6,6 @@ exchangeable-bootstrap uniform inference and a Monte Carlo harness.
 """
 
 from .data_model import (
-    CovariateCell,
     PanelData,
     RcsData,
     ValidationError,
@@ -28,7 +27,6 @@ from .estimators import (
     counterfactual_rows,
     estimate_process,
     estimate_rows,
-    extract_cell,
     treated_shares,
 )
 from .inference import (
@@ -54,7 +52,6 @@ __all__ = [
     "BootstrapConfig",
     "Cell",
     "CounterfactualResult",
-    "CovariateCell",
     "CqttProcess",
     "DgpSpec",
     "InferenceReport",
@@ -82,7 +79,6 @@ __all__ = [
     "draw_weights",
     "estimate_process",
     "estimate_rows",
-    "extract_cell",
     "ks_test",
     "pointwise_se",
     "rank_transform",

@@ -25,7 +25,6 @@ import numpy as np
 
 from .data_model import (
     DEFAULT_MIN_CELL_SIZE,
-    CovariateCell,
     PanelData,
     RcsData,
     ValidationError,
@@ -33,7 +32,7 @@ from .data_model import (
     build_cells,
     validate,
 )
-from .estimators import checked_grid, extract_cell
+from .estimators import Cell, checked_grid
 from .inference import (
     SCHEMES,
     BootstrapConfig,
@@ -83,8 +82,8 @@ def tau_grid(tau_min: float, tau_max: float, tau_step: float) -> np.ndarray:
     if not (0.0 < tau_min <= tau_max < 1.0) or tau_step <= 0:
         raise ValueError("grid must satisfy 0 < tau_min <= tau_max < 1, step > 0")
     count = int(np.floor((tau_max - tau_min) / tau_step + 1e-9)) + 1
-    grid = np.round(tau_min + tau_step * np.arange(count), 12)
-    return grid
+    # a step below the rounding leaves repeated points, which checked_grid rejects
+    return checked_grid(np.round(tau_min + tau_step * np.arange(count), 12))
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,12 @@ class RunConfig:
 
 
 def _flag_value(flags: str, build):
-    """``build()``, with a ValueError (or OverflowError) it raises reported as
-    a bad value of ``flags``."""
+    """``build()``, with a ValueError, an OverflowError or a MemoryError (a
+    value asking for an array that cannot be allocated) it raises reported
+    as a bad value of ``flags``."""
     try:
         return build()
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         raise FlagError(f"{flags}: {exc}") from None
 
 
@@ -184,6 +184,13 @@ def _parse_code(token: str, line: int, col: str) -> int:
     if not -(2**63) <= code < 2**63:
         raise LoadError(f"line {line}: covariate {col}={token!r} is outside the 64-bit range")
     return code
+
+
+def _parse_unit(token: str, line: int, col: str) -> str:
+    unit = token.strip()
+    if "\x00" in unit:  # numpy str arrays drop trailing NULs, merging "a\x00" into "a"
+        raise LoadError(f"line {line}: {col}={token!r} contains a NUL character")
+    return unit
 
 
 def _coded(tokens: list[str], convert) -> np.ndarray:
@@ -343,8 +350,11 @@ def _row_columns(reader, width: int, used: list[int], names: list[str], has_unit
         covariates = np.empty((n, n_codes), dtype=int)
         for j, tokens in enumerate(columns[3 : 3 + n_codes]):
             covariates[:, j] = _coded(tokens, int)
+        if has_unit and any("\x00" in unit for unit in columns[-1]):
+            raise ValueError
     except (ValueError, OverflowError):
         parsers = [_parse_float, _parse_binary, _parse_binary] + [_parse_code] * n_codes
+        parsers += [_parse_unit] * has_unit
         for k, fields in enumerate(zip(*columns)):
             for parse, token, name in zip(parsers, fields, names):
                 parse(token, line_of(k), name)
@@ -411,7 +421,7 @@ def _dataset(config: RunConfig, y, period, d, covariates, units, line_of):
 
 @dataclass(frozen=True)
 class CellAnalysis:
-    cell: CovariateCell
+    cell: Cell
     reports: dict[str, InferenceReport] | None
 
 
@@ -444,15 +454,14 @@ def run_estimation(config: RunConfig) -> RunResult:
         scheme=config.scheme,
     )
     analyses: list[CellAnalysis] = []
-    viable: list[tuple[int, object]] = []
+    viable: list[tuple[int, Cell]] = []
     for index, cell in enumerate(cells):
         if not cell.viable:
             analyses.append(CellAnalysis(cell, None))
             continue
-        extracted = extract_cell(dataset, cell)
-        viable.append((index, extracted))
+        viable.append((index, cell))
         reports = analyze_cell(
-            extracted, grid, boot, config.estimators, dataset.n_total, cell_index=index
+            cell, grid, boot, config.estimators, dataset.n_total, cell_index=index
         )
         analyses.append(CellAnalysis(cell, reports))
     unconditional = None

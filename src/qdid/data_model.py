@@ -1,21 +1,23 @@
-"""Datasets, covariate-cell indexing, and validation.
+"""Datasets, validation, and the partition into covariate cells.
 
 Two dataset shapes are supported: two-period panel data (one row per unit,
 both outcomes observed) and repeated cross sections (one row per
 observation, tagged with its period). Covariates are integer-coded discrete
-categories; estimation is fully stratified on exact covariate values.
+categories; estimation is fully stratified on exact covariate values, and
+``build_cells`` returns the estimation cell of each covariate vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .estimators import Cell, PanelCell, RcsCell
 
 __all__ = [
     "PanelData",
     "RcsData",
-    "CovariateCell",
     "ValidationIssue",
     "ValidationReport",
     "ValidationError",
@@ -70,6 +72,11 @@ class PanelData:
     def covariate_arity(self) -> int:
         return self.covariates.shape[1]
 
+    def _cell(self, code: tuple[int, ...], control: np.ndarray, treated: np.ndarray) -> PanelCell:
+        """The cell of the given control and treated unit rows."""
+        y_pre, y_post = self.y_pre[control], self.y_post[control]
+        return PanelCell(code, y_pre, y_post - y_pre, self.y_pre[treated], self.y_post[treated])
+
 
 @dataclass(frozen=True)
 class RcsData:
@@ -112,6 +119,18 @@ class RcsData:
     @property
     def covariate_arity(self) -> int:
         return self.covariates.shape[1]
+
+    def _cell(self, code: tuple[int, ...], control: np.ndarray, treated: np.ndarray) -> RcsCell:
+        """The cell of the given control and treated rows: each group's
+        observations per period."""
+        c, t = self.period[control], self.period[treated]
+        return RcsCell(
+            code,
+            self.y[control[c == 0]],
+            self.y[control[c == 1]],
+            self.y[treated[t == 0]],
+            self.y[treated[t == 1]],
+        )
 
 
 @dataclass(frozen=True)
@@ -205,41 +224,18 @@ def validate(dataset: PanelData | RcsData) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-@dataclass(frozen=True)
-class CovariateCell:
-    """One exact-covariate stratum with its treated/control member rows.
-
-    Cells too small for estimation are flagged via ``viable``/``reason``
-    rather than dropped, so callers can report them.
-    """
-
-    code: tuple[int, ...]
-    treated_rows: np.ndarray
-    control_rows: np.ndarray
-    viable: bool = True
-    reason: str | None = None
-
-    @property
-    def n_treated(self) -> int:
-        return len(self.treated_rows)
-
-    @property
-    def n_control(self) -> int:
-        return len(self.control_rows)
-
-    def label(self) -> str:
-        return "all" if not self.code else "|".join(map(str, self.code))
-
-
 def build_cells(
     dataset: PanelData | RcsData,
     min_cell_size: int = DEFAULT_MIN_CELL_SIZE,
-) -> list[CovariateCell]:
-    """Partition rows by exact covariate vector, ordered lexicographically.
+) -> list[Cell]:
+    """Partition rows by exact covariate vector into estimation cells,
+    ordered lexicographically.
 
-    Every row lands in exactly one cell. A cell whose treated or control arm
-    is smaller than ``min_cell_size`` (for repeated cross sections: any of
-    the four period-by-group arms) is flagged as non-viable with a reason.
+    Every row lands in exactly one cell, whose samples keep row order (a
+    repeated cross-section row whose period is not 0 or 1, possible only
+    before validation, is in no sample). A cell with a weight arm
+    (``cell.arm_sizes()``) smaller than ``min_cell_size`` is returned with a
+    ``reason`` rather than dropped, so callers can report it.
     """
     x = dataset.covariates
     n, k = x.shape
@@ -252,34 +248,17 @@ def build_cells(
         starts = np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1
         groups = np.split(order, starts) if n else []
 
-    treated = dataset.treated
     cells = []
     for rows in groups:
         code = tuple(int(v) for v in codes[rows[0]]) if k else ()
-        t_rows = rows[treated[rows]]
-        c_rows = rows[~treated[rows]]
-        viable, reason = True, None
-        if isinstance(dataset, RcsData):
-            arms = {
-                "control pre": int(np.sum(dataset.period[c_rows] == 0)),
-                "control post": int(np.sum(dataset.period[c_rows] == 1)),
-                "treated pre": int(np.sum(dataset.period[t_rows] == 0)),
-                "treated post": int(np.sum(dataset.period[t_rows] == 1)),
-            }
-        else:
-            arms = {"control": len(c_rows), "treated": len(t_rows)}
-        short = {name: size for name, size in arms.items() if size < min_cell_size}
+        treated = dataset.treated[rows]
+        cell = dataset._cell(code, rows[~treated], rows[treated])
+        short = [
+            f"{arm.replace('_', ' ')} arm has {size} rows"
+            for arm, size in cell.arm_sizes().items()
+            if size < min_cell_size
+        ]
         if short:
-            viable = False
-            parts = ", ".join(f"{name} arm has {size} rows" for name, size in short.items())
-            reason = f"{parts} (< min_cell_size {min_cell_size})"
-        cells.append(
-            CovariateCell(
-                code=code,
-                treated_rows=t_rows,
-                control_rows=c_rows,
-                viable=viable,
-                reason=reason,
-            )
-        )
+            cell = replace(cell, reason=f"{', '.join(short)} (< min_cell_size {min_cell_size})")
+        cells.append(cell)
     return cells

@@ -19,13 +19,12 @@ pipeline does not call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from .data_model import CovariateCell, PanelData, RcsData
 from .empirical import (
     SortedSample,
     StepDistribution,
@@ -48,7 +47,6 @@ __all__ = [
     "estimate_process",
     "estimate_rows",
     "counterfactual_rows",
-    "extract_cell",
     "treated_shares",
 ]
 
@@ -64,13 +62,23 @@ class Cell:
     change, aligned with the control pre-period sample, where the data
     observe it (panel), and None where it is recovered by rank matching the
     control group across periods (repeated cross sections). Subclasses give
-    the four samples' values, in order, as ``sample_values``.
+    the four samples' values, in order, as ``sample_values``. ``reason`` is
+    None for a cell large enough to estimate, and otherwise says which arms
+    are too small (see ``build_cells``).
     """
 
     SAMPLE_ARMS: ClassVar[tuple[str, ...]]
     observed_dy = None
 
     code: tuple[int, ...]
+    reason: str | None = field(default=None, kw_only=True)
+
+    @property
+    def viable(self) -> bool:
+        return self.reason is None
+
+    def label(self) -> str:
+        return "all" if not self.code else "|".join(map(str, self.code))
 
     def arm_sizes(self) -> dict[str, int]:
         return {arm: len(v) for arm, v in zip(self.SAMPLE_ARMS, self.sample_values)}
@@ -119,17 +127,6 @@ class PanelCell(Cell):
     treated_y_pre: np.ndarray
     treated_y_post: np.ndarray
 
-    @classmethod
-    def from_dataset(cls, data: PanelData, cell: CovariateCell) -> "PanelCell":
-        c, t = cell.control_rows, cell.treated_rows
-        return cls(
-            code=cell.code,
-            control_y_pre=data.y_pre[c],
-            control_dy=data.y_post[c] - data.y_pre[c],
-            treated_y_pre=data.y_pre[t],
-            treated_y_post=data.y_post[t],
-        )
-
     @property
     def observed_dy(self) -> np.ndarray:
         return self.control_dy
@@ -157,29 +154,9 @@ class RcsCell(Cell):
     treated_pre: np.ndarray
     treated_post: np.ndarray
 
-    @classmethod
-    def from_dataset(cls, data: RcsData, cell: CovariateCell) -> "RcsCell":
-        c, t = cell.control_rows, cell.treated_rows
-        pre_c = c[data.period[c] == 0]
-        post_c = c[data.period[c] == 1]
-        pre_t = t[data.period[t] == 0]
-        post_t = t[data.period[t] == 1]
-        return cls(
-            code=cell.code,
-            control_pre=data.y[pre_c],
-            control_post=data.y[post_c],
-            treated_pre=data.y[pre_t],
-            treated_post=data.y[post_t],
-        )
-
     @property
     def sample_values(self) -> tuple[np.ndarray, ...]:
         return (self.control_pre, self.control_post, self.treated_pre, self.treated_post)
-
-
-def extract_cell(data: PanelData | RcsData, cell: CovariateCell) -> Cell:
-    kind = PanelCell if isinstance(data, PanelData) else RcsCell
-    return kind.from_dataset(data, cell)
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,6 @@ def bootstrap_process(
     tau_grid,
     config: BootstrapConfig,
     estimator: str | tuple[str, ...] = "ddid",
-    n_total: int | None = None,
     cell_index: int = 0,
     key_prefix: tuple[int, ...] = (),
 ) -> np.ndarray | dict[str, np.ndarray]:
@@ -144,8 +143,7 @@ def bootstrap_process(
     config.seed, so replicates are reproducible regardless of evaluation
     order and distinct cells never share draws. Given a tuple of
     estimators, returns a dict of replicates per estimator, all computed
-    from the same draws. ``n_total`` only labels a process, so replicates
-    do not depend on it.
+    from the same draws.
     """
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
     taus = np.asarray(tau_grid, dtype=float)
@@ -267,7 +265,7 @@ def analyze_cell(
     """
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
     points = estimate_process(cell, tau_grid, names, None, n_total)
-    draws = bootstrap_process(cell, tau_grid, config, names, n_total, cell_index=cell_index)
+    draws = bootstrap_process(cell, tau_grid, config, names, cell_index=cell_index)
     reports = {est: _assemble_report(points[est], draws[est], config) for est in names}
     return reports[estimator] if isinstance(estimator, str) else reports
 

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data_model import PanelData, build_cells
-from .estimators import PanelCell, estimate_process
+from .estimators import estimate_process
 # draw_weights is not called here; bench/tracer.py rebinds it by this module path
 from .inference import (
     BootstrapConfig,
@@ -189,7 +189,7 @@ def run_mc(
     )
     for r in range(reps):
         data = simulate(spec, substream(seed, r))
-        cell = PanelCell.from_dataset(data, build_cells(data)[0])
+        cell = build_cells(data)[0]
         processes = estimate_process(cell, grid, estimators, None, data.n_total)
         point = {est: process.values for est, process in processes.items()}
         for est in estimators:

@@ -26,10 +26,9 @@ import math
 
 import numpy as np
 
-from qdid.cli import LoadError, _parse_binary, _parse_code, _parse_float
+from qdid.cli import LoadError, _parse_binary, _parse_code, _parse_float, _parse_unit
 from qdid.data_model import (
     DEFAULT_MIN_CELL_SIZE,
-    CovariateCell,
     PanelData,
     RcsData,
     ValidationIssue,
@@ -40,6 +39,7 @@ from qdid.empirical import SortedSample, StepDistribution
 from qdid.estimators import (
     CqttProcess,
     PanelCell,
+    RcsCell,
     counterfactual_cdf,
     counterfactual_cdf_panel,
     counterfactual_cdf_rcs,
@@ -334,7 +334,9 @@ def row_by_row_load_csv(config):
             covs = tuple(
                 _parse_code(row[pos[c]], line, c) for c in config.covariate_cols
             )
-            unit = row[pos[config.unit_col]].strip() if has_unit else None
+            unit = None
+            if has_unit:
+                unit = _parse_unit(row[pos[config.unit_col]], line, config.unit_col)
             rows.append((unit, period, y, d, covs, line))
         if not rows:
             raise LoadError("no data rows")
@@ -441,7 +443,8 @@ def row_by_row_validate(dataset):
 
 
 def dict_build_cells(dataset, min_cell_size=DEFAULT_MIN_CELL_SIZE):
-    """``build_cells`` grouping rows in a dict keyed by covariate tuples."""
+    """``build_cells`` grouping rows in a dict keyed by covariate tuples and
+    gathering each cell's samples row by row."""
     x = dataset.covariates
     n = x.shape[0]
     if x.shape[1] == 0:
@@ -451,34 +454,35 @@ def dict_build_cells(dataset, min_cell_size=DEFAULT_MIN_CELL_SIZE):
         for i, row in enumerate(x.tolist()):
             groups.setdefault(tuple(int(v) for v in row), []).append(i)
 
-    treated = dataset.treated
+    treated = dataset.treated.tolist()
     cells = []
     for code in sorted(groups):
-        rows = np.asarray(groups[code], dtype=int)
-        t_rows = rows[treated[rows]]
-        c_rows = rows[~treated[rows]]
-        viable, reason = True, None
+        control = [i for i in groups[code] if not treated[i]]
+        treat = [i for i in groups[code] if treated[i]]
         if isinstance(dataset, RcsData):
-            arms = {
-                "control pre": int(np.sum(dataset.period[c_rows] == 0)),
-                "control post": int(np.sum(dataset.period[c_rows] == 1)),
-                "treated pre": int(np.sum(dataset.period[t_rows] == 0)),
-                "treated post": int(np.sum(dataset.period[t_rows] == 1)),
-            }
+            y, period = dataset.y.tolist(), dataset.period.tolist()
+            samples = [
+                [y[i] for i in group if period[i] == p]
+                for group in (control, treat)
+                for p in (0, 1)
+            ]
+            names = ["control pre", "control post", "treated pre", "treated post"]
+            arms = dict(zip(names, map(len, samples)))
+            kind = RcsCell
         else:
-            arms = {"control": len(c_rows), "treated": len(t_rows)}
+            pre, post = dataset.y_pre.tolist(), dataset.y_post.tolist()
+            samples = [
+                [pre[i] for i in control],
+                [post[i] - pre[i] for i in control],
+                [pre[i] for i in treat],
+                [post[i] for i in treat],
+            ]
+            arms = {"control": len(control), "treated": len(treat)}
+            kind = PanelCell
         short = {name: size for name, size in arms.items() if size < min_cell_size}
+        reason = None
         if short:
-            viable = False
             parts = ", ".join(f"{name} arm has {size} rows" for name, size in short.items())
             reason = f"{parts} (< min_cell_size {min_cell_size})"
-        cells.append(
-            CovariateCell(
-                code=code,
-                treated_rows=t_rows,
-                control_rows=c_rows,
-                viable=viable,
-                reason=reason,
-            )
-        )
+        cells.append(kind(code, *(np.array(v, dtype=float) for v in samples), reason=reason))
     return cells

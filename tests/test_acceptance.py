@@ -14,13 +14,8 @@ import pytest
 
 from qdid.cli import main as cli_main
 from qdid.data_model import PanelData, build_cells, validate
-from qdid.empirical import StepDistribution
-from qdid.estimators import (
-    PanelCell,
-    RcsCell,
-    counterfactual_cdf_panel,
-    counterfactual_cdf_rcs,
-)
+from qdid.empirical import SortedSample, StepDistribution
+from qdid.estimators import PanelCell, RcsCell, counterfactual_cdf, counterfactual_rows
 from qdid.inference import BootstrapConfig, analyze_cell, substream
 from qdid.simulation import DgpSpec, run_mc, simulate_dgp2
 
@@ -59,13 +54,20 @@ def test_criterion_01_oracle_equivalence():
         y_pre1 = rng.integers(-5, 6, n1).astype(float)
         y_post1 = rng.integers(-5, 6, n1).astype(float)
         cell = PanelCell((), y_pre0, dy, y_pre1, y_post1)
-        res = counterfactual_cdf_panel(cell)
+        res = counterfactual_cdf(cell)
         transformed, table = brute_counterfactual_panel(
             list(zip(y_pre0.tolist(), dy.tolist())), y_pre1.tolist()
         )
         assert sorted(res.transformed_outcomes.tolist()) == transformed
         assert res.counterfactual.support.tolist() == [y for y, _ in table]
         assert res.counterfactual.masses.tolist() == [m for _, m in table]
+        # the kernel's unit-weight row: every transformed outcome, sorted,
+        # with its tie group's mass on the first point of the group
+        row = counterfactual_rows(cell, cell.unit_weights())[1]
+        points, masses = row.support[0], row.masses[0]
+        assert points.tolist() == transformed
+        assert points[masses > 0].tolist() == [y for y, _ in table]
+        assert masses[masses > 0].tolist() == [m for _, m in table]
         checked += 1
     elapsed = time.perf_counter() - start
     check(
@@ -94,6 +96,9 @@ def test_criterion_02_galois_property():
             if weights.sum() == 0:
                 weights[0] = 1.0
         d = StepDistribution.fit(values, weights)
+        # the kernel's fit of the same sample, as one row
+        row_weights = np.ones((1, n)) if weights is None else weights[None, :]
+        rows = SortedSample(values).fit_rows(row_weights)
         taus = rng.uniform(1e-9, 1.0, size=100)
         ys = np.concatenate(
             [
@@ -102,14 +107,16 @@ def test_criterion_02_galois_property():
                 rng.uniform(d.support[0] - 2, d.support[-1] + 2, size=30),
             ]
         )
-        q = np.asarray(d.quantile(taus))
-        F = np.asarray(d.cdf(ys))
-        left = q[:, None] <= ys[None, :]
-        right = taus[:, None] <= F[None, :]
-        assert np.array_equal(left, right)
+        for q, F in (
+            (np.asarray(d.quantile(taus)), np.asarray(d.cdf(ys))),
+            (rows.quantile(taus)[0], rows.cdf(ys[None, :])[0]),
+        ):
+            left = q[:, None] <= ys[None, :]
+            right = taus[:, None] <= F[None, :]
+            assert np.array_equal(left, right)
         triples += taus.size * ys.size
     check(2, "generalized-inverse duality holds on randomized triples", True,
-          f"{triples} (tau, y) pairs over 100 distributions")
+          f"{triples} (tau, y) pairs over 100 distributions, each on reference and kernel")
 
 
 def test_criterion_03_dgp1_bias(dgp1_bias_run):
@@ -247,18 +254,19 @@ def test_criterion_10_rcs_reproduces_panel():
         y_post0 = np.sort(rng.normal(loc=0.5, size=n0))[np.argsort(np.argsort(y_pre0))]
         y_pre1 = rng.normal(loc=0.3, size=n1)
         y_post1 = rng.normal(loc=0.8, size=n1)
-        panel_res = counterfactual_cdf_panel(
-            PanelCell((), y_pre0, y_post0 - y_pre0, y_pre1, y_post1)
-        )
-        rcs_res = counterfactual_cdf_rcs(
-            RcsCell((), y_pre0, y_post0, y_pre1, y_post1)
-        )
+        panel = PanelCell((), y_pre0, y_post0 - y_pre0, y_pre1, y_post1)
+        rcs = RcsCell((), y_pre0, y_post0, y_pre1, y_post1)
         assert np.array_equal(
-            np.sort(panel_res.transformed_outcomes),
-            np.sort(rcs_res.transformed_outcomes),
+            np.sort(counterfactual_cdf(panel).transformed_outcomes),
+            np.sort(counterfactual_cdf(rcs).transformed_outcomes),
+        )
+        # the kernel's unit-weight rows hold every transformed outcome, sorted
+        assert np.array_equal(
+            counterfactual_rows(panel, panel.unit_weights())[1].support[0],
+            counterfactual_rows(rcs, rcs.unit_weights())[1].support[0],
         )
     check(10, "repeated cross sections reproduce the panel transformed sample",
-          True, "100 randomized rank-invariant instances, exact multisets")
+          True, "100 randomized rank-invariant instances, exact multisets, reference and kernel")
 
 
 def test_structural_subgroup_workflow(tmp_path):

@@ -1,12 +1,12 @@
-"""extract_cell / from_dataset: a cell's samples are the rows build_cells
-assigned to it, units for panel data and observations per period for
-repeated cross sections, in row order."""
+"""build_cells: a cell's samples are the rows of its covariate vector, units
+for panel data and observations per period for repeated cross sections, in
+row order."""
 
 import numpy as np
 import pytest
 
 from qdid.data_model import PanelData, RcsData, build_cells
-from qdid.estimators import PanelCell, RcsCell, extract_cell
+from qdid.estimators import PanelCell, RcsCell
 
 
 def _samples(cell):
@@ -18,6 +18,12 @@ def _assert_arrays(actual, expected):
     assert len(actual) == len(expected)
     for a, e in zip(actual, expected):
         np.testing.assert_array_equal(a, e)
+
+
+def _arms(data, code):
+    """Control and treated rows of the covariate vector ``code``."""
+    rows = np.flatnonzero(np.all(data.covariates == np.array(code, dtype=int), axis=1))
+    return rows[~data.treated[rows]], rows[data.treated[rows]]
 
 
 @pytest.mark.parametrize("n_covariates", [0, 2])
@@ -33,11 +39,9 @@ def test_panel_cells_hold_their_units(n_covariates):
     )
     cells = build_cells(data, min_cell_size=1)
     assert sum(c.n_control + c.n_treated for c in cells) == n
-    for covariate_cell in cells:
-        c, t = covariate_cell.control_rows, covariate_cell.treated_rows
-        cell = extract_cell(data, covariate_cell)
+    for cell in cells:
+        c, t = _arms(data, cell.code)
         assert isinstance(cell, PanelCell)
-        assert cell.code == covariate_cell.code
         assert cell.SAMPLE_ARMS == ("control", "control", "treated", "treated")
         assert cell.arm_sizes() == {"control": len(c), "treated": len(t)}
         assert (cell.n_control, cell.n_treated) == (len(c), len(t))
@@ -61,17 +65,15 @@ def test_rcs_cells_hold_their_observations_per_period():
     cells = build_cells(data, min_cell_size=1)
     assert sum(c.n_control + c.n_treated for c in cells) == n
     arms = ("control_pre", "control_post", "treated_pre", "treated_post")
-    for covariate_cell in cells:
-        c, t = covariate_cell.control_rows, covariate_cell.treated_rows
+    for cell in cells:
+        c, t = _arms(data, cell.code)
         rows = [
             c[data.period[c] == 0],
             c[data.period[c] == 1],
             t[data.period[t] == 0],
             t[data.period[t] == 1],
         ]
-        cell = extract_cell(data, covariate_cell)
         assert isinstance(cell, RcsCell)
-        assert cell.code == covariate_cell.code
         assert cell.SAMPLE_ARMS == arms
         assert cell.arm_sizes() == {arm: len(r) for arm, r in zip(arms, rows)}
         assert (cell.n_control, cell.n_treated) == (len(c), len(t))

@@ -251,6 +251,11 @@ class TestMainExitCodes:
             (["--tau-min", "0.9", "--tau-max", "0.1"], "--tau-"),
             (["--tau-step", "0"], "--tau-"),
             (["--estimators", ""], "--estimators"),
+            # a grid of 9e14 points: no machine can allocate it, so it fails at once
+            (["--tau-step", "1e-15"], "--tau-min/--tau-max/--tau-step"),
+            # 1001 points that the 12-decimal rounding collapses into a few
+            (["--tau-min", "0.5", "--tau-max", "0.5000000001", "--tau-step", "1e-13"],
+             "--tau-min/--tau-max/--tau-step"),
         ],
     )
     def test_bad_bootstrap_settings_fail_before_loading(self, tmp_path, capsys, flags, name):

@@ -2,6 +2,7 @@
 
 import contextlib
 import os
+import sys
 import threading
 
 import pytest
@@ -135,10 +136,8 @@ def _non_utf8_input(where: str) -> bytes:
     return b"\n".join([header, *rows]) + b"\n"
 
 
-@pytest.mark.parametrize("source", ["file", "pipe"])
-@pytest.mark.parametrize("where", ["header", "row"])
-def test_non_utf8_input_is_an_input_error(tmp_path, capsys, where, source):
-    data = _non_utf8_input(where)
+def _estimate(tmp_path, data: bytes, source: str, *flags: str) -> int:
+    """``qdid estimate`` on ``data``, read from a file or from a named pipe."""
     path = tmp_path / "data.csv"
     writer = None
     if source == "file":
@@ -154,11 +153,28 @@ def test_non_utf8_input_is_an_input_error(tmp_path, capsys, where, source):
 
         writer = threading.Thread(target=feed, daemon=True)
         writer.start()
-    code = main(["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20"])
+    code = main(["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20", *flags])
     if writer is not None:
         writer.join(timeout=10)
         assert not writer.is_alive()
+    return code
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, where, source):
+    code = _estimate(tmp_path, _non_utf8_input(where), source)
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
+    assert err.startswith(f"error: cannot read {tmp_path / 'data.csv'}: not UTF-8 text")
     assert "internal error" not in err
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL bytes before 3.11")
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+def test_a_unit_id_with_a_nul_is_an_input_error(tmp_path, capsys, mode, source):
+    """numpy str arrays drop trailing NULs, so unit a\\x00 would merge with unit a."""
+    data = b"unit,period,y,d\na,0,1.0,0\na,1,2.0,0\na\x00,0,1.5,1\na\x00,1,3.0,1\n"
+    assert _estimate(tmp_path, data, source, "--mode", mode) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: line 4: unit='a\\x00' contains a NUL character\n"

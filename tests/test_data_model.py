@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from qdid.data_model import (
-    CovariateCell,
     PanelData,
     RcsData,
     build_cells,
     validate,
 )
+from qdid.estimators import PanelCell
 
 
 def make_panel(y_pre, y_post, treated, covariates=None, unit_ids=None):
@@ -23,6 +23,12 @@ def make_panel(y_pre, y_post, treated, covariates=None, unit_ids=None):
         treated=treated,
         covariates=covariates,
     )
+
+
+def assert_same_samples(a, b):
+    """Two panel cells hold the same samples, in the same order."""
+    for name in ("control_y_pre", "control_dy", "treated_y_pre", "treated_y_post"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
 class TestBuildCells:
@@ -62,42 +68,41 @@ class TestBuildCells:
     def test_partition_exhaustive_and_exclusive(self):
         rng = np.random.default_rng(3)
         n = 200
-        data = make_panel(
-            rng.normal(size=n),
+        data = make_panel(  # a unit's pre-period outcome is its row
+            np.arange(n, dtype=float),
             rng.normal(size=n),
             rng.integers(0, 2, n).astype(bool),
             covariates=rng.integers(0, 3, size=(n, 2)),
         )
         cells = build_cells(data, min_cell_size=0)
-        seen = np.concatenate([np.concatenate([c.treated_rows, c.control_rows]) for c in cells])
+        seen = np.concatenate([np.concatenate([c.treated_y_pre, c.control_y_pre]) for c in cells])
         assert sorted(seen.tolist()) == list(range(n))
 
     def test_lexicographic_order_and_determinism(self):
         covs = np.array([[1, 0], [0, 1], [0, 0], [1, 1], [0, 1]])
         data = make_panel(
-            np.zeros(5), np.zeros(5), [True, False, True, False, True], covariates=covs
+            np.arange(5.0), np.zeros(5), [True, False, True, False, True], covariates=covs
         )
         first = build_cells(data, min_cell_size=0)
         second = build_cells(data, min_cell_size=0)
         assert [c.code for c in first] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [c.treated_y_pre.tolist() for c in first] == [[2.0], [4.0], [0.0], []]
+        assert [c.control_y_pre.tolist() for c in first] == [[], [1.0], [], [3.0]]
         for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.treated_rows, b.treated_rows)
-            np.testing.assert_array_equal(a.control_rows, b.control_rows)
+            assert_same_samples(a, b)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, float])
     def test_any_code_dtype_gives_the_int64_cells(self, dtype):
         rng = np.random.default_rng(4)
         covs = rng.integers(0, 3, size=(60, 2))
         treated = rng.integers(0, 2, 60).astype(bool)
-        expect = build_cells(make_panel(np.zeros(60), np.zeros(60), treated, covariates=covs))
-        cells = build_cells(
-            make_panel(np.zeros(60), np.zeros(60), treated, covariates=covs.astype(dtype))
-        )
+        rows = np.arange(60.0)
+        expect = build_cells(make_panel(rows, -rows, treated, covariates=covs))
+        cells = build_cells(make_panel(rows, -rows, treated, covariates=covs.astype(dtype)))
         assert [c.code for c in cells] == [c.code for c in expect]
         assert all(type(v) is int for c in cells for v in c.code)
         for a, b in zip(cells, expect):
-            np.testing.assert_array_equal(a.treated_rows, b.treated_rows)
-            np.testing.assert_array_equal(a.control_rows, b.control_rows)
+            assert_same_samples(a, b)
 
     def test_rcs_viability_checks_all_four_arms(self):
         data = RcsData(
@@ -202,5 +207,6 @@ class TestConstruction:
         assert rcs.n_total == 6
 
     def test_cell_label(self):
-        assert CovariateCell((), np.array([0]), np.array([1])).label() == "all"
-        assert CovariateCell((1, 2), np.array([0]), np.array([1])).label() == "1|2"
+        one = np.array([1.0])
+        assert PanelCell((), one, one, one, one).label() == "all"
+        assert PanelCell((1, 2), one, one, one, one).label() == "1|2"

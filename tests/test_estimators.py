@@ -5,8 +5,8 @@ from qdid.estimators import (
     PanelCell,
     RcsCell,
     cic_qtt,
-    counterfactual_cdf_panel,
-    counterfactual_cdf_rcs,
+    counterfactual_cdf,
+    counterfactual_rows,
     estimate_process,
     treated_shares,
 )
@@ -36,39 +36,68 @@ def rcs_cell(control_pre, control_post, treated_pre, treated_post):
     )
 
 
+class _KernelRow:
+    """Row 0 of a ``StepRows``, read through the names of a ``StepDistribution``."""
+
+    def __init__(self, rows):
+        self._rows = rows
+        self._points = rows.support[0]
+        keep = rows.masses[0] > 0
+        self.support, self.masses = self._points[keep], rows.masses[0][keep]
+
+    def cdf(self, y):
+        below = np.flatnonzero(self._points <= y)
+        return float(self._rows.cum_probs[0, below[-1]]) if below.size else 0.0
+
+    def quantile(self, tau):
+        return float(self._rows.quantile(np.array([tau]))[0, 0])
+
+
+def counterfactuals(cell):
+    """(counterfactual CDF, transformed outcomes) of the one-weight-vector
+    reference and of row 0 of the kernel under unit weights, to hold to the
+    same expectations. The kernel's support row holds every transformed
+    outcome, sorted."""
+    reference = counterfactual_cdf(cell)
+    _, kernel = counterfactual_rows(cell, cell.unit_weights())
+    return [(reference.counterfactual, reference.transformed_outcomes),
+            (_KernelRow(kernel), kernel.support[0])]
+
+
 class TestCounterfactualPanel:
     def test_hand_composition(self):
         cell = panel_cell([1, 2], [1, 2], [1, 3], [4, 6])
-        res = counterfactual_cdf_panel(cell)
-        assert sorted(res.transformed_outcomes.tolist()) == [2.0, 5.0]
-        assert res.counterfactual.cdf(2.0) == 0.5
-        assert res.counterfactual.cdf(5.0) == 1.0
-        assert res.counterfactual.quantile(0.5) == 2.0
+        for cdf, transformed in counterfactuals(cell):
+            assert sorted(transformed.tolist()) == [2.0, 5.0]
+            assert cdf.cdf(2.0) == 0.5
+            assert cdf.cdf(5.0) == 1.0
+            assert cdf.quantile(0.5) == 2.0
 
     def test_identity_transform_zero_shift(self):
         pre = [1.0, 2.0, 5.0, 7.0]
         cell = panel_cell(pre, [0, 0, 0, 0], pre, [3, 4, 5, 6])
-        res = counterfactual_cdf_panel(cell)
-        np.testing.assert_array_equal(
-            np.sort(res.transformed_outcomes), np.sort(np.asarray(pre))
-        )
+        for _, transformed in counterfactuals(cell):
+            np.testing.assert_array_equal(np.sort(transformed), np.sort(np.asarray(pre)))
 
     def test_degenerate_single_control(self):
         cell = panel_cell([0.0], [4.0], [2.5], [9.0])
-        res = counterfactual_cdf_panel(cell)
-        assert res.transformed_outcomes.tolist() == [6.5]
-        assert res.counterfactual.support.tolist() == [6.5]
+        for cdf, transformed in counterfactuals(cell):
+            assert transformed.tolist() == [6.5]
+            assert cdf.support.tolist() == [6.5]
 
     def test_empty_arm_rejected(self):
         cell = panel_cell([1.0], [0.0], [], [])
         with pytest.raises(ValueError):
-            counterfactual_cdf_panel(cell)
+            counterfactual_cdf(cell)
+        with pytest.raises(ValueError):
+            counterfactual_rows(cell, cell.unit_weights())
 
     def test_transformed_count_equals_controls(self):
         rng = np.random.default_rng(0)
         cell = panel_cell(rng.normal(size=9), rng.normal(size=9), rng.normal(size=5), rng.normal(size=5))
-        res = counterfactual_cdf_panel(cell)
-        assert len(res.transformed_outcomes) == 9
+        for _, transformed in counterfactuals(cell):
+            assert len(transformed) == 9
+        res = counterfactual_cdf(cell)
         assert res.n_control == 9 and res.n_treated == 5
 
 
@@ -76,28 +105,24 @@ class TestCounterfactualRcs:
     def test_no_time_change_reduces_to_zero_shift(self):
         pre = [1.0, 4.0, 9.0]
         cell = rcs_cell(pre, pre, [2.0, 3.0, 8.0], [1.0, 2.0, 3.0])
-        res = counterfactual_cdf_rcs(cell)
-        panel_res = counterfactual_cdf_panel(
-            panel_cell(pre, [0.0, 0.0, 0.0], [2.0, 3.0, 8.0], [1.0, 2.0, 3.0])
-        )
-        np.testing.assert_array_equal(
-            np.sort(res.transformed_outcomes), np.sort(panel_res.transformed_outcomes)
-        )
+        panel = panel_cell(pre, [0.0, 0.0, 0.0], [2.0, 3.0, 8.0], [1.0, 2.0, 3.0])
+        for (_, transformed), (_, panel_transformed) in zip(
+            counterfactuals(cell), counterfactuals(panel)
+        ):
+            np.testing.assert_array_equal(np.sort(transformed), np.sort(panel_transformed))
 
     def test_rank_matched_changes(self):
         cell = rcs_cell([1.0, 2.0], [3.0, 6.0], [1.0, 2.0], [0.0, 0.0])
-        res = counterfactual_cdf_rcs(cell)
-        # unit at y_pre=1 gets dy 3-1=2, unit at 2 gets 6-2=4
-        np.testing.assert_array_equal(np.sort(res.transformed_outcomes), [3.0, 6.0])
+        for _, transformed in counterfactuals(cell):
+            # unit at y_pre=1 gets dy 3-1=2, unit at 2 gets 6-2=4
+            np.testing.assert_array_equal(np.sort(transformed), [3.0, 6.0])
 
     def test_shifted_control_post(self):
         pre = [1.0, 2.0, 4.0]
         c = 2.5
         cell = rcs_cell(pre, [p + c for p in pre], pre, [0.0, 0.0, 0.0])
-        res = counterfactual_cdf_rcs(cell)
-        np.testing.assert_array_equal(
-            np.sort(res.transformed_outcomes), np.asarray(pre) + c
-        )
+        for _, transformed in counterfactuals(cell):
+            np.testing.assert_array_equal(np.sort(transformed), np.asarray(pre) + c)
 
 
 class TestCqtt:
@@ -145,8 +170,8 @@ class TestUnconditional:
         np.testing.assert_array_equal(mixed.values, np.ones(19))
 
     def test_shares(self):
-        a = counterfactual_cdf_panel(panel_cell([0.0], [0.0], [1.0, 2.0, 3.0], [1, 2, 3]))
-        b = counterfactual_cdf_panel(panel_cell([0.0], [0.0], [1.0], [1.0]))
+        a = counterfactual_cdf(panel_cell([0.0], [0.0], [1.0, 2.0, 3.0], [1, 2, 3]))
+        b = counterfactual_cdf(panel_cell([0.0], [0.0], [1.0], [1.0]))
         np.testing.assert_allclose(treated_shares([a, b]), [0.75, 0.25])
 
     def test_empty_cell_list_rejected(self):
@@ -225,7 +250,7 @@ class TestProperties:
                 rng.normal(size=n0), rng.normal(size=n0),
                 rng.normal(size=n1), rng.normal(size=n1),
             )
-            d = counterfactual_cdf_panel(cell).counterfactual
+            d = counterfactual_cdf(cell).counterfactual
             assert np.all(np.diff(d.support) > 0)
             assert np.all(d.masses >= 0)
             assert abs(d.cum_probs[-1] - 1.0) < 1e-12
@@ -238,7 +263,7 @@ class TestProperties:
             dy = rng.integers(-3, 4, n0).astype(float)
             y_pre1 = rng.integers(-5, 6, n1).astype(float)
             cell = panel_cell(y_pre0, dy, y_pre1, rng.integers(-5, 6, n1).astype(float))
-            res = counterfactual_cdf_panel(cell)
+            res = counterfactual_cdf(cell)
             transformed, table = brute_counterfactual_panel(
                 list(zip(y_pre0.tolist(), dy.tolist())), y_pre1.tolist()
             )
@@ -255,10 +280,10 @@ class TestProperties:
             y_post0 = np.sort(rng.normal(loc=1.0, size=n0))[np.argsort(np.argsort(y_pre0))]
             y_pre1 = rng.normal(loc=0.5, size=n1)
             y_post1 = rng.normal(loc=1.5, size=n1)
-            panel_res = counterfactual_cdf_panel(
+            panel_res = counterfactual_cdf(
                 panel_cell(y_pre0, y_post0 - y_pre0, y_pre1, y_post1)
             )
-            rcs_res = counterfactual_cdf_rcs(rcs_cell(y_pre0, y_post0, y_pre1, y_post1))
+            rcs_res = counterfactual_cdf(rcs_cell(y_pre0, y_post0, y_pre1, y_post1))
             np.testing.assert_array_equal(
                 np.sort(panel_res.transformed_outcomes),
                 np.sort(rcs_res.transformed_outcomes),
@@ -292,10 +317,10 @@ class TestEstimateProcess:
     def test_bootstrap_weights_thread_through(self):
         cell = panel_cell([1, 2, 3], [1, 0, 2], [2, 3, 4], [5, 6, 7])
         w = {"control": np.array([2.0, 0.0, 1.0]), "treated": np.array([1.0, 1.0, 1.0])}
-        res = counterfactual_cdf_panel(cell, w)
+        res = counterfactual_cdf(cell, w)
         # zero-weight control unit contributes no mass to the counterfactual
         assert res.counterfactual.total == 3.0
-        direct = counterfactual_cdf_panel(
+        direct = counterfactual_cdf(
             panel_cell([1, 1, 3], [1, 1, 2], [2, 3, 4], [5, 6, 7])
         )
         np.testing.assert_array_equal(

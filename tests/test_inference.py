@@ -265,7 +265,7 @@ class TestAnalyze:
         ses = []
         for seed in range(6):
             cfg = BootstrapConfig(iterations=1000, seed=seed)
-            draws = bootstrap_process(cell, [0.5], cfg, n_total=2 * n)
+            draws = bootstrap_process(cell, [0.5], cfg)
             ses.append(pointwise_se(draws)[0])
         ses = np.asarray(ses)
         assert ses.std() / ses.mean() < 0.10
@@ -292,7 +292,7 @@ def test_size_under_structural_null():
         cell = panel_cell(pre[0], change[0], pre[1], pre[1] + change[1])
         point = estimate_process(cell, grid, "ddid", None, 2 * n_arm)
         cfg = BootstrapConfig(iterations=iterations, seed=1234 + r)
-        draws = bootstrap_process(cell, grid, cfg, n_total=2 * n_arm)
+        draws = bootstrap_process(cell, grid, cfg)
         res = ks_test(point.values, draws, 2 * n_arm, 0.05)
         ks_rejections += res.reject
         for j in range(grid.size):

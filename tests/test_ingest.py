@@ -12,6 +12,7 @@ and unit order, or raise the same ``LoadError`` text; ``validate`` and
 """
 
 import csv
+import dataclasses
 import os
 import threading
 
@@ -134,13 +135,26 @@ def assert_same_dataset(got, want):
 
 
 def assert_same_cells(got, want):
+    """Same cells, codes, viability and reasons, and the same four samples in
+    row order (compare on data whose outcomes identify rows)."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
+        assert type(a) is type(b)
         assert (a.code, a.viable, a.reason) == (b.code, b.viable, b.reason)
         assert all(type(v) is int for v in a.code)
-        for rows in ("treated_rows", "control_rows"):
-            assert getattr(a, rows).dtype == getattr(b, rows).dtype
-            np.testing.assert_array_equal(getattr(a, rows), getattr(b, rows))
+        for field in dataclasses.fields(b):
+            if field.name not in ("code", "reason"):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                assert x.dtype == y.dtype, field.name
+                np.testing.assert_array_equal(x, y, err_msg=field.name)
+
+
+def with_row_outcomes(dataset):
+    """``dataset`` with outcomes that identify its rows."""
+    if isinstance(dataset, RcsData):
+        return dataclasses.replace(dataset, y=np.arange(dataset.n_rows, dtype=float))
+    rows = np.arange(dataset.n_units, dtype=float)
+    return dataclasses.replace(dataset, y_pre=rows, y_post=-1.0 - rows)
 
 
 @settings(
@@ -160,6 +174,7 @@ def test_columnar_ingest_matches_row_by_row(tmp_path, case):
         return
     assert validate(dataset) == row_by_row_validate(dataset)
     assert str(validate(dataset)) == str(row_by_row_validate(dataset))
+    dataset = with_row_outcomes(dataset)
     for size in (0, 1, 2):
         assert_same_cells(build_cells(dataset, size), dict_build_cells(dataset, size))
 
@@ -308,6 +323,7 @@ HAZARDS = {
     "non-ASCII unit": ({"u": "é"}, "row"),
     "unit padded with spaces": ({"u": " a\t"}, "bulk"),
     "unit padded with \\x1f": ({"u": "\x1fa\x1f"}, "row"),
+    "NUL in unit": ({"u": "a\x00"}, "row"),
     "inner quote in unit": ({"u": 'a"b'}, "bulk"),
     "doubled quote in unit": ({"u": '"a""b"'}, "bulk"),
     "quoted line break in unit": ({"u": '"a\nb"'}, "bulk"),

@@ -144,8 +144,7 @@ class TestRunMc:
         grid = np.asarray(taus)
         point = estimate_process(cell, grid, "ddid", None, data.n_total).values
         draws = bootstrap_process(
-            cell, grid, BootstrapConfig(iterations=iters, seed=seed),
-            n_total=data.n_total, key_prefix=(0,),
+            cell, grid, BootstrapConfig(iterations=iters, seed=seed), key_prefix=(0,)
         )
         for j in range(3):
             crit = empirical_quantile(np.abs(draws[:, j] - point[j]), 0.95)
