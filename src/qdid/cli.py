@@ -34,6 +34,7 @@ from .data_model import (
 )
 from .estimators import Cell, checked_grid
 from .inference import (
+    MAX_ITERATIONS,
     SCHEMES,
     BootstrapConfig,
     InferenceReport,
@@ -118,10 +119,11 @@ class RunConfig:
         _check_distinct("--covariates", self.covariate_cols)
         if self.min_cell_size < 1:
             raise FlagError(f"--min-cell-size {self.min_cell_size}: must be at least 1")
-        _flag_value(
+        grid = _flag_value(
             "--tau-min/--tau-max/--tau-step",
             lambda: tau_grid(self.tau_min, self.tau_max, self.tau_step),
         )
+        _check_draws_fit(self.estimators, self.bootstrap, grid.size)
 
 
 def _flag_value(flags: str, build):
@@ -146,10 +148,18 @@ def _check_draw_flags(estimators, bootstrap: int, alpha: float, seed: int, no_te
     if bootstrap < 2 and not (no_test_ok and bootstrap == 0):
         need = "0 (no test) or " if no_test_ok else ""
         raise FlagError(f"--bootstrap {bootstrap}: need {need}at least two bootstrap draws")
+    if bootstrap > MAX_ITERATIONS:
+        raise FlagError(f"--bootstrap {bootstrap}: at most {MAX_ITERATIONS} draws")
     if not 0.0 < alpha < 1.0:
         raise FlagError(f"--alpha {alpha}: must lie strictly inside (0, 1)")
     if seed < 0:
         raise FlagError(f"--seed {seed}: must be a non-negative integer")
+
+
+def _check_draws_fit(estimators, bootstrap: int, n_taus: int) -> None:
+    """Allocate and drop the (B x grid) draws of every estimator of one cell,
+    so that a --bootstrap whose draws cannot be held fails before any work."""
+    _flag_value("--bootstrap", lambda: np.empty((len(estimators), bootstrap, n_taus)))
 
 
 def _check_distinct(flag: str, names) -> None:
@@ -757,6 +767,7 @@ def _cmd_mc(args) -> int:
         raise FlagError(f"--reps {args.reps}: must be at least 1")
     taus = _flag_value("--taus", lambda: _float_list(args.taus))
     _flag_value("--taus", lambda: checked_grid(taus))
+    _check_draws_fit(args.estimators, args.bootstrap, len(taus))
     ns = _flag_value("--n", lambda: _float_list(args.n))
     if args.dgp == 1:
         param_name = "n"

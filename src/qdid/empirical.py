@@ -116,11 +116,13 @@ class StepDistribution:
 
 def _row_bincount(index, weights, width: int) -> np.ndarray:
     """Row-wise ``np.bincount``: row r of the (C, width) result is
-    ``np.bincount(index[r], weights[r], minlength=width)``, summed in the
-    same order, from one bincount over row-offset indices."""
+    ``np.bincount(index[r], weights[r], minlength=width)`` (the counts when
+    ``weights`` is None), summed in the same order, from one bincount over
+    row-offset indices."""
     rows = index.shape[0]
     flat = (index + width * np.arange(rows)[:, None]).ravel()
-    return np.bincount(flat, weights=weights.ravel(), minlength=rows * width).reshape(rows, width)
+    weights = None if weights is None else weights.ravel()
+    return np.bincount(flat, weights=weights, minlength=rows * width).reshape(rows, width)
 
 
 def searchsorted_rows(rows, levels) -> np.ndarray:

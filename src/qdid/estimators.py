@@ -330,8 +330,13 @@ def estimate_process(
     return processes[estimator] if isinstance(estimator, str) else processes
 
 
-def _fit_rows(cell, weights) -> list[StepRows]:
-    return [s.fit_rows(w) for s, w in zip(cell.samples, cell.sample_weights(weights))]
+def _fit_rows(cell, weights, estimators=("ddid",)) -> list[StepRows | None]:
+    """The four samples refit under a chunk of weight rows. The control
+    post-period fit is None when nothing reads it: ddid alone on a cell
+    whose control change is observed."""
+    skip = "cic" not in estimators and cell.observed_dy is not None
+    fits = zip(cell.samples, cell.sample_weights(weights))
+    return [None if skip and i == 1 else s.fit_rows(w) for i, (s, w) in enumerate(fits)]
 
 
 def _counterfactual_rows(cell, fitted, weights) -> tuple[StepRows, StepRows]:
@@ -385,7 +390,7 @@ def estimate_rows(
     estimate under row r's weights; a row of ones gives the point estimate.
     """
     taus = checked_grid(tau_grid)
-    fitted = _fit_rows(cell, weights)
+    fitted = _fit_rows(cell, weights, estimators)
     out = {}
     for est in estimators:
         if est == "ddid":

@@ -14,17 +14,23 @@ index), so results are reproducible and independent of evaluation order.
 Draws are evaluated in chunks: the weight vectors of a run of draws are
 stacked into one matrix per arm, at most ``CHUNK_ELEMENTS`` entries for the
 largest arm, and the batched kernel ``estimate_rows`` refits every row at
-once, sharing each draw's weights between the estimators of a cell.
+once, sharing each draw's weights between the estimators of a cell. A
+chunk's substreams are derived together, in one vectorized pass of numpy's
+``SeedSequence`` hash over its draw indices, and each equals
+``substream(seed, *key, b)`` bit for bit; each draw then takes only its raw
+variates from its generator, and the chunk's weights are finished as one
+matrix per arm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import StepRows
+from .empirical import StepRows, _row_bincount
 # counterfactual_cdf_panel/_rcs are unused here; bench/tracer.py rebinds them by this path
 from .estimators import (
     Cell,
@@ -58,6 +64,9 @@ __all__ = [
 
 SCHEMES = ("multinomial", "dirichlet")
 
+# Draw indices are single 32-bit words of a substream's key (see _seed_words).
+MAX_ITERATIONS = 2**32 - 1
+
 # Entries in one chunk's weight matrix for the largest arm (for all cells
 # together in the unconditional pass); sets the draws per chunk. Larger
 # chunks spread numpy's per-call cost over more draws but hold more memory
@@ -75,8 +84,8 @@ class BootstrapConfig:
     scheme: str = "multinomial"
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}]")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.scheme not in SCHEMES:
@@ -86,8 +95,110 @@ class BootstrapConfig:
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for a (seed, key...) address; order-free reproducibility."""
+    """Independent generator for a (seed, key...) address; order-free reproducibility.
+
+    The bootstrap derives a chunk's substreams together (``_seed_words``);
+    each equals ``substream(seed, *key, b)`` bit for bit.
+    """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, the hash constants of its entropy mix (A) and of
+# generate_state (B), and the multipliers that mix a word into the pool.
+# numpy keeps SeedSequence's output stable across versions, and
+# tests/test_weights.py holds _seed_words equal to it.
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k`` mod 2**32 for k = 0..count, as uint32."""
+    return np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(count + 1)], np.uint32)
+
+
+# generate_state(4, uint64) hashes the pool twice over, into 8 uint32 words
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(words, constants) -> np.ndarray:
+    """SeedSequence's hash of row k of ``words`` between hash constants k and k + 1."""
+    out = (words ^ constants[:-1, None]) * constants[1:, None]
+    return out ^ (out >> 16)
+
+
+def _uint32_words(n: int) -> int:
+    """How many uint32 words SeedSequence splits the entropy integer n into."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _seed_words(seed: int, key: tuple[int, ...], draws: range) -> np.ndarray:
+    """Row i is ``SeedSequence(seed, spawn_key=(*key, draws[i])).generate_state(4,
+    np.uint64)``, the PCG64 seed of ``substream(seed, *key, draws[i])``.
+
+    SeedSequence mixes its entropy words into the pool one by one, so the
+    pool of (seed, *key) serves the whole chunk; each draw index, one word,
+    is mixed in last and the state is hashed out, for all draws at once.
+    Before that word, every word mixed so far (the seed's, zero-padded to
+    the pool size because there is a spawn key, then the key's) has
+    advanced the mix's hash constant once per pool word.
+    """
+    if not key or not 0 <= draws.start <= draws.stop <= MAX_ITERATIONS + 1:
+        raise ValueError("need a key and draw indices below 2**32")
+    pool = np.random.SeedSequence(seed, spawn_key=key).pool[:, None]
+    mixed = max(_POOL, _uint32_words(seed)) + sum(map(_uint32_words, key))
+    start = _INIT_A * pow(_MULT_A, _POOL * mixed, 2**32) % 2**32
+    index = np.arange(draws.start, draws.stop, dtype=np.uint32)
+    pool = _MIX_L * pool - _MIX_R * _hashmix(index, _hash_constants(start, _MULT_A, _POOL))
+    pool ^= pool >> 16
+    state = _hashmix(np.concatenate((pool, pool)), _STATE_CONSTANTS)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A seed sequence type whose ``generate_state`` is one row of
+    ``_seed_words``: ``PCG64`` asks it for exactly those 4 uint64 words.
+
+    Built at the first draw, where ``substream`` also first loads
+    ``numpy.random``: loaded when qdid is imported, it is held while a
+    large CSV loads and adds about 4 MB to the run's peak memory.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _variates(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray:
+    """The raw draws behind one weight vector of an arm of size n: n
+    category indices (multinomial), or n standard exponentials, which are
+    numpy's gamma(1) variates of a flat Dirichlet."""
+    if scheme == "multinomial":
+        return rng.integers(0, n, size=n)
+    if scheme == "dirichlet":
+        return rng.standard_exponential(n)
+    raise ValueError(f"scheme must be one of {SCHEMES}")
+
+
+def _finish(raw: np.ndarray, scheme: str) -> np.ndarray:
+    """Weight rows from (C, n) raw variates, row by row: the counts of the
+    indices, or the exponentials over their sequential total (as numpy's
+    ``dirichlet`` sums and divides), times n."""
+    n = raw.shape[1]
+    if scheme == "multinomial":
+        return _row_bincount(raw, None, n).astype(float)
+    total = np.add.accumulate(raw, axis=1)[:, -1:]
+    return raw * (1.0 / total) * n
 
 
 def draw_weight_vector(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray:
@@ -95,15 +206,12 @@ def draw_weight_vector(n: int, scheme: str, rng: np.random.Generator) -> np.ndar
 
     multinomial: resample counts (n draws over n equiprobable categories),
     summing to n exactly. dirichlet: flat Dirichlet scaled by n; strictly
-    positive almost surely, mean weight 1.
+    positive almost surely, mean weight 1. The one-row case of the chunk
+    weights of ``_weight_rows``.
     """
     if n < 1:
         raise ValueError("arm size must be >= 1")
-    if scheme == "multinomial":
-        return np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
-    if scheme == "dirichlet":
-        return rng.dirichlet(np.ones(n)) * n
-    raise ValueError(f"scheme must be one of {SCHEMES}")
+    return _finish(_variates(n, scheme, rng)[None, :], scheme)[0]
 
 
 def draw_weights(
@@ -124,9 +232,16 @@ def _weight_rows(
     arm_sizes: dict[str, int], config: BootstrapConfig, key: tuple[int, ...], draws: range
 ) -> dict[str, np.ndarray]:
     """One (len(draws), n_arm) matrix per arm; row i is the weight vector of
-    draw ``draws[i]``, drawn from its own substream (config.seed, *key, draw)."""
-    rows = [draw_weights(arm_sizes, config.scheme, substream(config.seed, *key, b)) for b in draws]
-    return {arm: np.stack([w[arm] for w in rows]) for arm in arm_sizes}
+    draw ``draws[i]``, equal to ``draw_weights(arm_sizes, config.scheme,
+    substream(config.seed, *key, draws[i]))`` bit for bit."""
+    arms = sorted(arm_sizes)
+    raw = {arm: [] for arm in arms}
+    seed_sequence = _seed_words_type()
+    for words in _seed_words(config.seed, key, draws):
+        rng = np.random.Generator(np.random.PCG64(seed_sequence(words)))
+        for arm in arms:
+            raw[arm].append(_variates(arm_sizes[arm], config.scheme, rng))
+    return {arm: _finish(np.stack(raw[arm]), config.scheme) for arm in arm_sizes}
 
 
 def bootstrap_process(

@@ -17,8 +17,12 @@ changes-in-changes body, their dispatch, and the share-weighted mixture of
 
 The per-draw references at the end are the draw loops the package ran
 before its batched bootstrap kernel: one substream, one weight vector per
-arm and one full ``scalar_estimate_process`` per draw. The kernel must
-reproduce them bit for bit.
+arm and one full ``scalar_estimate_process`` per draw. Their weights are
+numpy's own multinomial counts and flat Dirichlet, drawn one vector at a
+time from ``substream(seed, *key, b)``, as the package drew them before it
+derived a chunk's substreams together and finished the weights as
+matrices. The kernel and the batched weights must reproduce them bit for
+bit.
 """
 
 import csv
@@ -45,7 +49,7 @@ from qdid.estimators import (
     counterfactual_cdf_rcs,
     treated_shares,
 )
-from qdid.inference import draw_weights, empirical_quantile, substream
+from qdid.inference import empirical_quantile, substream
 from qdid.simulation import simulate
 
 
@@ -221,8 +225,30 @@ def scalar_estimate_process(cell, tau_grid, estimator="ddid", weights=None, n_to
 # -- per-draw bootstrap references ------------------------------------------
 
 
+def literal_weight_vector(n, scheme, rng):
+    """One arm's weight vector, from numpy's own samplers."""
+    if scheme == "multinomial":
+        return np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
+    if scheme == "dirichlet":
+        return rng.dirichlet(np.ones(n)) * n
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def per_draw_weights(arm_sizes, scheme, rng):
+    """One weight vector per arm, drawn in sorted-name order."""
+    return {arm: literal_weight_vector(arm_sizes[arm], scheme, rng) for arm in sorted(arm_sizes)}
+
+
+def per_draw_weight_rows(arm_sizes, config, key, draws):
+    """inference._weight_rows, one draw at a time: row i of each arm's
+    matrix is drawn from its own substream (config.seed, *key, draws[i])."""
+    rows = [per_draw_weights(arm_sizes, config.scheme, substream(config.seed, *key, b))
+            for b in draws]
+    return {arm: np.stack([w[arm] for w in rows]) for arm in arm_sizes}
+
+
 def _per_draw_weights(cell, scheme, seed, key):
-    return draw_weights(cell.arm_sizes(), scheme, substream(seed, *key))
+    return per_draw_weights(cell.arm_sizes(), scheme, substream(seed, *key))
 
 
 def per_draw_bootstrap(cell, tau_grid, config, estimator="ddid", n_total=None,

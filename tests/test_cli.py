@@ -256,6 +256,10 @@ class TestMainExitCodes:
             # 1001 points that the 12-decimal rounding collapses into a few
             (["--tau-min", "0.5", "--tau-max", "0.5000000001", "--tau-step", "1e-13"],
              "--tau-min/--tau-max/--tau-step"),
+            # draw indices are 32-bit words
+            (["-b", "5000000000"], "--bootstrap"),
+            # draws of 3 PB (90001 grid points): past any address space, so they fail at once
+            (["-b", "4294967295", "--tau-step", "1e-5"], "--bootstrap"),
         ],
     )
     def test_bad_bootstrap_settings_fail_before_loading(self, tmp_path, capsys, flags, name):

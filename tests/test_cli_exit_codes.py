@@ -41,6 +41,11 @@ def no_simulation(monkeypatch):
         (["--te", "nan"], "--n/--te"),
         (["--estimators", ""], "--estimators"),
         (["--estimators", "ddid,ddid"], "--estimators"),
+        # draw indices are 32-bit words
+        (["--bootstrap", "5000000000"], "--bootstrap"),
+        # draws of 68 PB: past any address space, so the allocation fails at once
+        (["--bootstrap", "4294967295", "--taus", ",".join(str(k / 1000) for k in range(1, 1000))],
+         "--bootstrap"),
     ],
 )
 def test_mc_rejects_bad_flags_before_simulating(tmp_path, capsys, no_simulation, flags, name):

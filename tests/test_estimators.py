@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from qdid.empirical import SortedSample
 from qdid.estimators import (
     PanelCell,
     RcsCell,
@@ -8,6 +11,7 @@ from qdid.estimators import (
     counterfactual_cdf,
     counterfactual_rows,
     estimate_process,
+    estimate_rows,
     treated_shares,
 )
 from qdid.inference import substream, unconditional_process
@@ -375,3 +379,20 @@ def test_estimate_process_rejects_non_finite_samples(value, estimator):
             samples[k] = [1.0, value, 3.0]
             with pytest.raises(ValueError):
                 estimate_process(make(*samples), [0.25, 0.5, 0.75], estimator)
+
+
+@pytest.mark.parametrize(
+    "cell, estimators, refit",
+    [
+        (GUARD_CELLS[0], ("ddid",), [0, 2, 3]),  # panel ddid reads the observed change
+        (GUARD_CELLS[0], ("ddid", "cic"), [0, 1, 2, 3]),
+        (GUARD_CELLS[0], ("cic",), [0, 1, 2, 3]),
+        (GUARD_CELLS[1], ("ddid",), [0, 1, 2, 3]),  # RCS ddid rank-matches the change
+    ],
+)
+def test_the_kernel_refits_only_the_samples_it_reads(cell, estimators, refit):
+    fit_rows = SortedSample.fit_rows
+    with mock.patch.object(SortedSample, "fit_rows", autospec=True, side_effect=fit_rows) as fit:
+        estimate_rows(cell, [0.25, 0.5, 0.75], cell.unit_weights(), estimators)
+    fitted = [call.args[0] for call in fit.call_args_list]
+    assert [next(k for k, s in enumerate(cell.samples) if s is f) for f in fitted] == refit

@@ -4,7 +4,10 @@ flags bind to ``RunConfig`` fields by name, so its defaults live there only."""
 import argparse
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ import qdid
 import qdid.cli
 from qdid.cli import EXIT_OK, RunConfig, main
 
+SRC = os.path.dirname(os.path.dirname(qdid.__file__))
 MODULES = ["qdid"] + [
     f"qdid.{m.name}" for m in pkgutil.iter_modules(qdid.__path__) if m.name != "__main__"
 ]
@@ -45,3 +49,12 @@ def test_estimate_without_flags_takes_the_run_config_defaults(monkeypatch):
     monkeypatch.setattr(qdid.cli, "write_report", lambda result, out_prefix: [])
     assert main(["estimate", "-i", "x", "-o", "y"]) == EXIT_OK
     assert configs == [RunConfig(input_path="x")]
+
+
+def test_importing_qdid_leaves_numpy_random_unloaded():
+    """numpy.random loads at the first draw: loaded at import, it would be
+    held while a large CSV loads and raise that run's peak memory."""
+    code = "import sys, qdid, qdid.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert out.stdout.strip() == "False"
