@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -38,8 +39,11 @@ from .inference import (
     SCHEMES,
     BootstrapConfig,
     InferenceReport,
+    _parallel,
+    _split,
     analyze_cell,
     analyze_unconditional,
+    bootstrap_unconditional,
 )
 from .simulation import DgpSpec, McResult, run_mc, simulate, substream
 
@@ -463,20 +467,23 @@ def run_estimation(config: RunConfig) -> RunResult:
         seed=config.seed,
         scheme=config.scheme,
     )
-    analyses: list[CellAnalysis] = []
-    viable: list[tuple[int, Cell]] = []
-    for index, cell in enumerate(cells):
-        if not cell.viable:
-            analyses.append(CellAnalysis(cell, None))
-            continue
-        viable.append((index, cell))
-        reports = analyze_cell(
-            cell, grid, boot, config.estimators, dataset.n_total, cell_index=index
+    viable = [(index, cell) for index, cell in enumerate(cells) if cell.viable]
+    # unconditional draw ranges first: each outlasts a cell's analysis
+    ranges = _split(boot.iterations) if config.unconditional else []
+    tasks = [functools.partial(bootstrap_unconditional, viable, grid, boot, r) for r in ranges]
+    tasks += [
+        functools.partial(
+            analyze_cell, cell, grid, boot, config.estimators, dataset.n_total, cell_index=index
         )
-        analyses.append(CellAnalysis(cell, reports))
+        for index, cell in viable
+    ]
+    results = _parallel(tasks)
+    reports = iter(results[len(ranges) :])
+    analyses = [CellAnalysis(cell, next(reports) if cell.viable else None) for cell in cells]
     unconditional = None
     if config.unconditional:
-        unconditional = analyze_unconditional(viable, grid, boot, dataset.n_total)
+        draws = np.concatenate(results[: len(ranges)])
+        unconditional = analyze_unconditional(viable, grid, boot, dataset.n_total, draws)
     return RunResult(
         config=config,
         taus=grid,

@@ -20,12 +20,23 @@ chunk's substreams are derived together, in one vectorized pass of numpy's
 ``substream(seed, *key, b)`` bit for bit; each draw then takes only its raw
 variates from its generator, and the chunk's weights are finished as one
 matrix per arm.
+
+A run's analyses are independent tasks, evaluated by ``_parallel`` in
+forked worker processes, one per CPU the process may run on: the
+unconditional bootstrap in contiguous draw ranges (``_split``), submitted
+first because each outlasts a cell, then one task per viable cell, whose
+report is assembled inside its task; Monte Carlo reps run in contiguous
+blocks. Results are gathered in task order, and since every draw is keyed
+order-free, outputs do not depend on the number of workers. With one CPU,
+or where the process cannot fork or read its CPU set, the tasks run in
+process, one after another.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,11 +232,11 @@ def draw_weights(
     return {arm: draw_weight_vector(arm_sizes[arm], scheme, rng) for arm in sorted(arm_sizes)}
 
 
-def _chunks(iterations: int, width: int):
-    """Consecutive runs of draw indices, each filling at most CHUNK_ELEMENTS
+def _chunks(draws: range, width: int):
+    """``draws`` in consecutive runs, each filling at most CHUNK_ELEMENTS
     entries of a matrix ``width`` columns wide."""
     step = max(1, CHUNK_ELEMENTS // width)
-    return [range(start, min(start + step, iterations)) for start in range(0, iterations, step)]
+    return [draws[i : i + step] for i in range(0, len(draws), step)]
 
 
 def _weight_rows(
@@ -264,20 +275,24 @@ def bootstrap_process(
     taus = np.asarray(tau_grid, dtype=float)
     sizes = cell.arm_sizes()
     draws = {est: np.empty((config.iterations, taus.size)) for est in names}
-    for chunk in _chunks(config.iterations, max(sizes.values())):
+    for chunk in _chunks(range(config.iterations), max(sizes.values())):
         weights = _weight_rows(sizes, config, (*key_prefix, cell_index), chunk)
         for est, rows in estimate_rows(cell, taus, weights, names).items():
             draws[est][chunk.start : chunk.stop] = rows
     return draws[estimator] if isinstance(estimator, str) else draws
 
 
+def _order_index(n: int, q: float) -> int:
+    """Index, in a sorted sample of n values, of its generalized-inverse q quantile."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError("quantile level must lie in (0, 1]")
+    return int(np.searchsorted(np.arange(1, n + 1) / n, q, side="left"))
+
+
 def empirical_quantile(sample, q: float) -> float:
     """Generalized-inverse sample quantile inf{v : F_n(v) >= q}, q in (0, 1]."""
     sample = np.sort(np.asarray(sample, dtype=float))
-    if not 0.0 < q <= 1.0:
-        raise ValueError("quantile level must lie in (0, 1]")
-    cum = np.arange(1, sample.size + 1) / sample.size
-    return float(sample[np.searchsorted(cum, q, side="left")])
+    return float(sample[_order_index(sample.size, q)])
 
 
 @dataclass(frozen=True)
@@ -417,24 +432,32 @@ def bootstrap_unconditional(
     cells: list[tuple[int, Cell]],
     tau_grid,
     config: BootstrapConfig,
+    draws: range | None = None,
 ) -> np.ndarray:
-    """B bootstrap replicates of the unconditional process; shape (B, len(grid)).
+    """Bootstrap replicates of the unconditional process: one row per draw
+    index in ``draws`` (all B by default); shape (len(draws), len(grid)).
 
     Draw b of the cell at index i uses the substream keyed (i, b), the key
     of that cell's own bootstrap, and mixes the cells' treated and
-    counterfactual CDFs by their treated shares.
+    counterfactual CDFs by their treated shares. Rows depend only on their
+    draw index, so the replicates of a split of range(B) stack up to those
+    of range(B).
     """
     if not cells:
         raise ValueError("need at least one viable cell")
     taus = checked_grid(tau_grid)
+    draws = range(config.iterations) if draws is None else draws
+    if draws.step != 1 or not 0 <= draws.start <= draws.stop <= config.iterations:
+        raise ValueError("draws must be a contiguous range of draw indices below B")
     members = [cell for _, cell in cells]
-    draws = np.empty((config.iterations, taus.size))
+    out = np.empty((len(draws), taus.size))
     # the mixtures concatenate every cell's rows
     width = sum(max(cell.arm_sizes().values()) for cell in members)
-    for chunk in _chunks(config.iterations, width):
+    for chunk in _chunks(draws, width):
         weights = [_weight_rows(cell.arm_sizes(), config, (i,), chunk) for i, cell in cells]
-        draws[chunk.start : chunk.stop] = _mixture_rows(members, taus, weights)
-    return draws
+        rows = slice(chunk.start - draws.start, chunk.stop - draws.start)
+        out[rows] = _mixture_rows(members, taus, weights)
+    return out
 
 
 def analyze_unconditional(
@@ -442,13 +465,88 @@ def analyze_unconditional(
     tau_grid,
     config: BootstrapConfig,
     n_total: int,
+    draws: np.ndarray | None = None,
 ) -> InferenceReport:
     """Uniform inference for the treated-share mixture across cells.
 
     ``cells`` pairs each cell with its index in the full deterministic cell
     list; per-cell weight substreams reuse the same (seed, cell index, draw)
     keying as the per-cell analyses. Mixture shares are the treated counts,
-    which multinomial resampling holds fixed.
+    which multinomial resampling holds fixed. ``draws`` are the replicates
+    of ``bootstrap_unconditional``, drawn here when not given.
     """
-    draws = bootstrap_unconditional(cells, tau_grid, config)
+    if draws is None:
+        draws = bootstrap_unconditional(cells, tau_grid, config)
     return _assemble_report(unconditional_process(cells, tau_grid, n_total), draws, config)
+
+
+def _workers() -> int:
+    """How many worker processes ``_parallel`` may use: one per CPU in this
+    process's affinity mask, or 1 where it cannot fork or read the mask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split(n: int) -> list[range]:
+    """range(n) in contiguous, nonempty runs, one per worker (fewer when n is
+    smaller)."""
+    parts = max(1, min(_workers(), n))
+    return [range(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+
+
+# The tasks of the pool this worker process serves (set by _start_worker).
+_TASKS: list = []
+
+
+def _start_worker(tasks: list, parent: int) -> None:
+    """Set up a forked worker: keep the task list, and die with the parent.
+
+    An idle worker waits on the task queue, whose write end it holds too, so
+    it would outlive a parent killed with SIGKILL; PR_SET_PDEATHSIG (Linux)
+    has the kernel kill it when the parent exits.
+    """
+    import ctypes
+    import signal
+
+    global _TASKS
+    _TASKS = tasks
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent exited before prctl took effect
+        os._exit(1)
+
+
+def _run_task(index: int):
+    return _TASKS[index]()
+
+
+def _parallel(tasks: list) -> list:
+    """The results of the zero-argument callables ``tasks``, in task order.
+
+    With more than one worker (``_workers``, at most one per task), the
+    tasks run in a pool of forked worker processes, which inherit the task
+    list: only task indices and results are pickled, so a task may be any
+    callable, a closure included. Fork copies only the calling thread, and
+    qdid starts no thread before it forks. The first task to raise, in task
+    order, raises here; every worker has exited when this returns.
+    Otherwise the tasks run here, one after another, and
+    ``multiprocessing`` is not imported.
+    """
+    workers = min(_workers(), len(tasks))
+    if workers < 2:
+        return [task() for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=get_context("fork"), initializer=_start_worker,
+        initargs=(tasks, os.getpid()),
+    )
+    try:
+        futures = [pool.submit(_run_task, index) for index in range(len(tasks))]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)

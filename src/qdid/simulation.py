@@ -19,6 +19,7 @@ results are bit-reproducible and independent of execution order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -29,9 +30,11 @@ from .estimators import estimate_process
 # draw_weights is not called here; bench/tracer.py rebinds it by this module path
 from .inference import (
     BootstrapConfig,
+    _order_index,
+    _parallel,
+    _split,
     bootstrap_process,
     draw_weights,  # noqa: F401
-    empirical_quantile,
     substream,
 )
 
@@ -151,6 +154,40 @@ class McResult:
     seed: int
 
 
+def _mc_block(
+    spec: DgpSpec,
+    reps: range,
+    grid: np.ndarray,
+    estimators: tuple[str, ...],
+    seed: int,
+    config: BootstrapConfig | None,
+    alpha: float,
+):
+    """Estimation errors and, given a bootstrap config, rejections of the
+    reps in ``reps``: per estimator, one row per rep, in rep order."""
+    errors = {est: np.empty((len(reps), grid.size)) for est in estimators}
+    if config is None:
+        rejections = None
+    else:
+        rejections = {est: np.empty((len(reps), grid.size), dtype=bool) for est in estimators}
+        # the (1 - alpha) quantile of B draws is the same order statistic at every tau
+        order = _order_index(config.iterations, 1.0 - alpha)
+    for i, r in enumerate(reps):
+        data = simulate(spec, substream(seed, r))
+        cell = build_cells(data)[0]
+        processes = estimate_process(cell, grid, estimators, None, data.n_total)
+        point = {est: process.values for est, process in processes.items()}
+        for est in estimators:
+            errors[est][i] = point[est] - spec.te
+        if rejections is None:
+            continue
+        draws = bootstrap_process(cell, grid, config, estimators, cell_index=0, key_prefix=(r,))
+        for est in estimators:
+            critical = np.sort(np.abs(draws[est] - point[est]), axis=0)[order]
+            rejections[est][i] = np.abs(point[est]) > critical
+    return errors, rejections
+
+
 def run_mc(
     spec: DgpSpec,
     reps: int,
@@ -168,46 +205,31 @@ def run_mc(
     estimators. The null tested is zero effect at each tau separately:
     reject when |estimate| exceeds the (1-alpha) quantile of the recentered
     bootstrap absolute deviations at that tau. With bootstrap_iterations=0
-    only bias and RMSE are computed.
+    only bias and RMSE are computed. Reps run in contiguous blocks, one per
+    worker process (see ``qdid.inference``).
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     taus = tuple(float(t) for t in taus)
     estimators = tuple(estimators)
     grid = np.asarray(taus, dtype=float)
-    errors = {est: np.empty((reps, grid.size)) for est in estimators}
-    rejections = (
-        {est: np.empty((reps, grid.size), dtype=bool) for est in estimators}
+    config = (
+        BootstrapConfig(iterations=bootstrap_iterations, seed=seed, scheme=scheme)
         if bootstrap_iterations > 0
         else None
     )
-
-    config = (
-        BootstrapConfig(iterations=bootstrap_iterations, seed=seed, scheme=scheme)
-        if rejections is not None
-        else None
+    blocks = _parallel(
+        [
+            functools.partial(_mc_block, spec, block, grid, estimators, seed, config, alpha)
+            for block in _split(reps)
+        ]
     )
-    for r in range(reps):
-        data = simulate(spec, substream(seed, r))
-        cell = build_cells(data)[0]
-        processes = estimate_process(cell, grid, estimators, None, data.n_total)
-        point = {est: process.values for est, process in processes.items()}
-        for est in estimators:
-            errors[est][r] = point[est] - spec.te
-        if rejections is None:
-            continue
-        draws = bootstrap_process(cell, grid, config, estimators, cell_index=0, key_prefix=(r,))
-        for est in estimators:
-            deviations = np.abs(draws[est] - point[est])
-            for j in range(grid.size):
-                crit = empirical_quantile(deviations[:, j], 1.0 - alpha)
-                rejections[est][r, j] = abs(point[est][j]) > crit
-
+    errors = {est: np.concatenate([e[est] for e, _ in blocks]) for est in estimators}
     bias = {est: errors[est].mean(axis=0) for est in estimators}
     rmse = {est: np.sqrt(np.mean(errors[est] ** 2, axis=0)) for est in estimators}
     rejection = (
-        {est: rejections[est].mean(axis=0) for est in estimators}
-        if rejections is not None
+        {est: np.concatenate([r[est] for _, r in blocks]).mean(axis=0) for est in estimators}
+        if config is not None
         else None
     )
     return McResult(

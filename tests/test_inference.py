@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdid.estimators import PanelCell, counterfactual_cdf_panel, estimate_process
 from qdid.inference import (
@@ -11,6 +13,7 @@ from qdid.inference import (
     bootstrap_process,
     draw_weight_vector,
     draw_weights,
+    _order_index,
     empirical_quantile,
     ks_test,
     pointwise_se,
@@ -139,6 +142,21 @@ class TestEmpiricalQuantile:
         # 190th of 200 sorted values at level 0.95
         values = np.arange(1.0, 201.0)
         assert empirical_quantile(values, 0.95) == 190.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 4, 10**6]),
+    )
+    def test_one_sort_gives_the_quantile_of_every_column(self, n, alpha, seed, levels):
+        """run_mc's critical values: one order statistic of the column-sorted
+        deviations, the same index at every tau."""
+        deviations = substream(seed, 0).integers(0, levels, size=(n, 5)) / levels
+        critical = np.sort(deviations, axis=0)[_order_index(n, 1.0 - alpha)]
+        expected = [empirical_quantile(deviations[:, j], 1.0 - alpha) for j in range(5)]
+        np.testing.assert_array_equal(critical, expected)
 
 
 class TestKs:

@@ -7,6 +7,7 @@ the per-draw estimators, so replicates must agree bit for bit.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -187,6 +188,30 @@ def test_unconditional_equals_per_draw_loop(cell_list, config, budget):
     with mock.patch.object(inference, "CHUNK_ELEMENTS", budget):
         draws = bootstrap_unconditional(indexed, GRID, config)
     np.testing.assert_array_equal(draws, per_draw_unconditional(indexed, GRID, config, 50))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda k: cells(count=k)), configs, budgets, st.data())
+def test_unconditional_draw_ranges_stack_to_all_draws(cell_list, config, budget, data):
+    """Any split of range(B) into contiguous ranges, empty ones included."""
+    indexed = list(zip((1, 3), cell_list))
+    cuts = data.draw(st.lists(st.integers(0, config.iterations), max_size=3))
+    bounds = [0, *sorted(cuts), config.iterations]
+    with mock.patch.object(inference, "CHUNK_ELEMENTS", budget):
+        parts = [
+            bootstrap_unconditional(indexed, GRID, config, range(a, b))
+            for a, b in zip(bounds, bounds[1:])
+        ]
+    whole = bootstrap_unconditional(indexed, GRID, config)
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
+def test_unconditional_draw_ranges_are_checked():
+    cell = edge_cells()[0]
+    config = BootstrapConfig(iterations=4)
+    for draws in (range(0, 5), range(0, 4, 2), range(-1, 2)):
+        with pytest.raises(ValueError, match="draws must be"):
+            bootstrap_unconditional([(0, cell)], GRID, config, draws)
 
 
 def test_run_mc_equals_per_draw_loop():

@@ -58,3 +58,15 @@ def test_importing_qdid_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_starting_the_cli_loads_no_process_pool():
+    """The worker pool is imported at the first parallel run, so the CLI's
+    start-up (the benchmark's setup_s) does not pay for it."""
+    code = (
+        "import sys, qdid.cli; qdid.cli._build_parser(); "
+        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert out.stdout.split() == ["False", "False"]
