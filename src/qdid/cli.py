@@ -33,7 +33,7 @@ from .data_model import (
     build_cells,
     validate,
 )
-from .estimators import Cell, checked_grid
+from .estimators import ESTIMATORS, Cell, checked_grid
 from .inference import (
     MAX_ITERATIONS,
     SCHEMES,
@@ -146,7 +146,7 @@ def _check_draw_flags(estimators, bootstrap: int, alpha: float, seed: int, no_te
     if not estimators:
         raise FlagError("--estimators: name at least one of ddid, cic")
     for est in estimators:
-        if est not in ("ddid", "cic"):
+        if est not in ESTIMATORS:
             raise FlagError(f"--estimators: unknown estimator {est!r}")
     _check_distinct("--estimators", estimators)
     if bootstrap < 2 and not (no_test_ok and bootstrap == 0):
@@ -164,6 +164,15 @@ def _check_draws_fit(estimators, bootstrap: int, n_taus: int) -> None:
     """Allocate and drop the (B x grid) draws of every estimator of one cell,
     so that a --bootstrap whose draws cannot be held fails before any work."""
     _flag_value("--bootstrap", lambda: np.empty((len(estimators), bootstrap, n_taus)))
+
+
+def _per_arm_size(n: float) -> int:
+    """One --n value as a whole number of units per arm, at least 1, whose
+    simulated panel's unit ids and outcomes (3 x 2n floats) can be allocated."""
+    if not (float(n).is_integer() and n >= 1):
+        raise ValueError(f"{n:g} is not a whole number of units per arm of at least 1")
+    np.empty((3, 2 * int(n)))
+    return int(n)
 
 
 def _check_distinct(flag: str, names) -> None:
@@ -722,7 +731,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mc = sub.add_parser("mc", help="Monte Carlo performance tables")
     mc.add_argument("--dgp", type=int, choices=(1, 2), required=True)
-    mc.add_argument("--n", default="200", help="comma-separated per-arm sizes")
+    mc.add_argument("--n", default="200", help="comma-separated whole per-arm sizes")
     mc.add_argument("--te", type=float, default=0.0)
     mc.add_argument("--rho", default="0", help="comma-separated rho_bar values (dgp 2)")
     mc.add_argument("--reps", type=int, default=1000)
@@ -775,17 +784,17 @@ def _cmd_mc(args) -> int:
     taus = _flag_value("--taus", lambda: _float_list(args.taus))
     _flag_value("--taus", lambda: checked_grid(taus))
     _check_draws_fit(args.estimators, args.bootstrap, len(taus))
-    ns = _flag_value("--n", lambda: _float_list(args.n))
+    ns = _flag_value("--n", lambda: [_per_arm_size(n) for n in _float_list(args.n)])
     if args.dgp == 1:
         param_name = "n"
-        designs = [(n, _flag_value("--n/--te", lambda: DgpSpec(1, int(n), args.te))) for n in ns]
+        designs = [(n, _flag_value("--n/--te", lambda: DgpSpec(1, n, args.te))) for n in ns]
     else:
         param_name = "rho_bar"
         if len(ns) != 1:
             raise FlagError("--n: dgp 2 tables vary rho_bar; pass a single --n")
         rhos = _flag_value("--rho", lambda: _float_list(args.rho))
         designs = [
-            (rho, _flag_value("--n/--te/--rho", lambda: DgpSpec(2, int(ns[0]), args.te, rho)))
+            (rho, _flag_value("--n/--te/--rho", lambda: DgpSpec(2, ns[0], args.te, rho)))
             for rho in rhos
         ]
     _warn_if_critical_value_is_largest_draw(args.bootstrap, args.alpha)
@@ -813,7 +822,8 @@ def _cmd_mc(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.seed < 0:
         raise FlagError(f"--seed {args.seed}: must be a non-negative integer")
-    spec = _flag_value("--n/--te/--rho", lambda: DgpSpec(args.dgp, args.n, args.te, args.rho))
+    n = _flag_value("--n", lambda: _per_arm_size(args.n))
+    spec = _flag_value("--n/--te/--rho", lambda: DgpSpec(args.dgp, n, args.te, args.rho))
     data = simulate(spec, substream(args.seed, 0))
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

@@ -8,8 +8,9 @@ fitted to a weighted sample, and its left-continuous generalized inverse
 ``StepRows`` stacks many such CDFs, one per bootstrap draw, and evaluates
 them together; the estimators run on it alone, the point estimate being the
 row whose weights are all 1. ``StepDistribution`` is the same CDF for one
-weight vector, and each ``StepRows`` row equals the ``StepDistribution``
-built from the same sample and weights, bit for bit.
+weight vector: its fits are the one-row case of ``StepRows.fit`` and
+``SortedSample.fit_rows``, and ``rank_transform`` clamps rank 0 as
+``rank_rows`` does.
 """
 
 from __future__ import annotations
@@ -66,25 +67,14 @@ class StepDistribution:
 
         Ties are merged by summing weights; points whose merged weight is
         zero are dropped. With ``weights=None`` every value has weight 1.
+        The one-row case of ``StepRows.fit``.
         """
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("need at least one value")
-        support, inverse = np.unique(values, return_inverse=True)
-        if weights is None:
-            masses = np.bincount(inverse, minlength=support.size).astype(float)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != values.shape:
-                raise ValueError("weights must have the same shape as values")
-            if np.any(weights < 0):
-                raise ValueError("weights must be non-negative")
-            masses = np.bincount(inverse, weights=weights, minlength=support.size)
-            keep = masses > 0
-            if not keep.any():
-                raise ValueError("weights sum to zero")
-            support, masses = support[keep], masses[keep]
-        return cls(support, masses)
+        n = values.size
+        weights = np.ones((1, n)) if weights is None else _weight_row(weights, n)
+        return _first_row(StepRows.fit(values[None], weights), compact=True)
 
     @property
     def n_points(self) -> int:
@@ -106,12 +96,29 @@ class StepDistribution:
         out = self.support[idx]
         return float(out) if out.ndim == 0 else out
 
-    def min_support(self) -> float:
-        """Smallest support point carrying positive mass."""
-        return float(self.support[np.searchsorted(self.cum_probs, 0.0, side="right")])
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"StepDistribution({self.n_points} points on [{self.support[0]}, {self.support[-1]}])"
+
+
+def _weight_row(weights, n: int) -> np.ndarray:
+    """One weight vector as a (1, n) row, after checking that it is 1-d and
+    n long, finite and non-negative, with a positive total."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise ValueError("weights must have the same shape as values")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ValueError("weights must be finite and non-negative")
+    if not weights.sum() > 0:
+        raise ValueError("weights sum to zero")
+    return weights[None, :]
+
+
+def _first_row(rows: StepRows, compact: bool) -> StepDistribution:
+    """Row 0 of ``rows`` as a ``StepDistribution``; ``compact`` drops its
+    zero-mass points, which a support with repeated points needs."""
+    support, masses = np.broadcast_to(rows.support, rows.masses.shape)[0], rows.masses[0]
+    keep = masses > 0 if compact else slice(None)
+    return StepDistribution(support[keep], masses[keep])
 
 
 def _row_bincount(index, weights, width: int) -> np.ndarray:
@@ -170,10 +177,11 @@ class StepRows:
     def fit(cls, values, weights) -> "StepRows":
         """Row-wise weighted ECDF of (C, n) values under (C, n) weights.
 
-        Row r equals ``StepDistribution.fit(values[r], weights[r])``: a
-        stable sort keeps tied values in index order, so one bincount sums
-        each tie group in the order ``np.bincount`` sums it. (``reduceat``
-        would not: it adds segments of eight or more pairwise.)
+        Each tie group's mass sits on its first point: a stable sort keeps
+        tied values in index order, so one bincount sums each group in the
+        order ``np.bincount`` of the row alone sums it, and row r without its
+        zero-mass points is ``StepDistribution.fit(values[r], weights[r])``.
+        (``reduceat`` would not: it adds segments of eight or more pairwise.)
         """
         n = values.shape[1]
         order = np.argsort(values, axis=1, kind="stable")
@@ -237,16 +245,13 @@ class SortedSample:
         return self.values.size
 
     def fit(self, weights=None) -> StepDistribution:
-        if weights is None:
-            masses = np.bincount(self.inverse, minlength=self.support.size).astype(float)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            masses = np.bincount(self.inverse, weights=weights, minlength=self.support.size)
-        return StepDistribution(self.support, masses)
+        """Refit under one checked weight vector (None: all ones), zero-mass
+        points kept: the one-row case of ``fit_rows``."""
+        weights = np.ones((1, len(self))) if weights is None else _weight_row(weights, len(self))
+        return _first_row(self.fit_rows(weights), compact=False)
 
     def fit_rows(self, weights) -> StepRows:
-        """Refit under each row of a (C, n) weight matrix; row r equals
-        ``fit(weights[r])``, without re-checking the fixed support."""
+        """Refit under each row of a (C, n) weight matrix, on the fixed support."""
         index = np.broadcast_to(self.inverse, weights.shape)
         return StepRows(self.support, _row_bincount(index, weights, self.support.size))
 
@@ -254,23 +259,10 @@ class SortedSample:
 def rank_transform(source: StepDistribution, target: StepDistribution, y):
     """Map y to the target point at the same rank: quantile_target(cdf_source(y)).
 
-    A value below every positive-mass source point has rank 0; it is
-    clamped to the smallest positive-mass point of the target so the output
-    stays on the target support. Inside the estimators the source is always
-    the refit of the sample the values come from, so a value has rank 0
-    only when its own weight is 0: it then carries no mass downstream, and
-    the clamp never moves an estimate.
+    A rank of 0 is clamped as in ``rank_rows``, to the smallest positive-mass
+    target point, so the output stays on the target support.
     """
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    u = np.atleast_1d(np.asarray(source.cdf(y), dtype=float))
-    out = np.empty(u.shape, dtype=float)
-    pos = u > 0.0
-    if pos.any():
-        out[pos] = target.quantile(u[pos])
-    if not pos.all():
-        out[~pos] = target.min_support()
-    return float(out[0]) if scalar else out
+    return target.quantile(np.maximum(source.cdf(y), np.nextafter(0.0, 1.0)))
 
 
 def rank_rows(source: StepRows, inverse, target: StepRows) -> np.ndarray:
@@ -280,9 +272,8 @@ def rank_rows(source: StepRows, inverse, target: StepRows) -> np.ndarray:
     ``inverse`` its tie layout, so each value's source rank is the
     cumulative probability of its support point. A rank of 0 is raised to
     the smallest positive double, whose generalized inverse is the
-    smallest positive-mass target point: the clamp ``rank_transform``
-    applies. A value's rank is 0 only when its own weight in that row is 0,
-    so the clamp never moves an estimate.
+    smallest positive-mass target point. A value's rank is 0 only when its
+    own weight in that row is 0, so the clamp never moves an estimate.
     """
     ranks = np.maximum(source.cum_probs, np.nextafter(0.0, 1.0))
     return target.quantile(ranks)[:, inverse]

@@ -13,8 +13,8 @@ the observed treated CDF and the counterfactual CDF.
 chunk of bootstrap draws at once, from one weight matrix per arm. The
 bootstrap is linear in its weights, so the point estimate is the draw whose
 weights are all 1: ``estimate_process`` is the one-row case of the kernel.
-``counterfactual_cdf`` builds the same CDFs one weight vector at a time; the
-pipeline does not call it.
+``counterfactual_cdf`` is the one-row case of the counterfactual construction;
+the pipeline does not call it.
 """
 
 from __future__ import annotations
@@ -25,12 +25,15 @@ from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
+# rank_transform is unused here; bench/tracer.py rebinds it by this module path
 from .empirical import (
     SortedSample,
     StepDistribution,
     StepRows,
+    _first_row,
+    _weight_row,
     rank_rows,
-    rank_transform,
+    rank_transform,  # noqa: F401
     searchsorted_rows,
 )
 
@@ -49,6 +52,8 @@ __all__ = [
     "counterfactual_rows",
     "treated_shares",
 ]
+
+ESTIMATORS = ("ddid", "cic")
 
 
 @dataclass(frozen=True)
@@ -95,10 +100,8 @@ class Cell:
     def n_treated(self) -> int:
         return self._observations(self.SAMPLE_ARMS[2:])
 
-    def sample_weights(self, weights: Mapping[str, np.ndarray] | None) -> tuple:
-        """Each sample's weight vector from a map of arm to weights."""
-        if weights is None:
-            return (None,) * len(self.SAMPLE_ARMS)
+    def sample_weights(self, weights: Mapping[str, np.ndarray]) -> tuple:
+        """Each sample's weights from a map of arm to weights."""
         return tuple(weights[arm] for arm in self.SAMPLE_ARMS)
 
     def unit_weights(self) -> dict[str, np.ndarray]:
@@ -109,11 +112,6 @@ class Cell:
     def samples(self) -> tuple[SortedSample, ...]:
         """The four samples, in ``SAMPLE_ARMS`` order."""
         return tuple(SortedSample(v) for v in self.sample_values)
-
-    _control_pre = property(lambda self: self.samples[0])
-    _control_post = property(lambda self: self.samples[1])
-    _treated_pre = property(lambda self: self.samples[2])
-    _treated_post = property(lambda self: self.samples[3])
 
 
 @dataclass(frozen=True)
@@ -200,6 +198,8 @@ class CqttProcess:
         values = np.asarray(self.values, dtype=float)
         if values.shape != taus.shape or not np.all(np.isfinite(values)):
             raise ValueError("values must be finite, one per grid point")
+        if not self.n_total >= 1:
+            raise ValueError("n_total must be at least 1")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "values", values)
 
@@ -208,32 +208,30 @@ def counterfactual_cdf(
     cell: Cell,
     weights: Mapping[str, np.ndarray] | None = None,
 ) -> CounterfactualResult:
-    """Counterfactual CDF for the treated from the cell's control units.
+    """Counterfactual CDF for the treated from the cell's control units: the
+    one-row case of ``counterfactual_rows``.
 
     Each control unit contributes its change plus the treated-group
     pre-period value at its control-group pre-period rank. The change is
     ``cell.observed_dy`` where the data observe it; otherwise it is
     recovered under rank invariance, by mapping each control pre-period
     outcome to the control post-period value at the same rank. When
-    bootstrap weights are supplied (one vector per arm in
+    bootstrap weights are supplied (one checked vector per arm in
     ``cell.SAMPLE_ARMS``), each arm's vector enters every ECDF of its
-    samples, inner rank maps included.
+    samples, inner rank maps included. The treated CDF keeps zero-mass
+    points; the counterfactual CDF drops them.
     """
     if min(cell.arm_sizes().values()) == 0:
         raise ValueError(f"cell {cell.code}: every sample must be nonempty")
-    w_cpre, w_cpost, w_tpre, w_tpost = cell.sample_weights(weights)
-    control_pre, control_post, treated_pre, treated_post = cell.samples
-    pre_control = control_pre.fit(w_cpre)
-    y = control_pre.values
-    dy = cell.observed_dy
-    if dy is None:
-        dy = rank_transform(pre_control, control_post.fit(w_cpost), y) - y
-    transformed = dy + rank_transform(pre_control, treated_pre.fit(w_tpre), y)
+    rows = _checked_rows(cell, weights)
+    treated, counterfactual, transformed = _counterfactual_rows(
+        cell, _fit_rows(cell, rows), rows
+    )
     return CounterfactualResult(
         code=cell.code,
-        treated=treated_post.fit(w_tpost),
-        counterfactual=StepDistribution.fit(transformed, w_cpre),
-        transformed_outcomes=transformed,
+        treated=_first_row(treated, compact=False),
+        counterfactual=_first_row(counterfactual, compact=True),
+        transformed_outcomes=transformed[0],
         n_control=cell.n_control,
         n_treated=cell.n_treated,
     )
@@ -286,17 +284,12 @@ def cic_qtt(
     return estimate_process(cell, tau_grid, "cic", weights, n_total)
 
 
-def _weight_row(weights, n: int) -> np.ndarray:
-    """One arm's weight vector as a (1, n) row, after checking that it is
-    1-d and n long, finite and non-negative, with a positive total."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n,):
-        raise ValueError("weights must have the same shape as values")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise ValueError("weights must be finite and non-negative")
-    if not weights.sum() > 0:
-        raise ValueError("weights sum to zero")
-    return weights[None, :]
+def _checked_rows(cell: Cell, weights: Mapping[str, np.ndarray] | None) -> dict:
+    """One weight row per arm: ones for ``weights=None``, otherwise each
+    arm's checked vector."""
+    if weights is None:
+        return cell.unit_weights()
+    return {arm: _weight_row(weights[arm], n) for arm, n in cell.arm_sizes().items()}
 
 
 def estimate_process(
@@ -314,11 +307,7 @@ def estimate_process(
     """
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
     taus = checked_grid(tau_grid)
-    if weights is None:
-        rows = cell.unit_weights()
-    else:
-        rows = {arm: _weight_row(weights[arm], n) for arm, n in cell.arm_sizes().items()}
-    values = estimate_rows(cell, taus, rows, names)
+    values = estimate_rows(cell, taus, _checked_rows(cell, weights), names)
     if n_total is None:
         n_total = cell.n_control + cell.n_treated
     n = [len(v) for v in cell.sample_values]
@@ -339,14 +328,16 @@ def _fit_rows(cell, weights, estimators=("ddid",)) -> list[StepRows | None]:
     return [None if skip and i == 1 else s.fit_rows(w) for i, (s, w) in enumerate(fits)]
 
 
-def _counterfactual_rows(cell, fitted, weights) -> tuple[StepRows, StepRows]:
+def _counterfactual_rows(cell, fitted, weights) -> tuple[StepRows, StepRows, np.ndarray]:
+    """The treated and counterfactual CDFs of each weight row, and the
+    (C, n_control) transformed outcomes the counterfactual is fitted to."""
     pre_control, post_control, pre_treated, post_treated = fitted
     sample = cell.samples[0]
     dy = cell.observed_dy
     if dy is None:
         dy = rank_rows(pre_control, sample.inverse, post_control) - sample.values
     transformed = dy + rank_rows(pre_control, sample.inverse, pre_treated)
-    return post_treated, StepRows.fit(transformed, weights[cell.SAMPLE_ARMS[0]])
+    return post_treated, StepRows.fit(transformed, weights[cell.SAMPLE_ARMS[0]]), transformed
 
 
 def counterfactual_rows(
@@ -355,10 +346,10 @@ def counterfactual_rows(
     """Treated and counterfactual CDFs for a chunk of bootstrap draws.
 
     ``weights`` maps each arm to a (C, n_arm) matrix whose row r is one
-    draw's weight vector. Row r of each result equals the ``treated`` and
-    ``counterfactual`` of ``counterfactual_cdf`` under row r's weights.
+    draw's weight vector. Row r of each result is that draw's treated and
+    counterfactual CDF; ``counterfactual_cdf`` is the one-row case.
     """
-    return _counterfactual_rows(cell, _fit_rows(cell, weights), weights)
+    return _counterfactual_rows(cell, _fit_rows(cell, weights), weights)[:2]
 
 
 def _cic_rows(fitted, taus) -> np.ndarray:
@@ -394,7 +385,7 @@ def estimate_rows(
     out = {}
     for est in estimators:
         if est == "ddid":
-            treated, counterfactual = _counterfactual_rows(cell, fitted, weights)
+            treated, counterfactual, _ = _counterfactual_rows(cell, fitted, weights)
             out[est] = treated.quantile(taus) - counterfactual.quantile(taus)
         elif est == "cic":
             out[est] = _cic_rows(fitted, taus)

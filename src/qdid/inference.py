@@ -365,13 +365,14 @@ class InferenceReport:
 
 def _assemble_report(process, draws, config) -> InferenceReport:
     ks = ks_test(process.values, draws, process.n_total, config.alpha)
+    lower, upper = uniform_band(process.values, ks.critical_value, process.n_total)
     return InferenceReport(
         process=process,
         ks_statistic=ks.statistic,
         critical_value=ks.critical_value,
         reject=ks.reject,
-        lower=process.values - ks.band_half_width,
-        upper=process.values + ks.band_half_width,
+        lower=lower,
+        upper=upper,
         pointwise_se=pointwise_se(draws),
         iterations=config.iterations,
         alpha=config.alpha,

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data_model import PanelData, build_cells
-from .estimators import estimate_process
+from .estimators import ESTIMATORS, checked_grid, estimate_process
 # draw_weights is not called here; bench/tracer.py rebinds it by this module path
 from .inference import (
     BootstrapConfig,
@@ -161,7 +161,6 @@ def _mc_block(
     estimators: tuple[str, ...],
     seed: int,
     config: BootstrapConfig | None,
-    alpha: float,
 ):
     """Estimation errors and, given a bootstrap config, rejections of the
     reps in ``reps``: per estimator, one row per rep, in rep order."""
@@ -171,7 +170,7 @@ def _mc_block(
     else:
         rejections = {est: np.empty((len(reps), grid.size), dtype=bool) for est in estimators}
         # the (1 - alpha) quantile of B draws is the same order statistic at every tau
-        order = _order_index(config.iterations, 1.0 - alpha)
+        order = _order_index(config.iterations, 1.0 - config.alpha)
     for i, r in enumerate(reps):
         data = simulate(spec, substream(seed, r))
         cell = build_cells(data)[0]
@@ -205,22 +204,25 @@ def run_mc(
     estimators. The null tested is zero effect at each tau separately:
     reject when |estimate| exceeds the (1-alpha) quantile of the recentered
     bootstrap absolute deviations at that tau. With bootstrap_iterations=0
-    only bias and RMSE are computed. Reps run in contiguous blocks, one per
-    worker process (see ``qdid.inference``).
+    only bias and RMSE are computed. The settings are checked here; reps
+    then run in contiguous blocks, one per worker process (see
+    ``qdid.inference``).
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    taus = tuple(float(t) for t in taus)
+    grid = checked_grid(taus)
+    taus = tuple(map(float, grid))
     estimators = tuple(estimators)
-    grid = np.asarray(taus, dtype=float)
+    if not estimators or not set(estimators) <= set(ESTIMATORS):
+        raise ValueError(f"estimators must name one or more of {ESTIMATORS}")
     config = (
-        BootstrapConfig(iterations=bootstrap_iterations, seed=seed, scheme=scheme)
-        if bootstrap_iterations > 0
+        BootstrapConfig(iterations=bootstrap_iterations, alpha=alpha, seed=seed, scheme=scheme)
+        if bootstrap_iterations != 0
         else None
     )
     blocks = _parallel(
         [
-            functools.partial(_mc_block, spec, block, grid, estimators, seed, config, alpha)
+            functools.partial(_mc_block, spec, block, grid, estimators, seed, config)
             for block in _split(reps)
         ]
     )

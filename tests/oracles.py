@@ -11,9 +11,13 @@ give the same arrays, dtypes and row order, and the same errors.
 
 The scalar estimators are the one-weight-vector code the package ran for
 every point estimate before each reported number became a row of the
-bootstrap kernel: ``cqtt`` of a ``counterfactual_cdf``, the scalar
-changes-in-changes body, their dispatch, and the share-weighted mixture of
-``StepDistribution``s behind ``unconditional_qtt``.
+bootstrap kernel: the ECDF fit and refit, the rank map with its rank-0
+clamp and the counterfactual construction, which the package's
+one-weight-vector API now takes from the kernel's one-row case; ``cqtt`` of
+the counterfactual, the scalar changes-in-changes body, their dispatch, and
+the share-weighted mixture of ``StepDistribution``s behind
+``unconditional_qtt``. They build ``StepDistribution``s directly from their
+support and masses.
 
 The per-draw references at the end are the draw loops the package ran
 before its batched bootstrap kernel: one substream, one weight vector per
@@ -40,15 +44,7 @@ from qdid.data_model import (
     _rows_msg,
 )
 from qdid.empirical import SortedSample, StepDistribution
-from qdid.estimators import (
-    CqttProcess,
-    PanelCell,
-    RcsCell,
-    counterfactual_cdf,
-    counterfactual_cdf_panel,
-    counterfactual_cdf_rcs,
-    treated_shares,
-)
+from qdid.estimators import CounterfactualResult, CqttProcess, PanelCell, RcsCell, treated_shares
 from qdid.inference import empirical_quantile, substream
 from qdid.simulation import simulate
 
@@ -115,6 +111,66 @@ def brute_counterfactual_panel(control_pairs, treated_pre):
 # -- scalar point estimators -------------------------------------------------
 
 
+def sample_weights(cell, weights):
+    """Each sample's weight vector, or None for each when ``weights`` is None."""
+    return (None,) * 4 if weights is None else cell.sample_weights(weights)
+
+
+def scalar_fit(values, weights=None):
+    """Weighted ECDF of one sample: ``np.unique`` merges ties and one
+    bincount sums their weights; zero-mass points are dropped."""
+    values = np.asarray(values, dtype=float)
+    support, inverse = np.unique(values, return_inverse=True)
+    weights = np.ones(values.size) if weights is None else np.asarray(weights, dtype=float)
+    masses = np.bincount(inverse, weights=weights, minlength=support.size)
+    keep = masses > 0
+    return StepDistribution(support[keep], masses[keep])
+
+
+def scalar_refit(sample, weights=None):
+    """A ``SortedSample`` refit under one weight vector: one bincount over
+    its tie layout, zero-mass points kept."""
+    weights = np.ones(len(sample)) if weights is None else np.asarray(weights, dtype=float)
+    masses = np.bincount(sample.inverse, weights=weights, minlength=sample.support.size)
+    return StepDistribution(sample.support, masses)
+
+
+def scalar_rank_transform(source, target, y):
+    """quantile_target(cdf_source(y)); a value of rank 0 goes to the
+    smallest positive-mass target point, found by its own search."""
+    y = np.asarray(y, dtype=float)
+    scalar = y.ndim == 0
+    u = np.atleast_1d(np.asarray(source.cdf(y), dtype=float))
+    out = np.empty(u.shape, dtype=float)
+    pos = u > 0.0
+    if pos.any():
+        out[pos] = target.quantile(u[pos])
+    if not pos.all():
+        out[~pos] = target.support[np.searchsorted(target.cum_probs, 0.0, side="right")]
+    return float(out[0]) if scalar else out
+
+
+def scalar_counterfactual_cdf(cell, weights=None):
+    """The cell's treated and counterfactual CDFs under one weight vector
+    per arm (None: all ones), built from scalar fits and rank maps."""
+    w_cpre, w_cpost, w_tpre, w_tpost = sample_weights(cell, weights)
+    control_pre, control_post, treated_pre, treated_post = cell.samples
+    pre_control = scalar_refit(control_pre, w_cpre)
+    y = control_pre.values
+    dy = cell.observed_dy
+    if dy is None:
+        dy = scalar_rank_transform(pre_control, scalar_refit(control_post, w_cpost), y) - y
+    transformed = dy + scalar_rank_transform(pre_control, scalar_refit(treated_pre, w_tpre), y)
+    return CounterfactualResult(
+        code=cell.code,
+        treated=scalar_refit(treated_post, w_tpost),
+        counterfactual=scalar_fit(transformed, w_cpre),
+        transformed_outcomes=transformed,
+        n_control=cell.n_control,
+        n_treated=cell.n_treated,
+    )
+
+
 def mixture(components, shares):
     """Share-weighted mixture of step CDFs on the merged support."""
     components = list(components)
@@ -132,7 +188,7 @@ def mixture(components, shares):
     probs = np.concatenate(
         [s * (c.masses / c.total) for s, c in zip(shares, components)]
     )
-    return StepDistribution.fit(points, probs)
+    return scalar_fit(points, probs)
 
 
 def cqtt(result, tau_grid, n_total=None):
@@ -182,9 +238,9 @@ def scalar_cic_qtt(control_pre, control_post, treated_pre, treated_post, tau_gri
     dists = []
     for sample, wv in zip((control_pre, control_post, treated_pre, treated_post), w):
         if isinstance(sample, SortedSample):
-            dists.append(sample.fit(wv))
+            dists.append(scalar_refit(sample, wv))
         else:
-            dists.append(StepDistribution.fit(sample, wv))
+            dists.append(scalar_fit(sample, wv))
     pre_c, post_c, pre_t, post_t = dists
     taus = np.asarray(tau_grid, dtype=float)
 
@@ -210,12 +266,12 @@ def scalar_cic_qtt(control_pre, control_post, treated_pre, treated_post, tau_gri
 def scalar_estimate_process(cell, tau_grid, estimator="ddid", weights=None, n_total=None):
     """One estimator on one cell under one weight vector per arm (None: all ones)."""
     if estimator == "ddid":
-        return cqtt(counterfactual_cdf(cell, weights), tau_grid, n_total)
+        return cqtt(scalar_counterfactual_cdf(cell, weights), tau_grid, n_total)
     if estimator == "cic":
         return scalar_cic_qtt(
             *cell.samples,
             tau_grid,
-            weights=cell.sample_weights(weights),
+            weights=sample_weights(cell, weights),
             code=cell.code,
             n_total=cell.n_control + cell.n_treated if n_total is None else n_total,
         )
@@ -268,13 +324,7 @@ def per_draw_unconditional(cells, tau_grid, config, n_total):
     """analyze_unconditional's bootstrap replicates, one draw at a time."""
 
     def counterfactuals(weights_by_cell):
-        out = []
-        for (_, cell), w in zip(cells, weights_by_cell):
-            if isinstance(cell, PanelCell):
-                out.append(counterfactual_cdf_panel(cell, w))
-            else:
-                out.append(counterfactual_cdf_rcs(cell, w))
-        return out
+        return [scalar_counterfactual_cdf(cell, w) for (_, cell), w in zip(cells, weights_by_cell)]
 
     taus = np.asarray(tau_grid, dtype=float)
     shares = treated_shares(counterfactuals([None] * len(cells)))

@@ -10,8 +10,7 @@ from qdid.estimators import PanelCell, RcsCell
 
 
 def _samples(cell):
-    return [s.values for s in (cell._control_pre, cell._control_post,
-                               cell._treated_pre, cell._treated_post)]
+    return [s.values for s in cell.samples]
 
 
 def _assert_arrays(actual, expected):

@@ -46,6 +46,12 @@ def no_simulation(monkeypatch):
         # draws of 68 PB: past any address space, so the allocation fails at once
         (["--bootstrap", "4294967295", "--taus", ",".join(str(k / 1000) for k in range(1, 1000))],
          "--bootstrap"),
+        # --n counts whole units per arm
+        (["--n", "20.7"], "--n"),
+        (["--n", "20,20.5"], "--n"),
+        (["--n", "-3"], "--n"),
+        # a panel of 48 PB: past any address space, so the allocation fails at once
+        (["--n", "1e15", "--bootstrap", "0"], "--n"),
     ],
 )
 def test_mc_rejects_bad_flags_before_simulating(tmp_path, capsys, no_simulation, flags, name):
@@ -78,6 +84,8 @@ def test_mc_bootstrap_zero_still_means_no_test(tmp_path):
         (["--seed", "-2"], "--seed"),
         (["--rho", "0.99"], "--rho"),
         (["--rho", "nan"], "--rho"),
+        (["--n", "-3"], "--n"),
+        (["--n", "1000000000000000"], "--n"),
     ],
 )
 def test_simulate_rejects_bad_flags(tmp_path, capsys, flags, name):

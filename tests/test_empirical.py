@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mixture
+from oracles import mixture, scalar_fit
 from qdid.empirical import SortedSample, StepDistribution, rank_transform
 
 finite_floats = st.floats(
@@ -137,7 +137,7 @@ class TestSortedSample:
         w = rng.integers(0, 4, size=5).astype(float)
         w[0] = 1.0
         fast = layout.fit(w)
-        slow = StepDistribution.fit(values, w)
+        slow = scalar_fit(values, w)
         grid = np.linspace(0.5, 3.5, 13)
         np.testing.assert_array_equal(fast.cdf(grid), slow.cdf(grid))
         t = np.linspace(0.05, 1.0, 20)
@@ -187,9 +187,7 @@ def test_integer_weights_equal_repetition(values, ks):
     weighted = StepDistribution.fit(
         [float(v) for v in values], [float(k) for k in ks]
     )
-    repeated = StepDistribution.fit(
-        [float(v) for v, k in zip(values, ks) for _ in range(k)]
-    )
+    repeated = scalar_fit([float(v) for v, k in zip(values, ks) for _ in range(k)])
     np.testing.assert_array_equal(weighted.support, repeated.support)
     np.testing.assert_array_equal(weighted.masses, repeated.masses)
     np.testing.assert_array_equal(weighted.cum_probs, repeated.cum_probs)

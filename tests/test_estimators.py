@@ -17,7 +17,7 @@ from qdid.estimators import (
 from qdid.inference import substream, unconditional_process
 from qdid.simulation import DgpSpec, simulate
 
-from oracles import brute_counterfactual_panel
+from oracles import brute_counterfactual_panel, scalar_counterfactual_cdf
 
 
 def panel_cell(control_y_pre, control_dy, treated_y_pre, treated_y_post):
@@ -58,11 +58,11 @@ class _KernelRow:
 
 
 def counterfactuals(cell):
-    """(counterfactual CDF, transformed outcomes) of the one-weight-vector
-    reference and of row 0 of the kernel under unit weights, to hold to the
-    same expectations. The kernel's support row holds every transformed
-    outcome, sorted."""
-    reference = counterfactual_cdf(cell)
+    """(counterfactual CDF, transformed outcomes) of the scalar reference
+    and of row 0 of the kernel under unit weights, to hold to the same
+    expectations. The kernel's support row holds every transformed outcome,
+    sorted."""
+    reference = scalar_counterfactual_cdf(cell)
     _, kernel = counterfactual_rows(cell, cell.unit_weights())
     return [(reference.counterfactual, reference.transformed_outcomes),
             (_KernelRow(kernel), kernel.support[0])]

@@ -252,6 +252,14 @@ class TestAnalyze:
         assert unc.ks_statistic == per_cell.ks_statistic
         assert unc.critical_value == per_cell.critical_value
 
+    @pytest.mark.parametrize("n_total", [0, -5])
+    def test_n_total_must_be_positive(self, n_total):
+        cell = random_cell(substream(8, 0))
+        with pytest.raises(ValueError, match="n_total"):
+            analyze_cell(cell, [0.5], BootstrapConfig(iterations=20), n_total=n_total)
+        with pytest.raises(ValueError, match="n_total"):
+            analyze_unconditional([(0, cell)], [0.5], BootstrapConfig(iterations=20), n_total)
+
     def test_cic_estimator_supported(self):
         cell = random_cell(substream(8, 0))
         rep = analyze_cell(cell, [0.5], BootstrapConfig(iterations=25, seed=2), estimator="cic")

@@ -1,7 +1,8 @@
-"""The batched bootstrap kernel against the per-draw references in oracles.py.
+"""The batched bootstrap kernel, and the one-weight-vector API that is its
+one-row case, against the scalar and per-draw references in oracles.py.
 
 Every comparison is exact: the kernel sums and divides in the same order as
-the per-draw estimators, so replicates must agree bit for bit.
+the references, so replicates must agree bit for bit.
 """
 
 from unittest import mock
@@ -16,7 +17,12 @@ from oracles import (
     per_draw_bootstrap,
     per_draw_mc_rejections,
     per_draw_unconditional,
+    per_draw_weights,
+    scalar_counterfactual_cdf,
     scalar_estimate_process,
+    scalar_fit,
+    scalar_rank_transform,
+    scalar_refit,
     unconditional_qtt,
 )
 from qdid import inference
@@ -105,6 +111,12 @@ def compacted(rows, r):
     return support[keep], rows.masses[r][keep], rows.cum_probs[r][keep]
 
 
+def assert_same_distribution(dist, reference):
+    for name in ("support", "masses", "cum_probs"):
+        np.testing.assert_array_equal(getattr(dist, name), getattr(reference, name))
+    assert dist.total == reference.total
+
+
 @settings(max_examples=100, deadline=None)
 @given(weighted_rows())
 def test_step_rows_equal_step_distributions(case):
@@ -114,8 +126,8 @@ def test_step_rows_equal_step_distributions(case):
     shares = np.array([0.25, 0.75])
     mixed = StepRows.mixture([fitted, refit], shares)
     for r in range(values.shape[0]):
-        one = StepDistribution.fit(values[r], weights[r])
-        same_sample = SortedSample(values[0]).fit(weights[r])
+        one = scalar_fit(values[r], weights[r])
+        same_sample = scalar_refit(SortedSample(values[0]), weights[r])
         mix = mixture([one, same_sample], shares)
         for rows, dist in ((fitted, one), (mixed, mix)):
             support, masses, cum_probs = compacted(rows, r)
@@ -128,8 +140,32 @@ def test_step_rows_equal_step_distributions(case):
         source = SortedSample(values[0])
         np.testing.assert_array_equal(
             rank_rows(refit, source.inverse, fitted)[r],
-            rank_transform(same_sample, one, values[0]),
+            scalar_rank_transform(same_sample, one, values[0]),
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_rows(), st.lists(st.integers(-5, 5), min_size=1, max_size=8))
+def test_one_vector_api_equals_scalar_references(case, points):
+    """``StepDistribution.fit``, ``SortedSample.fit`` and ``rank_transform``,
+    the one-row case of the kernel, at values of rank 0 among others."""
+    values, weights = case
+    ys = np.asarray(points, dtype=float) / 4.0
+    sample = SortedSample(values[0])
+    for r in range(values.shape[0]):
+        one = StepDistribution.fit(values[r], weights[r])
+        same_sample = sample.fit(weights[r])
+        assert_same_distribution(one, scalar_fit(values[r], weights[r]))
+        assert_same_distribution(same_sample, scalar_refit(sample, weights[r]))
+        np.testing.assert_array_equal(
+            rank_transform(same_sample, one, ys), scalar_rank_transform(same_sample, one, ys)
+        )
+        for y in ys[:2]:
+            assert rank_transform(one, same_sample, y) == scalar_rank_transform(
+                one, same_sample, y
+            )
+    assert_same_distribution(StepDistribution.fit(values[0]), scalar_fit(values[0]))
+    assert_same_distribution(sample.fit(), scalar_refit(sample))
 
 
 @settings(max_examples=100, deadline=None)
@@ -142,11 +178,24 @@ def test_points_equal_scalar_references(cell_list):
             np.testing.assert_array_equal(process.values, reference.values)
             counts = (process.code, process.n_control, process.n_treated, process.n_total)
             assert counts == (reference.code, reference.n_control, reference.n_treated, 99)
-    results = [counterfactual_cdf(cell) for cell in cell_list]
+    results = [scalar_counterfactual_cdf(cell) for cell in cell_list]
     reference = unconditional_qtt(results, treated_shares(results), GRID, 99)
     mixed = unconditional_process(list(enumerate(cell_list)), GRID, 99)
     np.testing.assert_array_equal(mixed.values, reference.values)
     assert (mixed.n_control, mixed.n_treated) == (reference.n_control, reference.n_treated)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells(), st.integers(0, 2**16), st.sampled_from(["multinomial", "dirichlet"]))
+def test_counterfactual_cdf_equals_scalar_reference(cell_list, seed, scheme):
+    """The one-row case of the counterfactual construction, unweighted and
+    under one draw's weights (multinomial ones leave units at weight 0)."""
+    (cell,) = cell_list
+    for w in (None, per_draw_weights(cell.arm_sizes(), scheme, inference.substream(seed, 0))):
+        result, reference = counterfactual_cdf(cell, w), scalar_counterfactual_cdf(cell, w)
+        assert_same_distribution(result.treated, reference.treated)
+        assert_same_distribution(result.counterfactual, reference.counterfactual)
+        np.testing.assert_array_equal(result.transformed_outcomes, reference.transformed_outcomes)
 
 
 configs = st.builds(
@@ -235,8 +284,7 @@ def edge_weights(cell):
     for matrix in weights.values():
         matrix[1] = np.linspace(0.5, 2.0, matrix.shape[1])
         matrix[1, 2] = 0.0
-    samples = (cell._control_pre, cell._control_post, cell._treated_pre, cell._treated_post)
-    for arm, s in zip(cell.SAMPLE_ARMS, samples):
+    for arm, s in zip(cell.SAMPLE_ARMS, cell.samples):
         weights[arm][1, s.values == s.support[0]] = 0.0
     return weights
 
@@ -255,24 +303,36 @@ def test_kernel_rows_equal_estimate_process_at_rank_zero_and_zero_mass():
         weights = edge_weights(cell)
         rows = estimate_rows(cell, GRID, weights, ("ddid", "cic"))
         treated, counterfactual = counterfactual_rows(cell, weights)
-        per_draw_cf = (
-            counterfactual_cdf_panel if isinstance(cell, PanelCell) else counterfactual_cdf_rcs
-        )
         for r in range(2):
             w = {arm: m[r] for arm, m in weights.items()}
             for est in ("ddid", "cic"):
                 np.testing.assert_array_equal(
                     rows[est][r], scalar_estimate_process(cell, GRID, est, w).values
                 )
-            result = per_draw_cf(cell, w)
-            np.testing.assert_array_equal(treated.quantile(GRID)[r], result.treated.quantile(GRID))
+            reference = scalar_counterfactual_cdf(cell, w)
             np.testing.assert_array_equal(
-                counterfactual.quantile(GRID)[r], result.counterfactual.quantile(GRID)
+                treated.quantile(GRID)[r], reference.treated.quantile(GRID)
             )
+            np.testing.assert_array_equal(
+                counterfactual.quantile(GRID)[r], reference.counterfactual.quantile(GRID)
+            )
+            # the one-row API, through each of its names: the treated CDF
+            # keeps zero-mass points and the counterfactual drops them
+            for name in (counterfactual_cdf, counterfactual_cdf_panel, counterfactual_cdf_rcs):
+                result = name(cell, w)
+                assert_same_distribution(result.treated, reference.treated)
+                assert_same_distribution(result.counterfactual, reference.counterfactual)
+                np.testing.assert_array_equal(
+                    result.transformed_outcomes, reference.transformed_outcomes
+                )
+                assert (result.code, result.n_control, result.n_treated) == (
+                    reference.code, reference.n_control, reference.n_treated
+                )
         # the zeroed row exercises the rank-0 clamp: the smallest control
         # pre-period value has rank 0 under row 1
-        pre = cell._control_pre.fit(weights[cell.SAMPLE_ARMS[0]][1])
+        pre = scalar_refit(cell.samples[0], weights[cell.SAMPLE_ARMS[0]][1])
         assert pre.cdf(pre.support[0]) == 0.0
+        assert 0.0 in scalar_refit(cell.samples[3], weights[cell.SAMPLE_ARMS[3]][1]).masses
 
 
 def test_single_cell_unconditional_equals_cell_draws():

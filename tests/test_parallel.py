@@ -61,12 +61,17 @@ COMMANDS = {
     "rcs": (rcs_csv, ["estimate", "--mode", "rcs", *ESTIMATE]),
     "mc": (None, ["mc", "--dgp", "1", "--n", "20", "--reps", "5", "--seed", "3"]),
 }
+# each command again with flat Dirichlet weights
+COMMANDS.update(
+    {f"{name}-dirichlet": (write, argv + ["--scheme", "dirichlet"])
+     for name, (write, argv) in COMMANDS.items()}
+)
 
 
 def run(tmp_path, command, bootstrap, name="out"):
     """Run a command; return its exit code and its outputs' bytes."""
     write, argv = COMMANDS[command]
-    argv = argv + ["-b" if command != "mc" else "--bootstrap", str(bootstrap)]
+    argv = argv + ["-b" if argv[0] != "mc" else "--bootstrap", str(bootstrap)]
     if write is not None:
         write(tmp_path / "input.csv")
         argv += ["--input", str(tmp_path / "input.csv")]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qdid import simulation
 from qdid.data_model import PanelData
 from qdid.estimators import PanelCell, estimate_process
 from qdid.inference import bootstrap_process, BootstrapConfig, empirical_quantile, substream
@@ -149,3 +150,29 @@ class TestRunMc:
         for j in range(3):
             crit = empirical_quantile(np.abs(draws[:, j] - point[j]), 0.95)
             assert res.rejection["ddid"][j] == float(abs(point[j]) > crit)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"alpha": 0.0},
+        {"alpha": 1.5},
+        {"taus": (0.5, 0.5)},
+        {"taus": (0.0, 0.5)},
+        {"taus": ()},
+        {"scheme": "bogus"},
+        {"bootstrap_iterations": -1},
+        {"reps": 0},
+        {"estimators": ("ddid", "qr")},
+        {"estimators": ()},
+    ],
+    ids=str,
+)
+def test_run_mc_checks_its_settings_before_running_reps(monkeypatch, settings):
+    def refuse(tasks):
+        raise AssertionError("run_mc started its reps")
+
+    monkeypatch.setattr(simulation, "_parallel", refuse)
+    kwargs = {"reps": 2, "bootstrap_iterations": 10, **settings}
+    with pytest.raises(ValueError):
+        run_mc(DgpSpec(variant=1, n_per_arm=10), **kwargs)
