@@ -395,17 +395,16 @@ def _dataset(config: RunConfig, y, period, d, covariates, units, line_of):
     file line and ``line_of`` is None (a bulk read, which skips blank lines
     without counting them)."""
     n = len(y)
+    if units is not None and (repeated := _repeated_rows(units, period)).size:
+        if line_of is None:
+            return None
+        k = repeated[0]
+        raise LoadError(f"line {line_of(k)}: duplicate (unit={units[k]}, period={period[k]}) row")
     if config.mode == "rcs":
         return RcsData(
             y=y, period=period, treated=d.astype(bool), covariates=covariates, unit_ids=units
         )
 
-    repeated = _repeated_rows(units, period)
-    if repeated.size:
-        if line_of is None:
-            return None
-        k = repeated[0]
-        raise LoadError(f"line {line_of(k)}: duplicate (unit={units[k]}, period={period[k]}) row")
     ids, first, unit = np.unique(units, return_index=True, return_inverse=True)
     rows = np.full((ids.size, 2), -1)
     rows[unit, period] = np.arange(n)
@@ -786,6 +785,8 @@ def _cmd_mc(args) -> int:
     _check_draws_fit(args.estimators, args.bootstrap, len(taus))
     ns = _flag_value("--n", lambda: [_per_arm_size(n) for n in _float_list(args.n)])
     if args.dgp == 1:
+        if _flag_value("--rho", lambda: _float_list(args.rho)) != [0.0]:
+            raise FlagError(f"--rho {args.rho}: applies to --dgp 2 only")
         param_name = "n"
         designs = [(n, _flag_value("--n/--te", lambda: DgpSpec(1, n, args.te))) for n in ns]
     else:

@@ -11,15 +11,15 @@ kernel as the draws.
 
 Every draw is generated from a substream keyed by (seed, cell index, draw
 index), so results are reproducible and independent of evaluation order.
-Draws are evaluated in chunks: the weight vectors of a run of draws are
-stacked into one matrix per arm, at most ``CHUNK_ELEMENTS`` entries for the
-largest arm, and the batched kernel ``estimate_rows`` refits every row at
-once, sharing each draw's weights between the estimators of a cell. A
-chunk's substreams are derived together, in one vectorized pass of numpy's
-``SeedSequence`` hash over its draw indices, and each equals
-``substream(seed, *key, b)`` bit for bit; each draw then takes only its raw
-variates from its generator, and the chunk's weights are finished as one
-matrix per arm.
+Every bootstrap walks its draws in chunks (``_chunk_weights``): the weight
+vectors of a run of draws are stacked into one matrix per arm, at most
+``CHUNK_ELEMENTS`` entries for the largest arms, and the batched kernel
+``estimate_rows`` refits every row at once, sharing each draw's weights
+between the estimators of a cell. A chunk's substreams are derived
+together, in one vectorized pass of numpy's ``SeedSequence`` hash over its
+draw indices, and each equals ``substream(seed, *key, b)`` bit for bit; each
+draw then takes only its raw variates from its generator, and the chunk's
+weights are finished as one matrix per arm.
 
 A run's analyses are independent tasks, evaluated by ``_parallel`` in
 forked worker processes, one per CPU the process may run on: the
@@ -60,7 +60,6 @@ __all__ = [
     "KsTestResult",
     "InferenceReport",
     "substream",
-    "draw_weight_vector",
     "draw_weights",
     "bootstrap_process",
     "bootstrap_unconditional",
@@ -212,31 +211,18 @@ def _finish(raw: np.ndarray, scheme: str) -> np.ndarray:
     return raw * (1.0 / total) * n
 
 
-def draw_weight_vector(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray:
-    """One exchangeable nonnegative weight vector for an arm of size n.
-
-    multinomial: resample counts (n draws over n equiprobable categories),
-    summing to n exactly. dirichlet: flat Dirichlet scaled by n; strictly
-    positive almost surely, mean weight 1. The one-row case of the chunk
-    weights of ``_weight_rows``.
-    """
-    if n < 1:
-        raise ValueError("arm size must be >= 1")
-    return _finish(_variates(n, scheme, rng)[None, :], scheme)[0]
-
-
 def draw_weights(
     arm_sizes: dict[str, int], scheme: str, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
-    """Weight vectors for each arm, drawn independently in sorted-name order."""
-    return {arm: draw_weight_vector(arm_sizes[arm], scheme, rng) for arm in sorted(arm_sizes)}
-
-
-def _chunks(draws: range, width: int):
-    """``draws`` in consecutive runs, each filling at most CHUNK_ELEMENTS
-    entries of a matrix ``width`` columns wide."""
-    step = max(1, CHUNK_ELEMENTS // width)
-    return [draws[i : i + step] for i in range(0, len(draws), step)]
+    """One exchangeable nonnegative weight vector per arm, in sorted-name
+    order: the one-row case of ``_weight_rows``. multinomial: resample counts,
+    summing to n exactly; dirichlet: flat Dirichlet scaled by n, mean weight 1."""
+    if any(n < 1 for n in arm_sizes.values()):
+        raise ValueError("arm size must be >= 1")
+    return {
+        arm: _finish(_variates(arm_sizes[arm], scheme, rng)[None], scheme)[0]
+        for arm in sorted(arm_sizes)
+    }
 
 
 def _weight_rows(
@@ -253,6 +239,19 @@ def _weight_rows(
         for arm in arms:
             raw[arm].append(_variates(arm_sizes[arm], config.scheme, rng))
     return {arm: _finish(np.stack(raw[arm]), config.scheme) for arm in arm_sizes}
+
+
+def _chunk_weights(members: list, config: BootstrapConfig, draws: range):
+    """``draws`` a chunk at a time: yields the chunk's rows within ``draws``, as
+    a slice, and each ``(key, cell)`` member's ``_weight_rows`` for the chunk.
+    A chunk fills at most CHUNK_ELEMENTS entries of a matrix as wide as the
+    members' largest arms put together."""
+    sizes = [(key, cell.arm_sizes()) for key, cell in members]
+    step = max(1, CHUNK_ELEMENTS // sum(max(arms.values()) for _, arms in sizes))
+    for start in range(0, len(draws), step):
+        chunk = draws[start : start + step]
+        weights = [_weight_rows(arms, config, key, chunk) for key, arms in sizes]
+        yield slice(start, start + len(chunk)), weights
 
 
 def bootstrap_process(
@@ -273,12 +272,11 @@ def bootstrap_process(
     """
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
     taus = np.asarray(tau_grid, dtype=float)
-    sizes = cell.arm_sizes()
     draws = {est: np.empty((config.iterations, taus.size)) for est in names}
-    for chunk in _chunks(range(config.iterations), max(sizes.values())):
-        weights = _weight_rows(sizes, config, (*key_prefix, cell_index), chunk)
-        for est, rows in estimate_rows(cell, taus, weights, names).items():
-            draws[est][chunk.start : chunk.stop] = rows
+    members = [((*key_prefix, cell_index), cell)]
+    for rows, (weights,) in _chunk_weights(members, config, range(config.iterations)):
+        for est, values in estimate_rows(cell, taus, weights, names).items():
+            draws[est][rows] = values
     return draws[estimator] if isinstance(estimator, str) else draws
 
 
@@ -289,10 +287,12 @@ def _order_index(n: int, q: float) -> int:
     return int(np.searchsorted(np.arange(1, n + 1) / n, q, side="left"))
 
 
-def empirical_quantile(sample, q: float) -> float:
-    """Generalized-inverse sample quantile inf{v : F_n(v) >= q}, q in (0, 1]."""
-    sample = np.sort(np.asarray(sample, dtype=float))
-    return float(sample[_order_index(sample.size, q)])
+def empirical_quantile(sample, q: float) -> float | np.ndarray:
+    """Generalized-inverse sample quantile inf{v : F_n(v) >= q}, q in (0, 1]:
+    a float for a 1-d sample, an array of one per column for a 2-d one."""
+    sample = np.sort(np.asarray(sample, dtype=float), axis=0)
+    value = sample[_order_index(len(sample), q)]
+    return float(value) if sample.ndim == 1 else value
 
 
 @dataclass(frozen=True)
@@ -338,11 +338,15 @@ def uniform_band(values, critical_value: float, n_total: int):
     return values - half, values + half
 
 
+def _check_draw_count(count: int) -> None:
+    if count < 2:
+        raise ValueError("need at least two bootstrap draws")
+
+
 def pointwise_se(draws: np.ndarray) -> np.ndarray:
     """Bootstrap standard error at each grid point (sample sd over draws)."""
     draws = np.asarray(draws, dtype=float)
-    if draws.shape[0] < 2:
-        raise ValueError("need at least two bootstrap draws")
+    _check_draw_count(draws.shape[0])
     return np.std(draws, axis=0, ddof=1)
 
 
@@ -394,6 +398,7 @@ def analyze_cell(
     Given a tuple of estimators, returns a dict of reports per estimator,
     whose bootstraps share each draw's weights.
     """
+    _check_draw_count(config.iterations)
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
     points = estimate_process(cell, tau_grid, names, None, n_total)
     draws = bootstrap_process(cell, tau_grid, config, names, cell_index=cell_index)
@@ -452,11 +457,7 @@ def bootstrap_unconditional(
         raise ValueError("draws must be a contiguous range of draw indices below B")
     members = [cell for _, cell in cells]
     out = np.empty((len(draws), taus.size))
-    # the mixtures concatenate every cell's rows
-    width = sum(max(cell.arm_sizes().values()) for cell in members)
-    for chunk in _chunks(draws, width):
-        weights = [_weight_rows(cell.arm_sizes(), config, (i,), chunk) for i, cell in cells]
-        rows = slice(chunk.start - draws.start, chunk.stop - draws.start)
+    for rows, weights in _chunk_weights([((i,), cell) for i, cell in cells], config, draws):
         out[rows] = _mixture_rows(members, taus, weights)
     return out
 
@@ -476,6 +477,7 @@ def analyze_unconditional(
     which multinomial resampling holds fixed. ``draws`` are the replicates
     of ``bootstrap_unconditional``, drawn here when not given.
     """
+    _check_draw_count(config.iterations)
     if draws is None:
         draws = bootstrap_unconditional(cells, tau_grid, config)
     return _assemble_report(unconditional_process(cells, tau_grid, n_total), draws, config)

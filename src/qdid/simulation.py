@@ -30,11 +30,11 @@ from .estimators import ESTIMATORS, checked_grid, estimate_process
 # draw_weights is not called here; bench/tracer.py rebinds it by this module path
 from .inference import (
     BootstrapConfig,
-    _order_index,
     _parallel,
     _split,
     bootstrap_process,
     draw_weights,  # noqa: F401
+    empirical_quantile,
     substream,
 )
 
@@ -60,6 +60,8 @@ class DgpSpec:
             raise ValueError("n_per_arm must be >= 1")
         if not np.isfinite([self.te, self.rho_bar]).all():
             raise ValueError("te and rho_bar must be finite")
+        if self.variant == 1 and self.rho_bar != 0:
+            raise ValueError("rho_bar applies to variant 2 only")
         if self.variant == 2:
             for d in (0, 1):
                 try:
@@ -169,8 +171,6 @@ def _mc_block(
         rejections = None
     else:
         rejections = {est: np.empty((len(reps), grid.size), dtype=bool) for est in estimators}
-        # the (1 - alpha) quantile of B draws is the same order statistic at every tau
-        order = _order_index(config.iterations, 1.0 - config.alpha)
     for i, r in enumerate(reps):
         data = simulate(spec, substream(seed, r))
         cell = build_cells(data)[0]
@@ -182,7 +182,7 @@ def _mc_block(
             continue
         draws = bootstrap_process(cell, grid, config, estimators, cell_index=0, key_prefix=(r,))
         for est in estimators:
-            critical = np.sort(np.abs(draws[est] - point[est]), axis=0)[order]
+            critical = empirical_quantile(np.abs(draws[est] - point[est]), 1.0 - config.alpha)
             rejections[est][i] = np.abs(point[est]) > critical
     return errors, rejections
 

@@ -417,6 +417,13 @@ def row_by_row_load_csv(config):
         if not rows:
             raise LoadError("no data rows")
 
+    if has_unit:
+        seen = set()
+        for unit, period, *_, line in rows:
+            if (unit, period) in seen:
+                raise LoadError(f"line {line}: duplicate (unit={unit}, period={period}) row")
+            seen.add((unit, period))
+
     if config.mode == "rcs":
         unit_ids = np.array([r[0] for r in rows]) if has_unit else None
         return RcsData(
@@ -431,10 +438,7 @@ def row_by_row_load_csv(config):
 
     by_unit: dict[str, dict[int, tuple]] = {}
     for unit, period, y, d, covs, line in rows:
-        periods = by_unit.setdefault(unit, {})
-        if period in periods:
-            raise LoadError(f"line {line}: duplicate (unit={unit}, period={period}) row")
-        periods[period] = (y, d, covs, line)
+        by_unit.setdefault(unit, {})[period] = (y, d, covs, line)
     units = list(by_unit)
     for unit in units:
         periods = by_unit[unit]

@@ -115,15 +115,16 @@ class TestLoadPanel:
         with pytest.raises(LoadError, match="unit z"):
             load_csv(RunConfig(input_path=str(path)))
 
-    def test_duplicate_unit_period(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["panel", "rcs"])
+    def test_duplicate_unit_period(self, tmp_path, mode):
         path = tmp_path / "p.csv"
         write_rows(
             path,
             ["unit", "period", "y", "d"],
             [["a", 0, "1", 0], ["a", 0, "2", 0]],
         )
-        with pytest.raises(LoadError, match="duplicate"):
-            load_csv(RunConfig(input_path=str(path)))
+        with pytest.raises(LoadError, match=r"^line 3: duplicate \(unit=a, period=0\) row$"):
+            load_csv(RunConfig(input_path=str(path), mode=mode))
 
     def test_covariates_must_be_time_invariant(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -52,6 +52,8 @@ def no_simulation(monkeypatch):
         (["--n", "-3"], "--n"),
         # a panel of 48 PB: past any address space, so the allocation fails at once
         (["--n", "1e15", "--bootstrap", "0"], "--n"),
+        # dgp 1 has no copula deviation
+        (["--rho", "0.7"], "--rho"),
     ],
 )
 def test_mc_rejects_bad_flags_before_simulating(tmp_path, capsys, no_simulation, flags, name):
@@ -86,6 +88,7 @@ def test_mc_bootstrap_zero_still_means_no_test(tmp_path):
         (["--rho", "nan"], "--rho"),
         (["--n", "-3"], "--n"),
         (["--n", "1000000000000000"], "--n"),
+        (["--dgp", "1", "--rho", "0.7"], "--rho"),
     ],
 )
 def test_simulate_rejects_bad_flags(tmp_path, capsys, flags, name):

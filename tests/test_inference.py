@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdid import inference
 from qdid.estimators import PanelCell, counterfactual_cdf_panel, estimate_process
 from qdid.inference import (
     BootstrapConfig,
     analyze_cell,
     analyze_unconditional,
     bootstrap_process,
-    draw_weight_vector,
     draw_weights,
     _order_index,
     empirical_quantile,
@@ -61,12 +61,16 @@ class TestConfig:
             BootstrapConfig(**kwargs)
 
 
+def one_arm_weights(n, scheme, rng):
+    return draw_weights({"arm": n}, scheme, rng)["arm"]
+
+
 class TestWeights:
     def test_multinomial_sums_exact(self):
         rng = substream(0, 1)
         for n in (1, 2, 7, 40):
             for _ in range(50):
-                w = draw_weight_vector(n, "multinomial", rng)
+                w = one_arm_weights(n, "multinomial", rng)
                 assert w.sum() == n
                 assert np.all(w >= 0)
                 assert np.all(w == np.floor(w))
@@ -74,17 +78,17 @@ class TestWeights:
     def test_singleton_arm_always_one(self):
         rng = substream(0, 2)
         for _ in range(20):
-            assert draw_weight_vector(1, "multinomial", rng).tolist() == [1.0]
-            assert draw_weight_vector(1, "dirichlet", rng)[0] == pytest.approx(1.0)
+            assert one_arm_weights(1, "multinomial", rng).tolist() == [1.0]
+            assert one_arm_weights(1, "dirichlet", rng)[0] == pytest.approx(1.0)
 
     def test_multinomial_mean_weight(self):
         rng = substream(0, 3)
-        draws = np.array([draw_weight_vector(5, "multinomial", rng) for _ in range(10_000)])
+        draws = np.array([one_arm_weights(5, "multinomial", rng) for _ in range(10_000)])
         assert abs(draws[:, 0].mean() - 1.0) < 0.05
 
     def test_dirichlet_positive_mean_one(self):
         rng = substream(0, 4)
-        w = draw_weight_vector(50, "dirichlet", rng)
+        w = one_arm_weights(50, "dirichlet", rng)
         assert np.all(w > 0)
         assert w.sum() == pytest.approx(50.0)
 
@@ -95,6 +99,11 @@ class TestWeights:
         assert set(a) == {"control", "treated"}
         np.testing.assert_array_equal(a["control"], b["control"])
         np.testing.assert_array_equal(a["treated"], b["treated"])
+
+    def test_empty_arm_refused_and_no_arms_drawn(self):
+        with pytest.raises(ValueError, match="arm size must be >= 1"):
+            draw_weights({"control": 3, "treated": 0}, "multinomial", substream(0, 5))
+        assert draw_weights({}, "dirichlet", substream(0, 5)) == {}
 
 
 class TestSubstream:
@@ -157,6 +166,8 @@ class TestEmpiricalQuantile:
         critical = np.sort(deviations, axis=0)[_order_index(n, 1.0 - alpha)]
         expected = [empirical_quantile(deviations[:, j], 1.0 - alpha) for j in range(5)]
         np.testing.assert_array_equal(critical, expected)
+        np.testing.assert_array_equal(empirical_quantile(deviations, 1.0 - alpha), expected)
+        assert all(type(value) is float for value in expected)
 
 
 class TestKs:
@@ -259,6 +270,18 @@ class TestAnalyze:
             analyze_cell(cell, [0.5], BootstrapConfig(iterations=20), n_total=n_total)
         with pytest.raises(ValueError, match="n_total"):
             analyze_unconditional([(0, cell)], [0.5], BootstrapConfig(iterations=20), n_total)
+
+    def test_fewer_than_two_draws_refused_before_drawing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bootstrap ran")
+
+        monkeypatch.setattr(inference, "bootstrap_process", refuse)
+        monkeypatch.setattr(inference, "bootstrap_unconditional", refuse)
+        cell, config = random_cell(substream(8, 0)), BootstrapConfig(iterations=1)
+        with pytest.raises(ValueError, match="^need at least two bootstrap draws$"):
+            analyze_cell(cell, [0.25, 0.5, 0.75], config)
+        with pytest.raises(ValueError, match="^need at least two bootstrap draws$"):
+            analyze_unconditional([(0, cell)], [0.25, 0.5, 0.75], config, n_total=40)
 
     def test_cic_estimator_supported(self):
         cell = random_cell(substream(8, 0))

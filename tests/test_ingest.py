@@ -367,8 +367,8 @@ def test_hazard_files_load_as_the_row_reader_does(tmp_path, monkeypatch, hazard,
     calls = _row_reader_calls(monkeypatch)
     want = _load_or_error(row_by_row_load_csv, config)
     assert_same_dataset(_load_or_error(load_csv, config), want)
-    if mode == "rcs" and hazard in ("covariates differ", "duplicate unit and period"):
-        reader = "bulk"  # panel checks: an RCS load names no line
+    if mode == "rcs" and hazard == "covariates differ":
+        reader = "bulk"  # a panel check: an RCS load names no line
     assert bool(calls) == (reader == "row")
 
 

@@ -60,6 +60,9 @@ COMMANDS = {
     "panel": (panel_csv, ["estimate", *ESTIMATE]),
     "rcs": (rcs_csv, ["estimate", "--mode", "rcs", *ESTIMATE]),
     "mc": (None, ["mc", "--dgp", "1", "--n", "20", "--reps", "5", "--seed", "3"]),
+    # one pool per design
+    "mc-designs": (None, ["mc", "--dgp", "2", "--n", "20", "--rho", "0,0.5", "--reps", "4",
+                          "--seed", "3"]),
 }
 # each command again with flat Dirichlet weights
 COMMANDS.update(

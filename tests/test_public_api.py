@@ -70,3 +70,27 @@ def test_starting_the_cli_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_a_run_loads_only_the_standard_library_and_numpy(tmp_path):
+    """qdid is numpy-only: an estimate and an mc run load no other module
+    than the standard library's, numpy's and qdid's, besides what the bare
+    interpreter already loaded (site packages may preload some)."""
+    code = (
+        "import sys; bare = set(sys.modules); import qdid.cli; "
+        "run = lambda *argv: qdid.cli.main(list(argv)) == 0 or sys.exit(1); "
+        "run('simulate', '--dgp', '1', '--n', '20', '-o', 'data.csv'); "
+        "run('estimate', '-i', 'data.csv', '-o', 'out', '-b', '20', "
+        "'--estimators', 'ddid,cic', '--unconditional'); "
+        "run('mc', '--dgp', '1', '--n', '10', '--reps', '2', '--bootstrap', '20', '-o', 'mc'); "
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - bare}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+                         timeout=120)
+    loaded = set(out.stdout.splitlines()[-1].split())  # after the "wrote" lines
+    # numpy.random's Cython extensions register cython_runtime and _cython_<version>
+    loaded -= {"cython_runtime", *(name for name in loaded if name.startswith("_cython_"))}
+    # __mp_main__: multiprocessing's alias of __main__, set when a pool starts
+    assert loaded - sys.stdlib_module_names - {"numpy", "qdid", "__mp_main__"} == set()
+    assert {"numpy", "qdid"} <= loaded

@@ -16,6 +16,8 @@ class TestDgpSpec:
             DgpSpec(variant=1, n_per_arm=0)
         with pytest.raises(ValueError):
             DgpSpec(variant=2, n_per_arm=10, rho_bar=0.9)  # non-PD covariance
+        with pytest.raises(ValueError, match="variant 2 only"):
+            DgpSpec(variant=1, n_per_arm=10, rho_bar=0.7)  # DGP 1 has no copula deviation
 
     def test_rho_zero_arms_identical(self):
         spec = DgpSpec(variant=2, n_per_arm=10, rho_bar=0.0)

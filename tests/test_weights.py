@@ -17,7 +17,6 @@ from qdid.inference import (
     MAX_ITERATIONS,
     SCHEMES,
     BootstrapConfig,
-    draw_weight_vector,
     draw_weights,
 )
 
@@ -69,7 +68,7 @@ def test_seed_words_are_each_draws_seed_sequence_state(chunk):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**64), scheme=st.sampled_from(SCHEMES))
 def test_weight_vector_is_numpys_own_draw(n, seed, scheme):
-    got = draw_weight_vector(n, scheme, np.random.default_rng(seed))
+    got = draw_weights({"arm": n}, scheme, np.random.default_rng(seed))["arm"]
     assert_same_bits(got, literal_weight_vector(n, scheme, np.random.default_rng(seed)))
 
 
