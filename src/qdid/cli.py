@@ -1,11 +1,11 @@
 """Command-line front end: CSV in, per-cell effect processes and tables out.
 
-Input files are long-format CSV (UTF-8, comma-separated, header row): one
-row per (unit, period) for panel mode, one row per observation for repeated
-cross sections. Reports are written as versioned JSON plus two CSVs: a
-plot-ready band file (one row per cell, estimator, and tau) and a compact
-per-cell summary with the sup-test decision and estimates at selected
-quantiles.
+Input files are long-format CSV (UTF-8, a leading byte-order mark allowed,
+comma-separated, header row): one row per (unit, period) for panel mode, one
+row per observation for repeated cross sections. Reports are written as
+versioned JSON plus two CSVs: a plot-ready band file (one row per cell,
+estimator, and tau) and a compact per-cell summary with the sup-test
+decision and estimates at selected quantiles.
 
 Exit codes: 0 success, 2 input/validation failure or a bad flag value (an
 unwritable --out included), 3 estimation infeasible (no covariate cell is
@@ -28,8 +28,6 @@ from .data_model import (
     DEFAULT_MIN_CELL_SIZE,
     PanelData,
     RcsData,
-    ValidationError,
-    _repeated_rows,
     build_cells,
     validate,
 )
@@ -235,7 +233,7 @@ def load_csv(config: RunConfig) -> PanelData | RcsData:
     raises the error of its first bad row. The result is the same either way.
     """
     try:
-        handle = open(config.input_path, newline="", encoding="utf-8")
+        handle = open(config.input_path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise LoadError(f"cannot open {config.input_path}: {exc}") from None
     try:
@@ -320,8 +318,6 @@ def _bulk_columns(handle, path: str, width: int, used: list[int], has_unit: bool
             return None  # may have been cut to the field width
         units = np.char.strip(table["unit"])
     y = np.ascontiguousarray(table["y"])
-    if not np.all(np.isfinite(y)):
-        return None
     flags = []
     for role in ("period", "d"):
         one = table[role] == b"1"
@@ -391,19 +387,19 @@ def _row_columns(reader, width: int, used: list[int], names: list[str], has_unit
 
 
 def _dataset(config: RunConfig, y, period, d, covariates, units, line_of):
-    """The dataset of the parsed columns, or None when an error must name a
-    file line and ``line_of`` is None (a bulk read, which skips blank lines
-    without counting them)."""
+    """The dataset of the parsed columns, checked by ``validate`` as one long
+    table, or None when an error must name a file line and ``line_of`` is None
+    (a bulk read, which skips blank lines without counting them)."""
     n = len(y)
-    if units is not None and (repeated := _repeated_rows(units, period)).size:
+    table = RcsData(y, period, d.astype(bool), covariates, unit_ids=units)
+    issues = validate(table).issues
+    if issues:
         if line_of is None:
             return None
-        k = repeated[0]
+        k = issues[0].rows[0]  # a row read refused every other issue as it parsed
         raise LoadError(f"line {line_of(k)}: duplicate (unit={units[k]}, period={period[k]}) row")
     if config.mode == "rcs":
-        return RcsData(
-            y=y, period=period, treated=d.astype(bool), covariates=covariates, unit_ids=units
-        )
+        return table
 
     ids, first, unit = np.unique(units, return_index=True, return_inverse=True)
     rows = np.full((ids.size, 2), -1)
@@ -457,11 +453,9 @@ class RunResult:
 
 
 def run_estimation(config: RunConfig) -> RunResult:
-    """Full pipeline: load, validate, partition into cells, analyze each."""
+    """Full pipeline: load (which checks every input rule once, naming the
+    file line), partition into cells, analyze each."""
     dataset = load_csv(config)
-    report = validate(dataset)
-    if not report.ok:
-        raise ValidationError(report)
     cells = build_cells(dataset, config.min_cell_size)
     if not any(c.viable for c in cells):
         raise InfeasibleError(
@@ -846,7 +840,7 @@ def main(argv=None) -> int:
         if args.command == "mc":
             return _cmd_mc(args)
         return _cmd_simulate(args)
-    except (LoadError, ValidationError, FlagError, OSError) as exc:  # OSError: --out
+    except (LoadError, FlagError, OSError) as exc:  # OSError: --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleError as exc:

@@ -377,7 +377,7 @@ def per_draw_mc_rejections(spec, reps, taus, estimators, bootstrap_iterations,
 def row_by_row_load_csv(config):
     """The loader before columnar ingest: every field parsed on its own."""
     try:
-        handle = open(config.input_path, newline="", encoding="utf-8")
+        handle = open(config.input_path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise LoadError(f"cannot open {config.input_path}: {exc}") from None
     with handle:

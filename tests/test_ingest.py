@@ -22,8 +22,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qdid.cli
+import qdid.data_model
 from oracles import dict_build_cells, row_by_row_load_csv, row_by_row_validate
-from qdid.cli import LoadError, RunConfig, load_csv
+from qdid.cli import EXIT_OK, LoadError, RunConfig, load_csv, main
 from qdid.data_model import RcsData, build_cells, validate
 
 # Valid tokens; a file draws from the ODD_ pools only sometimes, so that many
@@ -271,6 +272,21 @@ def test_code_outside_64_bits_names_its_line(tmp_path):
         load_csv(config)
 
 
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(case=csv_files())
+def test_whatever_the_loader_accepts_passes_validate(tmp_path, case):
+    text, mode, covariates = case
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    dataset = _load(load_csv, RunConfig(input_path=str(path), mode=mode, covariate_cols=covariates))
+    if not isinstance(dataset, str):
+        assert validate(dataset).ok
+
+
 def _row_reader_calls(monkeypatch):
     """A list that gains an entry whenever ``load_csv`` falls back to the row reader."""
     calls = []
@@ -429,3 +445,56 @@ def test_a_pipe_is_read_once_by_the_row_reader(tmp_path):
     assert not writer.is_alive()
     config = RunConfig(input_path=str(tmp_path / "file.csv"), covariate_cols=("x1", "x2"))
     assert_same_dataset(got, row_by_row_load_csv(config))
+
+
+PIPES = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
+
+
+def _load_from(path, source, data: bytes, **options):
+    """``load_csv`` of ``data`` written to a regular file or fed through a named pipe."""
+    if source == "file":
+        path.write_bytes(data)
+        return load_csv(RunConfig(input_path=str(path), **options))
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        return load_csv(RunConfig(input_path=str(path), **options))
+    finally:
+        writer.join(timeout=10)
+
+
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+@pytest.mark.parametrize("source", ["file", pytest.param("pipe", marks=PIPES)])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, source, mode):
+    lines = _clean_lines()
+    options = {"mode": mode, "covariate_cols": ("x1", "x2")}
+    plain = "\n".join(lines) + "\n"
+    want = _load_from(tmp_path / "plain.csv", "file", plain.encode("utf-8"), **options)
+    got = _load_from(tmp_path / "bom.csv", source, plain.encode("utf-8-sig"), **options)
+    assert_same_dataset(got, want)
+
+    fields = lines[2].split(",")
+    fields[2] = "oops"  # the outcome of the second data row, file line 3
+    lines[2] = ",".join(fields)
+    bad = ("\n".join(lines) + "\n").encode("utf-8-sig")
+    with pytest.raises(LoadError, match=r"^line 3: cannot parse y='oops' as a number$"):
+        _load_from(tmp_path / "bad.csv", source, bad, **options)
+
+
+def test_a_loaded_file_is_scanned_for_repeated_rows_once(tmp_path, monkeypatch):
+    calls = []
+    for module in (qdid.data_model, qdid.cli):
+        if hasattr(module, "_repeated_rows"):
+            scan = module._repeated_rows
+
+            def counted(*args, scan=scan):
+                calls.append(args)
+                return scan(*args)
+
+            monkeypatch.setattr(module, "_repeated_rows", counted)
+    path = tmp_path / "rcs.csv"
+    path.write_text("\n".join(_clean_lines()) + "\n", encoding="utf-8")
+    argv = ["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "--mode", "rcs"]
+    assert main(argv + ["-b", "10", "--format", "json"]) == EXIT_OK
+    assert len(calls) == 1
