@@ -37,11 +37,12 @@ from .inference import (
     SCHEMES,
     BootstrapConfig,
     InferenceReport,
+    _draw_stores,
     _parallel,
     _split,
     analyze_cell,
     analyze_unconditional,
-    bootstrap_unconditional,
+    bootstrap_block,
 )
 from .simulation import DgpSpec, McResult, run_mc, simulate, substream
 
@@ -470,26 +471,40 @@ def run_estimation(config: RunConfig) -> RunResult:
         scheme=config.scheme,
     )
     viable = [(index, cell) for index, cell in enumerate(cells) if cell.viable]
-    # unconditional draw ranges first: each outlasts a cell's analysis
-    ranges = _split(boot.iterations) if config.unconditional else []
-    tasks = [functools.partial(bootstrap_unconditional, viable, grid, boot, r) for r in ranges]
-    tasks += [
-        functools.partial(
-            analyze_cell, cell, grid, boot, config.estimators, dataset.n_total, cell_index=index
-        )
-        for index, cell in viable
-    ]
-    results = _parallel(tasks)
-    reports = iter(results[len(ranges) :])
+    names, n_total = config.estimators, dataset.n_total
+    ranges, stores, mixture = [], [], None
+    if config.unconditional:
+        # the mixture's draws, and those of the first cells that fit, are
+        # taken in one pass (bootstrap_block) and kept in shared memory
+        try:
+            mixture, stores = _draw_stores(len(viable), len(names), boot, grid.size)
+        except (MemoryError, OSError, OverflowError) as exc:
+            raise FlagError(
+                f"--bootstrap {boot.iterations}: cannot hold the draws of the unconditional "
+                f"analysis ({exc})"
+            ) from None
+        ranges = _split(boot.iterations)
+    kept = viable[: len(stores)]
+    # the blocks first: each outlasts a cell's task
+    results = _parallel([
+        functools.partial(bootstrap_block, viable, grid, boot, names, stores, mixture, draws)
+        for draws in ranges
+    ] + [
+        functools.partial(analyze_cell, cell, grid, boot, names, n_total, cell_index=index)
+        for index, cell in viable[len(kept) :]
+    ])
+    reports = []
+    for index, cell in kept:  # each store is unmapped once its reports are built
+        reports.append(analyze_cell(cell, grid, boot, names, n_total, index, stores.pop(0)))
+    reports = iter(reports + results[len(ranges) :])
     analyses = [CellAnalysis(cell, next(reports) if cell.viable else None) for cell in cells]
     unconditional = None
     if config.unconditional:
-        draws = np.concatenate(results[: len(ranges)])
-        unconditional = analyze_unconditional(viable, grid, boot, dataset.n_total, draws)
+        unconditional = analyze_unconditional(viable, grid, boot, n_total, mixture)
     return RunResult(
         config=config,
         taus=grid,
-        n_total=dataset.n_total,
+        n_total=n_total,
         cells=analyses,
         unconditional=unconditional,
     )

@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "StepDistribution",
     "StepRows",
+    "MixtureLayout",
     "SortedSample",
     "rank_transform",
     "rank_rows",
@@ -144,6 +145,26 @@ def searchsorted_rows(rows, levels) -> np.ndarray:
     return np.array([np.searchsorted(row, lv) for row, lv in zip(rows, levels)])
 
 
+def _sort_layout(values):
+    """The stable sort of each row of (C, n) values: the order, the sorted
+    rows, and at each sorted position the position of the first value of its
+    tie group."""
+    order = np.argsort(values, axis=1, kind="stable")
+    support = np.take_along_axis(values, order, axis=1)
+    first = np.empty(values.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(support[:, 1:], support[:, :-1], out=first[:, 1:])
+    head = np.maximum.accumulate(np.where(first, np.arange(values.shape[1]), 0), axis=1)
+    return order, support, head
+
+
+def _mixture_probs(components, shares) -> np.ndarray:
+    """The components' rows side by side, each scaled to probabilities times its share."""
+    return np.concatenate(
+        [s * (c.masses / c.total[:, None]) for s, c in zip(shares, components)], axis=1
+    )
+
+
 def _take_rows(support, index) -> np.ndarray:
     """``support[index]`` row by row; a 1-d support is shared by all rows."""
     if support.ndim == 1:
@@ -183,15 +204,8 @@ class StepRows:
         zero-mass points is ``StepDistribution.fit(values[r], weights[r])``.
         (``reduceat`` would not: it adds segments of eight or more pairwise.)
         """
-        n = values.shape[1]
-        order = np.argsort(values, axis=1, kind="stable")
-        support = np.take_along_axis(values, order, axis=1)
-        first = np.empty(values.shape, dtype=bool)
-        first[:, 0] = True
-        np.not_equal(support[:, 1:], support[:, :-1], out=first[:, 1:])
-        # position of the first occurrence of each sorted value's tie group
-        head = np.maximum.accumulate(np.where(first, np.arange(n), 0), axis=1)
-        masses = _row_bincount(head, np.take_along_axis(weights, order, axis=1), n)
+        order, support, head = _sort_layout(values)
+        masses = _row_bincount(head, np.take_along_axis(weights, order, axis=1), values.shape[1])
         return cls(support, masses)
 
     @classmethod
@@ -205,10 +219,7 @@ class StepRows:
         points = np.concatenate(
             [np.broadcast_to(c.support, c.masses.shape) for c in components], axis=1
         )
-        probs = np.concatenate(
-            [s * (c.masses / c.total[:, None]) for s, c in zip(shares, components)], axis=1
-        )
-        return cls.fit(points, probs)
+        return cls.fit(points, _mixture_probs(components, shares))
 
     def cdf(self, y) -> np.ndarray:
         """Row-wise right-continuous evaluation at (C, m) points; needs a shared support."""
@@ -220,6 +231,29 @@ class StepRows:
         """Row-wise generalized inverse ``inf { y : F(y) >= level }`` at
         levels in (0, 1]: one 1-d array for every row, or a (C, m) array."""
         return _take_rows(self.support, searchsorted_rows(self.cum_probs, levels))
+
+
+class MixtureLayout:
+    """``StepRows.mixture`` for components whose supports never change, each a
+    1-d support shared by its rows (as ``SortedSample.fit_rows`` gives): the
+    merged support is sorted once, so each mixture is a gather of the
+    components' probabilities and one bincount."""
+
+    __slots__ = ("order", "support", "head")
+
+    def __init__(self, supports):
+        order, support, head = _sort_layout(np.concatenate(supports)[None])
+        self.order, self.support, self.head = order[0], support[0], head[0]
+
+    def mixture(self, components, shares) -> StepRows:
+        """``StepRows.mixture(components, shares)`` bit for bit, for components
+        on the supports of this layout, in their order."""
+        components = list(components)
+        if len(components) == 1:
+            return components[0]
+        probs = _mixture_probs(components, shares)[:, self.order]
+        head = np.broadcast_to(self.head, probs.shape)
+        return StepRows(self.support, _row_bincount(head, probs, self.head.size))
 
 
 class SortedSample:

@@ -382,11 +382,17 @@ def estimate_rows(
     """
     taus = checked_grid(tau_grid)
     fitted = _fit_rows(cell, weights, estimators)
+    cdfs = _counterfactual_rows(cell, fitted, weights)[:2] if "ddid" in estimators else None
+    return _estimates(fitted, cdfs, taus, estimators)
+
+
+def _estimates(fitted, cdfs, taus, estimators) -> dict[str, np.ndarray]:
+    """Each estimator's rows from the samples refit under a chunk of draws
+    and, for ddid, the chunk's (treated, counterfactual) CDFs."""
     out = {}
     for est in estimators:
         if est == "ddid":
-            treated, counterfactual, _ = _counterfactual_rows(cell, fitted, weights)
-            out[est] = treated.quantile(taus) - counterfactual.quantile(taus)
+            out[est] = cdfs[0].quantile(taus) - cdfs[1].quantile(taus)
         elif est == "cic":
             out[est] = _cic_rows(fitted, taus)
         else:

@@ -22,14 +22,20 @@ draw then takes only its raw variates from its generator, and the chunk's
 weights are finished as one matrix per arm.
 
 A run's analyses are independent tasks, evaluated by ``_parallel`` in
-forked worker processes, one per CPU the process may run on: the
-unconditional bootstrap in contiguous draw ranges (``_split``), submitted
-first because each outlasts a cell, then one task per viable cell, whose
-report is assembled inside its task; Monte Carlo reps run in contiguous
-blocks. Results are gathered in task order, and since every draw is keyed
-order-free, outputs do not depend on the number of workers. With one CPU,
-or where the process cannot fork or read its CPU set, the tasks run in
-process, one after another.
+forked worker processes, one per CPU the process may run on. A viable
+cell is one task, whose report is assembled inside it. With the
+unconditional analysis, the mixture's draws are taken in blocks
+(``bootstrap_block``), one contiguous draw range (``_split``) per worker
+over every viable cell. A block draws each cell's weights and refits them
+once per chunk, and from that one fit writes the mixture's rows, and the
+rows of each cell whose draws fit ``STORE_ELEMENTS``, into arrays of shared
+memory (``_draw_stores``) that the parent makes before it forks; those
+cells get no task of their own, and the parent builds their reports from
+the arrays. Monte Carlo reps run in contiguous blocks. Results are
+gathered in task order, and since every draw is keyed order-free, outputs
+do not depend on the number of workers. With one CPU, or where the process
+cannot fork or read its CPU set, the tasks run in process, one after
+another.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import StepRows, _row_bincount
+from .empirical import MixtureLayout, StepRows, _row_bincount
 # counterfactual_cdf_panel/_rcs are unused here; bench/tracer.py rebinds them by this path
 from .estimators import (
     Cell,
@@ -49,6 +55,9 @@ from .estimators import (
     checked_grid,
     counterfactual_cdf_panel,  # noqa: F401
     counterfactual_cdf_rcs,  # noqa: F401
+    _counterfactual_rows,
+    _estimates,
+    _fit_rows,
     counterfactual_rows,
     estimate_process,
     estimate_rows,
@@ -77,13 +86,24 @@ SCHEMES = ("multinomial", "dirichlet")
 # Draw indices are single 32-bit words of a substream's key (see _seed_words).
 MAX_ITERATIONS = 2**32 - 1
 
-# Entries in one chunk's weight matrix for the largest arm (for all cells
-# together in the unconditional pass); sets the draws per chunk. Larger
-# chunks spread numpy's per-call cost over more draws but hold more memory
-# at once. At 250 units per arm, 8192 (32 draws) kept peak memory within
-# 1 MB of the one-draw-at-a-time loop, and 16384 cost 1 MB more for a
-# saving lost in run-to-run noise.
-CHUNK_ELEMENTS = 8192
+# Entries in one chunk's weight matrix for the largest arm (for all cells'
+# largest arms together in a block); sets the draws per chunk. Larger chunks
+# spread numpy's per-call cost over more draws but hold more memory at once.
+# Measured in BENCH_one_pass.json ("chunk_budget", "attribution"): a block
+# over 8 cells of 250 units per arm gains little at 8192 (4 draws per
+# chunk); at 16384 (8 draws) it ran 12% faster than separate per-cell and
+# unconditional passes at the same budget, and one cell of 200 units per
+# arm (mc) holds about 1.2 MB more than at 8192.
+CHUNK_ELEMENTS = 16384
+
+# Entries (8 bytes each) of the shared arrays a run with the unconditional
+# analysis may hold: the mixture's draws, and the draws of as many cells as
+# fit with them, which are then taken in the mixture's pass (see
+# _draw_stores). Those draws stay in memory until the parent has read them,
+# each worker holding the part its range writes, so this caps what the one
+# pass adds to a run's memory; 2**20 (8 MiB) holds 8 cells, two estimators,
+# B = 500 and 91 grid points (6.2 MB).
+STORE_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -392,28 +412,37 @@ def analyze_cell(
     estimator: str | tuple[str, ...] = "ddid",
     n_total: int | None = None,
     cell_index: int = 0,
+    draws=None,
 ) -> InferenceReport | dict[str, InferenceReport]:
     """Point process, bootstrap, sup test, band, and pointwise SEs for one cell.
 
     Given a tuple of estimators, returns a dict of reports per estimator,
-    whose bootstraps share each draw's weights.
+    whose bootstraps share each draw's weights. ``draws`` holds the cell's
+    replicates, one (B, grid) array per estimator in order, as
+    ``bootstrap_process`` gives them; they are drawn here when not given.
     """
     _check_draw_count(config.iterations)
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
     points = estimate_process(cell, tau_grid, names, None, n_total)
-    draws = bootstrap_process(cell, tau_grid, config, names, cell_index=cell_index)
-    reports = {est: _assemble_report(points[est], draws[est], config) for est in names}
+    if draws is None:
+        replicates = bootstrap_process(cell, tau_grid, config, names, cell_index=cell_index)
+        draws = [replicates[est] for est in names]
+    reports = {est: _assemble_report(points[est], d, config) for est, d in zip(names, draws)}
     return reports[estimator] if isinstance(estimator, str) else reports
 
 
-def _mixture_rows(cells: list[Cell], taus, weights: list) -> np.ndarray:
-    """The unconditional process under a chunk of draws: row r mixes the
-    cells' treated and counterfactual CDFs under row r of each cell's weights
-    (``weights[i]`` maps each arm of cell i to a (C, n_arm) matrix) by
-    their treated shares."""
-    shares = treated_shares(cells)
-    treated, counterfactual = zip(*map(counterfactual_rows, cells, weights))
-    mixed = StepRows.mixture(treated, shares).quantile(taus)
+def _treated_layout(cells: list[Cell]) -> MixtureLayout:
+    """The merged layout of the cells' treated CDFs, which are refits of
+    their treated post-period samples (the last sample) on fixed supports."""
+    return MixtureLayout([cell.samples[-1].support for cell in cells])
+
+
+def _mixture_rows(layout: MixtureLayout, taus, cdfs: list, shares) -> np.ndarray:
+    """The unconditional process under a chunk of draws: row r mixes row r of
+    each cell's (treated, counterfactual) CDFs in ``cdfs`` by the cells'
+    treated shares; ``layout`` is the cells' ``_treated_layout``."""
+    treated, counterfactual = zip(*cdfs)
+    mixed = layout.mixture(treated, shares).quantile(taus)
     return mixed - StepRows.mixture(counterfactual, shares).quantile(taus)
 
 
@@ -426,7 +455,8 @@ def unconditional_process(
         raise ValueError("need at least one viable cell")
     taus = checked_grid(tau_grid)
     members = [cell for _, cell in cells]
-    values = _mixture_rows(members, taus, [cell.unit_weights() for cell in members])[0]
+    cdfs = [counterfactual_rows(cell, cell.unit_weights()) for cell in members]
+    values = _mixture_rows(_treated_layout(members), taus, cdfs, treated_shares(members))[0]
     n_control = sum(cell.n_control for cell in members)
     n_treated = sum(cell.n_treated for cell in members)
     if n_total is None:
@@ -449,17 +479,84 @@ def bootstrap_unconditional(
     draw index, so the replicates of a split of range(B) stack up to those
     of range(B).
     """
-    if not cells:
-        raise ValueError("need at least one viable cell")
     taus = checked_grid(tau_grid)
     draws = range(config.iterations) if draws is None else draws
+    out = np.empty((len(draws), taus.size))
+    for rows, mixed, _ in _block_rows(cells, taus, config, draws):
+        out[rows] = mixed
+    return out
+
+
+def _block_rows(cells, taus, config: BootstrapConfig, draws: range, estimators=(), kept=0):
+    """``draws`` a chunk at a time, over every cell at once: yields the
+    chunk's rows within ``draws`` (a slice), the chunk's rows of the
+    unconditional process, and the ``estimate_rows`` of ``estimators`` for
+    each of the first ``kept`` cells. A cell's weights are drawn and refit
+    once per chunk, under the key of its own bootstrap, and its estimates
+    and its part of the mixture come from that one fit.
+    """
+    if not cells:
+        raise ValueError("need at least one viable cell")
     if draws.step != 1 or not 0 <= draws.start <= draws.stop <= config.iterations:
         raise ValueError("draws must be a contiguous range of draw indices below B")
     members = [cell for _, cell in cells]
-    out = np.empty((len(draws), taus.size))
+    layout, shares = _treated_layout(members), treated_shares(members)
     for rows, weights in _chunk_weights([((i,), cell) for i, cell in cells], config, draws):
-        out[rows] = _mixture_rows(members, taus, weights)
-    return out
+        cdfs, values = [], []
+        for k, (cell, w) in enumerate(zip(members, weights)):
+            names = estimators if k < kept else ()
+            fitted = _fit_rows(cell, w, names)
+            cdfs.append(_counterfactual_rows(cell, fitted, w)[:2])
+            if names:
+                values.append(_estimates(fitted, cdfs[-1], taus, names))
+        yield rows, _mixture_rows(layout, taus, cdfs, shares), values
+
+
+def _draw_stores(cells: int, estimators: int, config: BootstrapConfig, grid_size: int):
+    """Arrays of shared anonymous memory for a run's blocks to write: one for
+    the mixture's draws, (B, grid), and one for each of the first cells,
+    (estimators, B, grid), as many of the ``cells`` as fit STORE_ELEMENTS
+    with the mixture's. Made before a fork, they hold what the forked
+    workers write for the parent to read; an array's memory is unmapped
+    when its last view is dropped. Raises MemoryError or OSError when the
+    memory cannot be had.
+    """
+    import mmap  # here: a run that makes no store does not load it (0.2 MB)
+
+    def shared(*shape):
+        return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+
+    size = config.iterations * grid_size
+    kept = min(cells, max(0, STORE_ELEMENTS - size) // (estimators * size))
+    return shared(config.iterations, grid_size), [
+        shared(estimators, config.iterations, grid_size) for _ in range(kept)
+    ]
+
+
+def bootstrap_block(
+    cells: list[tuple[int, Cell]],
+    tau_grid,
+    config: BootstrapConfig,
+    estimators: tuple[str, ...],
+    stores: list[np.ndarray],
+    mixture: np.ndarray,
+    draws: range,
+) -> None:
+    """One task of a run that analyzes the cells and their mixture: the rows
+    of the draws in ``draws`` for the mixture, written into ``mixture`` (B,
+    grid), as ``bootstrap_unconditional`` gives them, and for the
+    estimators of each of the first ``len(stores)`` cells, written into
+    ``stores[k]`` (len(estimators), B, grid), as ``bootstrap_process``
+    gives them. Rows depend only on their draw index, so blocks whose
+    ranges cover range(B) fill the arrays in any order and any process.
+    """
+    taus = checked_grid(tau_grid)
+    for rows, mixed, values in _block_rows(cells, taus, config, draws, estimators, len(stores)):
+        rows = slice(draws.start + rows.start, draws.start + rows.stop)
+        mixture[rows] = mixed
+        for store, cell_values in zip(stores, values):
+            for e, est in enumerate(estimators):
+                store[e, rows] = cell_values[est]
 
 
 def analyze_unconditional(

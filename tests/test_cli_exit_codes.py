@@ -1,6 +1,8 @@
 """Flag errors fail fast and name the flag; only input errors exit 2."""
 
 import contextlib
+import errno
+import mmap
 import os
 import sys
 import threading
@@ -8,6 +10,7 @@ import threading
 import pytest
 
 import qdid.cli
+from qdid import inference
 from qdid.cli import EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, FlagError, RunConfig, main
 
 
@@ -124,6 +127,37 @@ def test_unexpected_value_error_is_an_internal_error(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "internal error" in err
     assert "operands could not be broadcast together" in err
+
+
+@pytest.mark.parametrize("error", [MemoryError(), OSError(errno.ENOMEM, "Cannot allocate memory")])
+@pytest.mark.parametrize("fail_at", [1, 2])
+def test_draw_stores_that_cannot_be_held_are_a_bootstrap_error(
+    tmp_path, capsys, monkeypatch, error, fail_at
+):
+    """An --unconditional run holds the draws of the mixture, then of each
+    cell that fits the store budget (here the one cell), in shared memory.
+    One that cannot be allocated fails the run after the cells are built and
+    before any task or draw."""
+    path = tmp_path / "data.csv"
+    assert main(["simulate", "--dgp", "1", "--n", "20", "-o", str(path)]) == EXIT_OK
+    allocate, ran = mmap.mmap, []
+
+    def failing(*args, **kwargs):
+        ran.append("mmap")
+        if ran.count("mmap") == fail_at:
+            raise error
+        return allocate(*args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", failing)
+    monkeypatch.setattr(qdid.cli, "bootstrap_block", lambda *args: ran.append("task"))
+    monkeypatch.setattr(qdid.cli, "analyze_cell", lambda *args, **kw: ran.append("task"))
+    monkeypatch.setattr(inference, "_weight_rows", lambda *args: ran.append("draw"))
+    argv = ["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20", "--unconditional"]
+    assert main(argv) == EXIT_VALIDATION
+    assert ran == ["mmap"] * fail_at
+    err = capsys.readouterr().err
+    assert err.startswith("error: --bootstrap 20: cannot hold the draws of the unconditional analysis (")
+    assert "internal error" not in err
 
 
 def test_input_errors_keep_exit_2(tmp_path, capsys):

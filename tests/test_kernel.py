@@ -26,7 +26,14 @@ from oracles import (
     unconditional_qtt,
 )
 from qdid import inference
-from qdid.empirical import SortedSample, StepDistribution, StepRows, rank_rows, rank_transform
+from qdid.empirical import (
+    MixtureLayout,
+    SortedSample,
+    StepDistribution,
+    StepRows,
+    rank_rows,
+    rank_transform,
+)
 from qdid.estimators import (
     PanelCell,
     RcsCell,
@@ -40,6 +47,7 @@ from qdid.estimators import (
 )
 from qdid.inference import (
     BootstrapConfig,
+    bootstrap_block,
     bootstrap_process,
     bootstrap_unconditional,
     unconditional_process,
@@ -253,6 +261,66 @@ def test_unconditional_draw_ranges_stack_to_all_draws(cell_list, config, budget,
         ]
     whole = bootstrap_unconditional(indexed, GRID, config)
     np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: cells(count=k)), configs, budgets, st.data())
+def test_draw_blocks_fill_each_cells_and_the_mixtures_draws(cell_list, config, budget, data):
+    """Blocks over any split of range(B) write what the unconditional
+    bootstrap gives and, for each of the first cells, what its own
+    bootstrap gives; the other cells only enter the mixture."""
+    indexed = list(zip((0, 2, 5), cell_list))
+    names = ("ddid", "cic")
+    cuts = data.draw(st.lists(st.integers(0, config.iterations), max_size=3))
+    bounds = [0, *sorted(cuts), config.iterations]
+    kept = data.draw(st.integers(0, len(indexed)))
+    stores = [np.full((2, config.iterations, GRID.size), np.nan) for _ in range(kept)]
+    mixture = np.full((config.iterations, GRID.size), np.nan)
+    with mock.patch.object(inference, "CHUNK_ELEMENTS", budget):
+        for a, b in zip(bounds, bounds[1:]):
+            bootstrap_block(indexed, GRID, config, names, stores, mixture, range(a, b))
+    for (index, cell), store in zip(indexed, stores):
+        draws = bootstrap_process(cell, GRID, config, names, cell_index=index)
+        for e, est in enumerate(names):
+            np.testing.assert_array_equal(store[e], draws[est])
+    np.testing.assert_array_equal(mixture, bootstrap_unconditional(indexed, GRID, config))
+
+
+@pytest.mark.parametrize(
+    "budget, cells, kept", [(910, 8, 6), (910, 3, 3), (209, 2, 0), (210, 2, 1), (50, 2, 0)]
+)
+def test_draw_stores_keep_the_cells_that_fit_the_budget(monkeypatch, budget, cells, kept):
+    """The mixture's array (here 10 x 7 entries) is always made; a cell's (2
+    x 10 x 7) only while the arrays together stay within STORE_ELEMENTS."""
+    monkeypatch.setattr(inference, "STORE_ELEMENTS", budget)
+    mixture, stores = inference._draw_stores(cells, 2, BootstrapConfig(iterations=10), 7)
+    assert mixture.shape == (10, 7) and not mixture.any()
+    assert [s.shape for s in stores] == [(2, 10, 7)] * kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16))
+def test_mixture_layout_equals_step_rows_mixture(count, rows, seed):
+    """Refits on fixed supports that share values across components, some
+    weights zero: the layout sorted once mixes them as ``StepRows.mixture``."""
+    rng = np.random.default_rng(seed)
+    samples = [SortedSample(rng.integers(-3, 4, size=rng.integers(1, 9)) / 2.0)
+               for _ in range(count)]
+    components = []
+    for s in samples:
+        weights = rng.integers(0, 3, size=(rows, len(s))).astype(float)
+        weights[:, rng.integers(len(s))] += 0.5
+        components.append(s.fit_rows(weights))
+    shares = rng.dirichlet(np.ones(count))
+    layout = MixtureLayout([s.support for s in samples])
+    mixed, reference = layout.mixture(components, shares), StepRows.mixture(components, shares)
+    np.testing.assert_array_equal(
+        np.broadcast_to(mixed.support, mixed.masses.shape),
+        np.broadcast_to(reference.support, reference.masses.shape),
+    )
+    for name in ("masses", "total", "cum_probs"):
+        np.testing.assert_array_equal(getattr(mixed, name), getattr(reference, name))
+    np.testing.assert_array_equal(mixed.quantile(GRID), reference.quantile(GRID))
 
 
 def test_unconditional_draw_ranges_are_checked():

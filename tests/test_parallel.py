@@ -2,6 +2,7 @@
 processes, tasks may be closures, a worker's error is an internal error, and
 no worker outlives its run."""
 
+import collections
 import csv
 import multiprocessing
 import os
@@ -59,6 +60,8 @@ ESTIMATE = ["--covariates", "x1", "--estimators", "ddid,cic", "--unconditional"]
 COMMANDS = {
     "panel": (panel_csv, ["estimate", *ESTIMATE]),
     "rcs": (rcs_csv, ["estimate", "--mode", "rcs", *ESTIMATE]),
+    # one task per viable cell
+    "rcs-cells": (rcs_csv, ["estimate", "--mode", "rcs", *ESTIMATE[:-1]]),
     "mc": (None, ["mc", "--dgp", "1", "--n", "20", "--reps", "5", "--seed", "3"]),
     # one pool per design
     "mc-designs": (None, ["mc", "--dgp", "2", "--n", "20", "--rho", "0,0.5", "--reps", "4",
@@ -101,22 +104,70 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, comman
     assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def keep_cells(monkeypatch, kept, bootstrap):
+    """Size the store budget so that the draws of the first ``kept`` cells
+    (two estimators, 91 grid points) fit with the mixture's."""
+    monkeypatch.setattr(inference, "STORE_ELEMENTS", bootstrap * 91 * (1 + 2 * kept))
+
+
+@pytest.mark.parametrize("kept", [3, 1])
+@pytest.mark.parametrize("command", ["panel", "rcs"])
+def test_chunks_straddling_the_draw_ranges_leave_outputs_unchanged(
+    tmp_path, monkeypatch, command, kept
+):
+    """25 draws split into ranges of 8, 8 and 9 (or 12 and 13), and 3 cells
+    of 15 units per arm and a budget of 135 give 3-draw chunks, so the
+    chunks of one range cross the ends of the others. With one cell kept,
+    the other two are tasks of their own."""
+    workers(monkeypatch, 1)
+    reference = run(tmp_path, command, 25, name="whole")[1]
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 135)
+    keep_cells(monkeypatch, kept, 25)
+    for count in (1, 2, 3):
+        workers(monkeypatch, count)
+        code, files = run(tmp_path, command, 25, name=f"w{count}")
+        assert code == EXIT_OK
+        assert {n.partition(".")[2]: d for n, d in files.items()} == {
+            n.partition(".")[2]: d for n, d in reference.items()
+        }
+
+
+@pytest.mark.parametrize("kept", [3, 1, 0])
+def test_an_unconditional_run_draws_each_weight_row_once(tmp_path, monkeypatch, kept):
+    """The cells' analyses and the mixture share each draw's weights. A cell
+    whose draws do not fit the store budget draws them again in its own
+    task."""
+    workers(monkeypatch, 1)
+    keep_cells(monkeypatch, kept, 25)
+    original = inference._weight_rows
+    drawn = collections.Counter()
+
+    def counting(arm_sizes, config, key, draws):
+        drawn.update((key, b) for b in draws)
+        return original(arm_sizes, config, key, draws)
+
+    monkeypatch.setattr(inference, "_weight_rows", counting)
+    assert run(tmp_path, "panel", 25)[0] == EXIT_OK
+    assert drawn == {((cell,), b): 1 if cell < kept else 2 for cell in range(3) for b in range(25)}
+
+
 def test_a_delegating_closure_runs_in_the_workers(tmp_path, monkeypatch):
-    """A closure rebound on the name the CLI calls, as the benchmark tracer
-    rebinds it, runs in the workers without being pickled."""
+    """A closure rebound on the name the CLI submits as its tasks, as the
+    benchmark tracer rebinds names, runs in the workers without being
+    pickled."""
     workers(monkeypatch, 2)
     plain = run(tmp_path, "panel", 20, name="plain")
-    original = qdid.cli.analyze_cell
+    original = qdid.cli.bootstrap_block
     calls = []
 
     def delegating(*args, **kwargs):
-        calls.append(kwargs["cell_index"])  # in a worker: lost with it
+        calls.append(args[-1])  # in a worker: lost with it
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qdid.cli, "analyze_cell", delegating)
+    monkeypatch.setattr(qdid.cli, "bootstrap_block", delegating)
     code, files = run(tmp_path, "panel", 20, name="plain")
     assert (code, files) == plain and code == EXIT_OK
-    assert calls == []  # every cell ran in a worker
+    assert calls == []  # every task ran in a worker
     assert multiprocessing.active_children() == []
 
 
@@ -126,7 +177,7 @@ def test_an_error_in_a_worker_is_an_internal_error(tmp_path, capsys, monkeypatch
     def broken(*args, **kwargs):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(qdid.cli, "analyze_cell", broken)
+    monkeypatch.setattr(qdid.cli, "bootstrap_block", broken)
     code, _ = run(tmp_path, "panel", 20)
     assert code == EXIT_INTERNAL
     err = capsys.readouterr().err

@@ -60,6 +60,14 @@ def test_importing_qdid_leaves_numpy_random_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_importing_qdid_leaves_mmap_unloaded():
+    """Only the shared draw stores of an --unconditional run load mmap."""
+    code = "import sys, qdid, qdid.cli; print('mmap' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_starting_the_cli_loads_no_process_pool():
     """The worker pool is imported at the first parallel run, so the CLI's
     start-up (the benchmark's setup_s) does not pay for it."""
