@@ -352,19 +352,25 @@ def counterfactual_rows(
     return _counterfactual_rows(cell, _fit_rows(cell, weights), weights)[:2]
 
 
-def _cic_rows(fitted, taus) -> np.ndarray:
-    """Changes in changes (see ``cic_qtt``), row by row. Zero-mass control
-    post-period points are kept: one with rank 0 gets composed probability
-    0, one after a positive-mass point repeats that point's composed value,
-    so the first point reaching tau has positive mass; a search past the end
-    clips to the last positive-mass point."""
-    pre_c, post_c, pre_t, post_t = fitted
-    back = pre_c.quantile(post_c.cum_probs)
-    composed = np.where(post_c.cum_probs > 0, pre_t.cdf(back), 0.0)
+def _cic_rows(fitted, taus, treated) -> np.ndarray:
+    """Changes in changes (see ``cic_qtt``), row by row; ``treated`` is the
+    treated post-period quantile at ``taus``. Zero-mass control post-period
+    points are kept: one with rank 0 gets composed probability 0, one after
+    a positive-mass point repeats that point's composed value, so the first
+    point reaching tau has positive mass; a search past the end clips to the
+    last positive-mass point.
+
+    Each point is sent back to a control pre-period support point, and the
+    supports are fixed, so the treated pre-period CDF there is a gather of
+    one search of that support."""
+    pre_c, post_c, pre_t, _ = fitted
+    back = searchsorted_rows(pre_c.cum_probs, post_c.cum_probs)
+    at = np.searchsorted(pre_t.support, pre_c.support, side="right")[back]
+    composed = np.where(post_c.cum_probs > 0, pre_t.cdf_through(at), 0.0)
     width = post_c.support.size
     last = width - 1 - np.argmax(post_c.masses[:, ::-1] > 0, axis=1)
     idx = np.minimum(searchsorted_rows(composed, taus), last[:, None])
-    return post_t.quantile(taus) - post_c.support[idx]
+    return treated - post_c.support[idx]
 
 
 def estimate_rows(
@@ -388,13 +394,15 @@ def estimate_rows(
 
 def _estimates(fitted, cdfs, taus, estimators) -> dict[str, np.ndarray]:
     """Each estimator's rows from the samples refit under a chunk of draws
-    and, for ddid, the chunk's (treated, counterfactual) CDFs."""
+    and, for ddid, the chunk's (treated, counterfactual) CDFs. Both take the
+    same treated post-period quantile, searched once."""
+    treated = fitted[3].quantile(taus)
     out = {}
     for est in estimators:
         if est == "ddid":
-            out[est] = cdfs[0].quantile(taus) - cdfs[1].quantile(taus)
+            out[est] = treated - cdfs[1].quantile(taus)
         elif est == "cic":
-            out[est] = _cic_rows(fitted, taus)
+            out[est] = _cic_rows(fitted, taus, treated)
         else:
             raise ValueError(f"unknown estimator {est!r} (expected 'ddid' or 'cic')")
     return out

@@ -17,9 +17,16 @@ vectors of a run of draws are stacked into one matrix per arm, at most
 ``estimate_rows`` refits every row at once, sharing each draw's weights
 between the estimators of a cell. A chunk's substreams are derived
 together, in one vectorized pass of numpy's ``SeedSequence`` hash over its
-draw indices, and each equals ``substream(seed, *key, b)`` bit for bit; each
-draw then takes only its raw variates from its generator, and the chunk's
-weights are finished as one matrix per arm.
+draw indices, and each equals ``substream(seed, *key, b)`` bit for bit. A
+multinomial draw then makes one call, for the raw words of its PCG64
+generator, and each arm's category indices for the whole chunk come from
+them in one step of Lemire's bounded-integer method, as numpy's
+``integers`` draws them (``_multinomial_rows``); a draw in which numpy
+would reject a word is drawn again, that row alone, by ``draw_weights``. A
+Dirichlet draw makes one ``standard_exponential`` call for all its arms.
+The chunk's weights are finished as one matrix per arm. Equality with
+``draw_weights`` rests on numpy's buffered bounded-integer sampler, and
+tests/test_weights.py holds it.
 
 A run's analyses are independent tasks, evaluated by ``_parallel`` in
 forked worker processes, one per CPU the process may run on. A viable
@@ -245,20 +252,73 @@ def draw_weights(
     }
 
 
+def _bit_generator(words: np.ndarray) -> np.random.PCG64:
+    """The bit generator of a draw's substream, from its row of ``_seed_words``."""
+    return np.random.PCG64(_seed_words_type()(words))
+
+
+def _multinomial_rows(arm_sizes: dict[str, int], words: np.ndarray) -> dict[str, np.ndarray]:
+    """Per arm, the (C, n) multinomial weight rows of the draws seeded by the
+    C rows of ``words``, equal to ``draw_weights`` from each draw's generator.
+
+    numpy's ``integers(0, n, size=n)`` maps each 32-bit half u of PCG64's
+    output, low half first, to the index ``(u * n) >> 32`` (Lemire's bounded
+    integers), and keeps an odd half for its next call, the next arm's; an
+    arm of one unit takes no half. So a draw's indices are the first h
+    halves of ceil(h / 2) raw words, h the size of its arms of two units or
+    more, read as one flat stream in sorted arm order. A half whose
+    ``(u * n) mod 2**32`` is below ``2**32 mod n`` would have been rejected
+    and redrawn, shifting the rest of the draw, so such a draw is drawn
+    again by ``draw_weights``. This holds for numpy's buffered
+    bounded-integer sampler, and tests/test_weights.py holds it.
+    """
+    arms = sorted(arm_sizes)
+    drawn = sum(n for n in arm_sizes.values() if n > 1)
+    raw = np.stack([_bit_generator(w).random_raw(-(-drawn // 2)) for w in words])
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    redraw = np.zeros(len(words), dtype=bool)
+    rows, start = {}, 0
+    for arm in arms:
+        n = arm_sizes[arm]
+        if n == 1:
+            rows[arm] = np.ones((len(words), 1))
+            continue
+        u = halves[:, start : start + n]
+        start += n
+        redraw |= np.multiply(u, n, dtype=np.uint32).min(axis=1) < 2**32 % n
+        index = np.multiply(u, n, dtype=np.uint64)
+        index >>= 32
+        rows[arm] = _finish(index.view(np.int64), "multinomial")
+    for i in np.flatnonzero(redraw):
+        rng = np.random.Generator(_bit_generator(words[i]))
+        again = draw_weights(arm_sizes, "multinomial", rng)
+        for arm in arms:
+            rows[arm][i] = again[arm]
+    return {arm: rows[arm] for arm in arm_sizes}
+
+
+def _dirichlet_rows(arm_sizes: dict[str, int], words: np.ndarray) -> dict[str, np.ndarray]:
+    """Per arm, the (C, n) Dirichlet weight rows of the draws seeded by the C
+    rows of ``words``: each draw takes its standard exponentials for all its
+    arms in one call, split in sorted arm order, as ``_variates`` draws them
+    arm by arm."""
+    arms = sorted(arm_sizes)
+    ends = np.cumsum([arm_sizes[arm] for arm in arms])
+    raw = np.empty((len(words), ends[-1]))
+    for w, row in zip(words, raw):
+        np.random.Generator(_bit_generator(w)).standard_exponential(out=row)
+    parts = dict(zip(arms, np.split(raw, ends[:-1], axis=1)))
+    return {arm: _finish(parts[arm], "dirichlet") for arm in arm_sizes}
+
+
 def _weight_rows(
     arm_sizes: dict[str, int], config: BootstrapConfig, key: tuple[int, ...], draws: range
 ) -> dict[str, np.ndarray]:
     """One (len(draws), n_arm) matrix per arm; row i is the weight vector of
     draw ``draws[i]``, equal to ``draw_weights(arm_sizes, config.scheme,
     substream(config.seed, *key, draws[i]))`` bit for bit."""
-    arms = sorted(arm_sizes)
-    raw = {arm: [] for arm in arms}
-    seed_sequence = _seed_words_type()
-    for words in _seed_words(config.seed, key, draws):
-        rng = np.random.Generator(np.random.PCG64(seed_sequence(words)))
-        for arm in arms:
-            raw[arm].append(_variates(arm_sizes[arm], config.scheme, rng))
-    return {arm: _finish(np.stack(raw[arm]), config.scheme) for arm in arm_sizes}
+    rows = _multinomial_rows if config.scheme == "multinomial" else _dirichlet_rows
+    return rows(arm_sizes, _seed_words(config.seed, key, draws))
 
 
 def _chunk_weights(members: list, config: BootstrapConfig, draws: range):

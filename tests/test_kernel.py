@@ -358,11 +358,20 @@ def edge_weights(cell):
 
 
 def edge_cells():
+    """Cells whose treated pre-period sample lies above the control's, then
+    cells whose control pre-period points fall below the treated pre-period
+    support, on and between its points, and above it, and a cell whose
+    control pre-period points start inside that support."""
     a = np.array([0.0, 1.0, 1.0, 2.0, 3.0])
     b = np.array([0.5, 1.0, 2.0, 2.0, 4.0])
+    c = np.array([-1.0, 0.5, 1.0, 1.5, 2.0, 2.0, 5.0])
+    t = np.array([0.5, 0.5, 1.0, 2.0, 3.0])
     return [
         PanelCell((), a, b - a, b + 10.0, b),
         RcsCell((), a, b, b + 10.0, a + b),
+        PanelCell((), c, np.linspace(1.0, -1.0, c.size), t, t * 2.0 - 0.25),
+        RcsCell((), c, c[::-1] * 0.5 + 1.0, t, b),
+        RcsCell((), t + 1.5, b, t, a),
     ]
 
 
@@ -401,6 +410,35 @@ def test_kernel_rows_equal_estimate_process_at_rank_zero_and_zero_mass():
         pre = scalar_refit(cell.samples[0], weights[cell.SAMPLE_ARMS[0]][1])
         assert pre.cdf(pre.support[0]) == 0.0
         assert 0.0 in scalar_refit(cell.samples[3], weights[cell.SAMPLE_ARMS[3]][1]).masses
+
+
+def test_cic_edge_cells_reach_every_branch_of_the_composed_cdf():
+    """The edge cells send control pre-period points below the treated
+    pre-period support (CDF 0), between its points and above it (CDF 1),
+    and their uneven rows leave control post-period points at zero mass,
+    the first of them with rank 0 even where the smallest control
+    pre-period point has a positive treated CDF."""
+    reached = set()
+    for cell in edge_cells():
+        pre_control, pre_treated = cell.samples[0].support, cell.samples[2].support
+        at = np.searchsorted(pre_treated, pre_control, side="right")
+        between = ~np.isin(pre_control, pre_treated) & (at > 0) & (at < pre_treated.size)
+        reached |= {"below"} if at[0] == 0 else {"starts inside"}
+        reached |= {"between"} if between.any() else set()
+        reached |= {"above"} if at[-1] == pre_treated.size else set()
+        post = scalar_refit(cell.samples[1], edge_weights(cell)[cell.SAMPLE_ARMS[1]][1])
+        assert post.masses[0] == 0.0
+    assert reached == {"below", "between", "above", "starts inside"}
+
+
+def test_estimators_together_equal_each_alone():
+    """ddid and cic share the treated quantile within one kernel call."""
+    for cell in edge_cells():
+        weights = edge_weights(cell)
+        both = estimate_rows(cell, GRID, weights, ("ddid", "cic"))
+        for est in ("ddid", "cic"):
+            alone = estimate_rows(cell, GRID, weights, (est,))[est]
+            assert both[est].dtype == alone.dtype and both[est].tobytes() == alone.tobytes()
 
 
 def test_single_cell_unconditional_equals_cell_draws():
