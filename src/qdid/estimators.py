@@ -221,8 +221,6 @@ def counterfactual_cdf(
     samples, inner rank maps included. The treated CDF keeps zero-mass
     points; the counterfactual CDF drops them.
     """
-    if min(cell.arm_sizes().values()) == 0:
-        raise ValueError(f"cell {cell.code}: every sample must be nonempty")
     rows = _checked_rows(cell, weights)
     treated, counterfactual, transformed = _counterfactual_rows(
         cell, _fit_rows(cell, rows), rows
@@ -284,9 +282,16 @@ def cic_qtt(
     return estimate_process(cell, tau_grid, "cic", weights, n_total)
 
 
+def check_nonempty(cell: Cell) -> None:
+    """Refuse a cell with an empty sample, which no estimator can fit."""
+    if min(cell.arm_sizes().values()) == 0:
+        raise ValueError(f"cell {cell.code}: every sample must be nonempty")
+
+
 def _checked_rows(cell: Cell, weights: Mapping[str, np.ndarray] | None) -> dict:
-    """One weight row per arm: ones for ``weights=None``, otherwise each
-    arm's checked vector."""
+    """One weight row per arm, after ``check_nonempty``: ones for
+    ``weights=None``, otherwise each arm's checked vector."""
+    check_nonempty(cell)
     if weights is None:
         return cell.unit_weights()
     return {arm: _weight_row(weights[arm], n) for arm, n in cell.arm_sizes().items()}

@@ -9,32 +9,28 @@ confidence band of constant half-width around the estimated process.
 The point estimate is the draw whose weights are all 1, computed by the same
 kernel as the draws.
 
-Every draw is generated from a substream keyed by (seed, cell index, draw
-index), so results are reproducible and independent of evaluation order.
-Every bootstrap walks its draws in chunks (``_chunk_weights``): the weight
-vectors of a run of draws are stacked into one matrix per arm, at most
-``CHUNK_ELEMENTS`` entries for the largest arms, and the batched kernel
-``estimate_rows`` refits every row at once, sharing each draw's weights
-between the estimators of a cell. A chunk's substreams are derived
-together, in one vectorized pass of numpy's ``SeedSequence`` hash over its
-draw indices, and each equals ``substream(seed, *key, b)`` bit for bit. A
-multinomial draw then makes one call, for the raw words of its PCG64
-generator, and each arm's category indices for the whole chunk come from
-them in one step of Lemire's bounded-integer method, as numpy's
-``integers`` draws them (``_multinomial_rows``); a draw in which numpy
-would reject a word is drawn again, that row alone, by ``draw_weights``. A
-Dirichlet draw makes one ``standard_exponential`` call for all its arms.
-The chunk's weights are finished as one matrix per arm. Equality with
-``draw_weights`` rests on numpy's buffered bounded-integer sampler, and
-tests/test_weights.py holds it.
+A cell's draws are taken in blocks of K, K set by its largest arm
+(``BLOCK_ELEMENTS``), and block j is drawn from a substream keyed by (seed,
+cell index, j): one numpy ``integers`` or ``standard_exponential`` call per
+arm, in sorted arm order, gives the raw draws of its K weight vectors, and
+draw b is row b mod K of block b // K. So results are reproducible and do
+not depend on evaluation order. Every bootstrap walks its draws in chunks
+(``_chunk_weights``): the weight vectors of a run of draws are stacked into
+one matrix per arm, at most ``CHUNK_ELEMENTS`` entries for the largest arms,
+and the batched kernel ``estimate_rows`` refits every row at once, sharing
+each draw's weights between the estimators of a cell. A walk keeps the last
+block it drew for the next chunk, so chunks that start inside a block or
+span blocks draw each block once; a walk whose draw range starts inside a
+block draws that block and drops its head. ``draw_weights`` is the one-row
+block.
 
 A run's analyses are independent tasks, evaluated by ``_parallel`` in
 forked worker processes, one per CPU the process may run on. A viable
 cell is one task, whose report is assembled inside it. With the
-unconditional analysis, the mixture's draws are taken in blocks
-(``bootstrap_block``), one contiguous draw range (``_split``) per worker
-over every viable cell. A block draws each cell's weights and refits them
-once per chunk, and from that one fit writes the mixture's rows, and the
+unconditional analysis, the mixture's draws are split into one contiguous
+draw range (``_split``) per worker, and each range is one task over every
+viable cell (``bootstrap_block``). It draws each cell's weights and refits
+them once per chunk, and from that one fit writes the mixture's rows, and the
 rows of each cell whose draws fit ``STORE_ELEMENTS``, into arrays of shared
 memory (``_draw_stores``) that the parent makes before it forks; those
 cells get no task of their own, and the parent builds their reports from
@@ -47,7 +43,6 @@ another.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -59,6 +54,7 @@ from .empirical import MixtureLayout, StepRows, _row_bincount
 from .estimators import (
     Cell,
     CqttProcess,
+    check_nonempty,
     checked_grid,
     counterfactual_cdf_panel,  # noqa: F401
     counterfactual_cdf_rcs,  # noqa: F401
@@ -90,17 +86,28 @@ __all__ = [
 
 SCHEMES = ("multinomial", "dirichlet")
 
-# Draw indices are single 32-bit words of a substream's key (see _seed_words).
+# The most draws a bootstrap may take, an input check on --bootstrap: every
+# draw index, and so every block index of a substream's key, fits one 32-bit
+# word.
 MAX_ITERATIONS = 2**32 - 1
 
+# Entries in one block of a cell's weight rows for its largest arm: draw b is
+# row b mod K of block b // K, K = max(1, BLOCK_ELEMENTS // largest arm), and
+# each block comes from a substream of its own (see _weight_rows). This is
+# part of the draw stream: changing it changes every band. It does not follow
+# CHUNK_ELEMENTS, so chunking and the worker count change no draw. At 2048, a
+# cell of 250 units per arm has blocks of 8 draws, the chunk of the one pass
+# over 8 such cells, so the block a walk keeps holds no more rows than a chunk.
+BLOCK_ELEMENTS = 2048
+
 # Entries in one chunk's weight matrix for the largest arm (for all cells'
-# largest arms together in a block); sets the draws per chunk. Larger chunks
-# spread numpy's per-call cost over more draws but hold more memory at once.
-# Measured in BENCH_one_pass.json ("chunk_budget", "attribution"): a block
-# over 8 cells of 250 units per arm gains little at 8192 (4 draws per
-# chunk); at 16384 (8 draws) it ran 12% faster than separate per-cell and
-# unconditional passes at the same budget, and one cell of 200 units per
-# arm (mc) holds about 1.2 MB more than at 8192.
+# largest arms together in a bootstrap_block); sets the draws per chunk.
+# Larger chunks spread numpy's per-call cost over more draws but hold more
+# memory at once. Measured in BENCH_one_pass.json ("chunk_budget",
+# "attribution"): a bootstrap_block over 8 cells of 250 units per arm gains
+# little at 8192 (4 draws per chunk); at 16384 (8 draws) it ran 12% faster
+# than separate per-cell and unconditional passes at the same budget, and
+# one cell of 200 units per arm (mc) holds about 1.2 MB more than at 8192.
 CHUNK_ELEMENTS = 16384
 
 # Entries (8 bytes each) of the shared arrays a run with the unconditional
@@ -134,97 +141,28 @@ class BootstrapConfig:
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (seed, key...) address; order-free reproducibility.
 
-    The bootstrap derives a chunk's substreams together (``_seed_words``);
-    each equals ``substream(seed, *key, b)`` bit for bit.
+    The bootstrap draws the weights of block j of a cell's draws from
+    ``substream(seed, *key, j)`` (see ``_weight_rows``).
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
-# uint32 words, the hash constants of its entropy mix (A) and of
-# generate_state (B), and the multipliers that mix a word into the pool.
-# numpy keeps SeedSequence's output stable across versions, and
-# tests/test_weights.py holds _seed_words equal to it.
-_POOL = 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+def _draw_block(
+    arm_sizes: dict[str, int], scheme: str, rng: np.random.Generator, rows: int
+) -> dict[str, np.ndarray]:
+    """The raw draws behind ``rows`` weight vectors per arm, one generator
+    call per arm in sorted-name order: (rows, n) category indices
+    (multinomial), or (rows, n) standard exponentials, which are numpy's
+    gamma(1) variates of a flat Dirichlet."""
 
+    def draw(n: int) -> np.ndarray:
+        if scheme == "multinomial":
+            return rng.integers(0, n, size=(rows, n))
+        if scheme == "dirichlet":
+            return rng.standard_exponential((rows, n))
+        raise ValueError(f"scheme must be one of {SCHEMES}")
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """``init * mult**k`` mod 2**32 for k = 0..count, as uint32."""
-    return np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(count + 1)], np.uint32)
-
-
-# generate_state(4, uint64) hashes the pool twice over, into 8 uint32 words
-_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-
-
-def _hashmix(words, constants) -> np.ndarray:
-    """SeedSequence's hash of row k of ``words`` between hash constants k and k + 1."""
-    out = (words ^ constants[:-1, None]) * constants[1:, None]
-    return out ^ (out >> 16)
-
-
-def _uint32_words(n: int) -> int:
-    """How many uint32 words SeedSequence splits the entropy integer n into."""
-    return max(1, -(-n.bit_length() // 32))
-
-
-def _seed_words(seed: int, key: tuple[int, ...], draws: range) -> np.ndarray:
-    """Row i is ``SeedSequence(seed, spawn_key=(*key, draws[i])).generate_state(4,
-    np.uint64)``, the PCG64 seed of ``substream(seed, *key, draws[i])``.
-
-    SeedSequence mixes its entropy words into the pool one by one, so the
-    pool of (seed, *key) serves the whole chunk; each draw index, one word,
-    is mixed in last and the state is hashed out, for all draws at once.
-    Before that word, every word mixed so far (the seed's, zero-padded to
-    the pool size because there is a spawn key, then the key's) has
-    advanced the mix's hash constant once per pool word.
-    """
-    if not key or not 0 <= draws.start <= draws.stop <= MAX_ITERATIONS + 1:
-        raise ValueError("need a key and draw indices below 2**32")
-    pool = np.random.SeedSequence(seed, spawn_key=key).pool[:, None]
-    mixed = max(_POOL, _uint32_words(seed)) + sum(map(_uint32_words, key))
-    start = _INIT_A * pow(_MULT_A, _POOL * mixed, 2**32) % 2**32
-    index = np.arange(draws.start, draws.stop, dtype=np.uint32)
-    pool = _MIX_L * pool - _MIX_R * _hashmix(index, _hash_constants(start, _MULT_A, _POOL))
-    pool ^= pool >> 16
-    state = _hashmix(np.concatenate((pool, pool)), _STATE_CONSTANTS)
-    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _seed_words_type() -> type:
-    """A seed sequence type whose ``generate_state`` is one row of
-    ``_seed_words``: ``PCG64`` asks it for exactly those 4 uint64 words.
-
-    Built at the first draw, where ``substream`` also first loads
-    ``numpy.random``: loaded when qdid is imported, it is held while a
-    large CSV loads and adds about 4 MB to the run's peak memory.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        __slots__ = ("words",)
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return SeedWords
-
-
-def _variates(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray:
-    """The raw draws behind one weight vector of an arm of size n: n
-    category indices (multinomial), or n standard exponentials, which are
-    numpy's gamma(1) variates of a flat Dirichlet."""
-    if scheme == "multinomial":
-        return rng.integers(0, n, size=n)
-    if scheme == "dirichlet":
-        return rng.standard_exponential(n)
-    raise ValueError(f"scheme must be one of {SCHEMES}")
+    return {arm: draw(arm_sizes[arm]) for arm in sorted(arm_sizes)}
 
 
 def _finish(raw: np.ndarray, scheme: str) -> np.ndarray:
@@ -242,83 +180,41 @@ def draw_weights(
     arm_sizes: dict[str, int], scheme: str, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
     """One exchangeable nonnegative weight vector per arm, in sorted-name
-    order: the one-row case of ``_weight_rows``. multinomial: resample counts,
-    summing to n exactly; dirichlet: flat Dirichlet scaled by n, mean weight 1."""
+    order: the one-row case of a block of draws (``_weight_rows``).
+    multinomial: resample counts, summing to n exactly; dirichlet: flat
+    Dirichlet scaled by n, mean weight 1."""
     if any(n < 1 for n in arm_sizes.values()):
         raise ValueError("arm size must be >= 1")
-    return {
-        arm: _finish(_variates(arm_sizes[arm], scheme, rng)[None], scheme)[0]
-        for arm in sorted(arm_sizes)
-    }
-
-
-def _bit_generator(words: np.ndarray) -> np.random.PCG64:
-    """The bit generator of a draw's substream, from its row of ``_seed_words``."""
-    return np.random.PCG64(_seed_words_type()(words))
-
-
-def _multinomial_rows(arm_sizes: dict[str, int], words: np.ndarray) -> dict[str, np.ndarray]:
-    """Per arm, the (C, n) multinomial weight rows of the draws seeded by the
-    C rows of ``words``, equal to ``draw_weights`` from each draw's generator.
-
-    numpy's ``integers(0, n, size=n)`` maps each 32-bit half u of PCG64's
-    output, low half first, to the index ``(u * n) >> 32`` (Lemire's bounded
-    integers), and keeps an odd half for its next call, the next arm's; an
-    arm of one unit takes no half. So a draw's indices are the first h
-    halves of ceil(h / 2) raw words, h the size of its arms of two units or
-    more, read as one flat stream in sorted arm order. A half whose
-    ``(u * n) mod 2**32`` is below ``2**32 mod n`` would have been rejected
-    and redrawn, shifting the rest of the draw, so such a draw is drawn
-    again by ``draw_weights``. This holds for numpy's buffered
-    bounded-integer sampler, and tests/test_weights.py holds it.
-    """
-    arms = sorted(arm_sizes)
-    drawn = sum(n for n in arm_sizes.values() if n > 1)
-    raw = np.stack([_bit_generator(w).random_raw(-(-drawn // 2)) for w in words])
-    halves = raw.astype("<u8", copy=False).view("<u4")
-    redraw = np.zeros(len(words), dtype=bool)
-    rows, start = {}, 0
-    for arm in arms:
-        n = arm_sizes[arm]
-        if n == 1:
-            rows[arm] = np.ones((len(words), 1))
-            continue
-        u = halves[:, start : start + n]
-        start += n
-        redraw |= np.multiply(u, n, dtype=np.uint32).min(axis=1) < 2**32 % n
-        index = np.multiply(u, n, dtype=np.uint64)
-        index >>= 32
-        rows[arm] = _finish(index.view(np.int64), "multinomial")
-    for i in np.flatnonzero(redraw):
-        rng = np.random.Generator(_bit_generator(words[i]))
-        again = draw_weights(arm_sizes, "multinomial", rng)
-        for arm in arms:
-            rows[arm][i] = again[arm]
-    return {arm: rows[arm] for arm in arm_sizes}
-
-
-def _dirichlet_rows(arm_sizes: dict[str, int], words: np.ndarray) -> dict[str, np.ndarray]:
-    """Per arm, the (C, n) Dirichlet weight rows of the draws seeded by the C
-    rows of ``words``: each draw takes its standard exponentials for all its
-    arms in one call, split in sorted arm order, as ``_variates`` draws them
-    arm by arm."""
-    arms = sorted(arm_sizes)
-    ends = np.cumsum([arm_sizes[arm] for arm in arms])
-    raw = np.empty((len(words), ends[-1]))
-    for w, row in zip(words, raw):
-        np.random.Generator(_bit_generator(w)).standard_exponential(out=row)
-    parts = dict(zip(arms, np.split(raw, ends[:-1], axis=1)))
-    return {arm: _finish(parts[arm], "dirichlet") for arm in arm_sizes}
+    raw = _draw_block(arm_sizes, scheme, rng, 1)
+    return {arm: _finish(values, scheme)[0] for arm, values in raw.items()}
 
 
 def _weight_rows(
-    arm_sizes: dict[str, int], config: BootstrapConfig, key: tuple[int, ...], draws: range
-) -> dict[str, np.ndarray]:
-    """One (len(draws), n_arm) matrix per arm; row i is the weight vector of
-    draw ``draws[i]``, equal to ``draw_weights(arm_sizes, config.scheme,
-    substream(config.seed, *key, draws[i]))`` bit for bit."""
-    rows = _multinomial_rows if config.scheme == "multinomial" else _dirichlet_rows
-    return rows(arm_sizes, _seed_words(config.seed, key, draws))
+    arm_sizes: dict[str, int], config: BootstrapConfig, key: tuple[int, ...], draws: range,
+    step: int,
+):
+    """The weight rows of ``draws``, ``step`` draws at a time: yields, per
+    chunk, one (len(chunk), n_arm) matrix per arm, in sorted-name order.
+
+    Draw b is row b mod K of block j = b // K, whose K rows per arm come
+    from one ``_draw_block`` of ``substream(config.seed, *key, j)``, K =
+    max(1, BLOCK_ELEMENTS // the largest arm). The last block drawn is kept
+    for the next chunk, so a walk draws each block it touches once, and a
+    draw's weights depend neither on ``step`` nor on where ``draws`` starts.
+    """
+    size = max(1, BLOCK_ELEMENTS // max(arm_sizes.values()))
+    block = raw = None
+    for start in range(draws.start, draws.stop, step):
+        stop = min(start + step, draws.stop)
+        parts = []
+        for j in range(start // size, (stop - 1) // size + 1):
+            if j != block:
+                block = j
+                raw = _draw_block(arm_sizes, config.scheme, substream(config.seed, *key, j), size)
+            parts.append([r[max(0, start - j * size) : stop - j * size] for r in raw.values()])
+        yield {
+            arm: _finish(np.concatenate(rows), config.scheme) for arm, rows in zip(raw, zip(*parts))
+        }
 
 
 def _chunk_weights(members: list, config: BootstrapConfig, draws: range):
@@ -328,10 +224,9 @@ def _chunk_weights(members: list, config: BootstrapConfig, draws: range):
     members' largest arms put together."""
     sizes = [(key, cell.arm_sizes()) for key, cell in members]
     step = max(1, CHUNK_ELEMENTS // sum(max(arms.values()) for _, arms in sizes))
-    for start in range(0, len(draws), step):
-        chunk = draws[start : start + step]
-        weights = [_weight_rows(arms, config, key, chunk) for key, arms in sizes]
-        yield slice(start, start + len(chunk)), weights
+    walks = zip(*(_weight_rows(arms, config, key, draws, step) for key, arms in sizes))
+    for start, weights in zip(range(0, len(draws), step), walks):
+        yield slice(start, min(start + step, len(draws))), list(weights)
 
 
 def bootstrap_process(
@@ -344,12 +239,14 @@ def bootstrap_process(
 ) -> np.ndarray | dict[str, np.ndarray]:
     """B bootstrap replicates of the effect process; shape (B, len(grid)).
 
-    Draw b uses the substream keyed (*key_prefix, cell_index, b) under
-    config.seed, so replicates are reproducible regardless of evaluation
-    order and distinct cells never share draws. Given a tuple of
+    Draw b is row b mod K of the block of draws keyed (*key_prefix,
+    cell_index, b // K) under config.seed (see ``_weight_rows``), so
+    replicates are reproducible regardless of evaluation order and distinct
+    cells never share draws. Given a tuple of
     estimators, returns a dict of replicates per estimator, all computed
     from the same draws.
     """
+    check_nonempty(cell)
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
     taus = np.asarray(tau_grid, dtype=float)
     draws = {est: np.empty((config.iterations, taus.size)) for est in names}
@@ -533,9 +430,9 @@ def bootstrap_unconditional(
     """Bootstrap replicates of the unconditional process: one row per draw
     index in ``draws`` (all B by default); shape (len(draws), len(grid)).
 
-    Draw b of the cell at index i uses the substream keyed (i, b), the key
-    of that cell's own bootstrap, and mixes the cells' treated and
-    counterfactual CDFs by their treated shares. Rows depend only on their
+    Draw b takes, for the cell at index i, the weights of draw b of that
+    cell's own bootstrap (its blocks are keyed (i, j)), and mixes the
+    cells' treated and counterfactual CDFs by their treated shares. Rows depend only on their
     draw index, so the replicates of a split of range(B) stack up to those
     of range(B).
     """
@@ -560,6 +457,8 @@ def _block_rows(cells, taus, config: BootstrapConfig, draws: range, estimators=(
     if draws.step != 1 or not 0 <= draws.start <= draws.stop <= config.iterations:
         raise ValueError("draws must be a contiguous range of draw indices below B")
     members = [cell for _, cell in cells]
+    for cell in members:
+        check_nonempty(cell)
     layout, shares = _treated_layout(members), treated_shares(members)
     for rows, weights in _chunk_weights([((i,), cell) for i, cell in cells], config, draws):
         cdfs, values = [], []
@@ -629,8 +528,8 @@ def analyze_unconditional(
     """Uniform inference for the treated-share mixture across cells.
 
     ``cells`` pairs each cell with its index in the full deterministic cell
-    list; per-cell weight substreams reuse the same (seed, cell index, draw)
-    keying as the per-cell analyses. Mixture shares are the treated counts,
+    list; per-cell weights reuse the same (seed, cell index, block) keying
+    as the per-cell analyses. Mixture shares are the treated counts,
     which multinomial resampling holds fixed. ``draws`` are the replicates
     of ``bootstrap_unconditional``, drawn here when not given.
     """

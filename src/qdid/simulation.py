@@ -200,7 +200,8 @@ def run_mc(
     """Simulate, estimate, and test `reps` times; aggregate bias/RMSE/rejections.
 
     Rep r draws its data from substream (seed, r); bootstrap draw b of rep r
-    uses substream (seed, r, 0, b) and shares one weight realization across
+    is row b mod K of the block of draws from substream (seed, r, 0, b // K)
+    (see ``qdid.inference``) and shares one weight realization across
     estimators. The null tested is zero effect at each tau separately:
     reject when |estimate| exceeds the (1-alpha) quantile of the recentered
     bootstrap absolute deviations at that tau. With bootstrap_iterations=0

@@ -20,13 +20,14 @@ the share-weighted mixture of ``StepDistribution``s behind
 support and masses.
 
 The per-draw references at the end are the draw loops the package ran
-before its batched bootstrap kernel: one substream, one weight vector per
-arm and one full ``scalar_estimate_process`` per draw. Their weights are
-numpy's own multinomial counts and flat Dirichlet, drawn one vector at a
-time from ``substream(seed, *key, b)``, as the package drew them before it
-derived a chunk's substreams together and finished the weights as
-matrices. The kernel and the batched weights must reproduce them bit for
-bit.
+before its batched bootstrap kernel: one weight vector per arm and one full
+``scalar_estimate_process`` per draw. Draw b's weights are row b mod K of
+block b // K (K = max(1, BLOCK_ELEMENTS // the largest arm)), drawn from
+``substream(seed, *key, b // K)`` with numpy's own samplers, arm by arm in
+sorted order: the counts of each row of ``integers(0, n, size=(K, n))``, or
+``dirichlet(np.ones(n), size=K)`` scaled by n. The block is drawn again
+for every draw, and nothing is shared with the package's draw walk. The
+kernel and the batched weights must reproduce them bit for bit.
 """
 
 import csv
@@ -34,6 +35,7 @@ import math
 
 import numpy as np
 
+from qdid import inference
 from qdid.cli import LoadError, _parse_binary, _parse_code, _parse_float, _parse_unit
 from qdid.data_model import (
     DEFAULT_MIN_CELL_SIZE,
@@ -295,16 +297,30 @@ def per_draw_weights(arm_sizes, scheme, rng):
     return {arm: literal_weight_vector(arm_sizes[arm], scheme, rng) for arm in sorted(arm_sizes)}
 
 
+def block_weights(arm_sizes, scheme, seed, key, b):
+    """Draw b's weight vector per arm, in sorted-name order: row b mod K of
+    its block, drawn whole from substream (seed, *key, b // K). K is read
+    from the package at each call, so that tests may change it."""
+    size = max(1, inference.BLOCK_ELEMENTS // max(arm_sizes.values()))
+    rng = substream(seed, *key, b // size)
+    block = {}
+    for arm in sorted(arm_sizes):
+        n = arm_sizes[arm]
+        if scheme == "multinomial":
+            rows = rng.integers(0, n, size=(size, n))
+            block[arm] = np.stack([np.bincount(r, minlength=n) for r in rows]).astype(float)
+        elif scheme == "dirichlet":
+            block[arm] = rng.dirichlet(np.ones(n), size=size) * n
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+    return {arm: rows[b % size] for arm, rows in block.items()}
+
+
 def per_draw_weight_rows(arm_sizes, config, key, draws):
-    """inference._weight_rows, one draw at a time: row i of each arm's
-    matrix is drawn from its own substream (config.seed, *key, draws[i])."""
-    rows = [per_draw_weights(arm_sizes, config.scheme, substream(config.seed, *key, b))
-            for b in draws]
-    return {arm: np.stack([w[arm] for w in rows]) for arm in arm_sizes}
-
-
-def _per_draw_weights(cell, scheme, seed, key):
-    return per_draw_weights(cell.arm_sizes(), scheme, substream(seed, *key))
+    """The weight rows of ``draws``, one draw at a time: row i of each arm's
+    matrix is ``block_weights`` of draws[i]."""
+    rows = [block_weights(arm_sizes, config.scheme, config.seed, key, b) for b in draws]
+    return {arm: np.stack([w[arm] for w in rows]) for arm in sorted(arm_sizes)}
 
 
 def per_draw_bootstrap(cell, tau_grid, config, estimator="ddid", n_total=None,
@@ -313,8 +329,8 @@ def per_draw_bootstrap(cell, tau_grid, config, estimator="ddid", n_total=None,
     taus = np.asarray(tau_grid, dtype=float)
     draws = np.empty((config.iterations, taus.size))
     for b in range(config.iterations):
-        weights = _per_draw_weights(
-            cell, config.scheme, config.seed, (*key_prefix, cell_index, b)
+        weights = block_weights(
+            cell.arm_sizes(), config.scheme, config.seed, (*key_prefix, cell_index), b
         )
         draws[b] = scalar_estimate_process(cell, taus, estimator, weights, n_total).values
     return draws
@@ -331,7 +347,7 @@ def per_draw_unconditional(cells, tau_grid, config, n_total):
     draws = np.empty((config.iterations, taus.size))
     for b in range(config.iterations):
         weights_by_cell = [
-            _per_draw_weights(cell, config.scheme, config.seed, (cell_index, b))
+            block_weights(cell.arm_sizes(), config.scheme, config.seed, (cell_index,), b)
             for cell_index, cell in cells
         ]
         star = counterfactuals(weights_by_cell)
@@ -342,7 +358,8 @@ def per_draw_unconditional(cells, tau_grid, config, n_total):
 def per_draw_mc_rejections(spec, reps, taus, estimators, bootstrap_iterations,
                            alpha, scheme, seed):
     """run_mc's rejection rates per estimator, one draw at a time: draw b of
-    rep r comes from substream (seed, r, 0, b), shared by the estimators."""
+    rep r is ``block_weights`` under the key (r, 0), shared by the
+    estimators."""
     grid = np.asarray(taus, dtype=float)
     rejections = {est: np.empty((reps, grid.size), dtype=bool) for est in estimators}
     for r in range(reps):
@@ -361,7 +378,7 @@ def per_draw_mc_rejections(spec, reps, taus, estimators, bootstrap_iterations,
         }
         draws = {est: np.empty((bootstrap_iterations, grid.size)) for est in estimators}
         for b in range(bootstrap_iterations):
-            weights = _per_draw_weights(cell, scheme, seed, (r, 0, b))
+            weights = block_weights(cell.arm_sizes(), scheme, seed, (r, 0), b)
             for est in estimators:
                 draws[est][b] = scalar_estimate_process(
                     cell, grid, est, weights, data.n_total

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdid import inference
-from qdid.estimators import PanelCell, counterfactual_cdf_panel, estimate_process
+from qdid.estimators import PanelCell, RcsCell, counterfactual_cdf_panel, estimate_process
 from qdid.inference import (
     BootstrapConfig,
     analyze_cell,
@@ -293,16 +294,20 @@ class TestAnalyze:
         cell = random_cell(substream(9, 0))
         cfg = BootstrapConfig(iterations=6, seed=31)
         grid = np.linspace(0.2, 0.8, 5)
-        full = bootstrap_process(cell, grid, cfg, cell_index=2)
-        single = bootstrap_process(
-            cell, grid, BootstrapConfig(iterations=1, seed=31), cell_index=2
-        )
+        with mock.patch.object(inference, "BLOCK_ELEMENTS", 60):  # blocks of 3 draws
+            full = bootstrap_process(cell, grid, cfg, cell_index=2)
+            single = bootstrap_process(
+                cell, grid, BootstrapConfig(iterations=1, seed=31), cell_index=2
+            )
         np.testing.assert_array_equal(full[0], single[0])
-        # recompute draw 4 in isolation through its substream
-        from qdid.estimators import estimate_process as ep
-
-        weights = draw_weights(cell.arm_sizes(), "multinomial", substream(31, 2, 4))
-        np.testing.assert_array_equal(full[4], ep(cell, grid, "ddid", weights).values)
+        # recompute draw 4 in isolation: row 1 of block 1, whose substream is
+        # keyed (cell 2, block 1) and draws 3 rows of indices per arm
+        rng = substream(31, 2, 1)
+        weights = {}
+        for arm, n in sorted(cell.arm_sizes().items()):
+            rows = rng.integers(0, n, size=(3, n))
+            weights[arm] = np.bincount(rows[1], minlength=n).astype(float)
+        np.testing.assert_array_equal(full[4], estimate_process(cell, grid, "ddid", weights).values)
 
     def test_pointwise_se_stable_across_bootstrap_reruns(self):
         """At B=1000 the bootstrap SE has small rerun-to-rerun variation."""
@@ -351,3 +356,28 @@ def test_size_under_structural_null():
     ks_rate = ks_rejections / reps
     assert np.all((0.02 <= pointwise) & (pointwise <= 0.09)), f"pointwise size {pointwise}"
     assert 0.0 < ks_rate <= 0.09, f"KS size {ks_rate}"
+
+
+EMPTY_SAMPLE_CELLS = {
+    "panel": PanelCell((1,), np.arange(5.0), np.ones(5), np.empty(0), np.empty(0)),
+    "rcs": RcsCell((1,), np.arange(5.0), np.empty(0), np.arange(3.0), np.arange(4.0)),
+}
+ENTRIES = {
+    "estimate_process": lambda cell, config: estimate_process(cell, [0.5]),
+    "bootstrap_process": lambda cell, config: bootstrap_process(cell, [0.5], config),
+    "bootstrap_unconditional": lambda cell, config: inference.bootstrap_unconditional(
+        [(0, cell)], [0.5], config
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", inference.SCHEMES)
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("design", sorted(EMPTY_SAMPLE_CELLS))
+def test_a_cell_with_an_empty_sample_is_refused_before_any_draw(
+    monkeypatch, design, entry, scheme
+):
+    monkeypatch.setattr(inference, "_draw_block", lambda *args: pytest.fail("drew weights"))
+    config = BootstrapConfig(iterations=3, scheme=scheme)
+    with pytest.raises(ValueError, match=r"^cell \(1,\): every sample must be nonempty$"):
+        ENTRIES[entry](EMPTY_SAMPLE_CELLS[design], config)

@@ -212,17 +212,27 @@ configs = st.builds(
     seed=st.integers(0, 2**16),
     scheme=st.sampled_from(["multinomial", "dirichlet"]),
 )
-# with arms of at most 12 units these budgets give chunks of 1 to 40 draws
-budgets = st.integers(1, 40)
+# with arms of at most 12 units these (chunk, block) budgets give chunks
+# and blocks of 1 to 40 draws
+budgets = st.tuples(st.integers(1, 40), st.integers(1, 40))
+
+
+def sized(budget):
+    """Set the chunk and block budgets; the per-draw references read the
+    block budget too."""
+    chunk, block = budget
+    return mock.patch.multiple(inference, CHUNK_ELEMENTS=chunk, BLOCK_ELEMENTS=block)
 
 
 @settings(max_examples=120, deadline=None)
 @given(cells(), configs, budgets, st.sampled_from(["ddid", "cic"]))
 def test_bootstrap_process_equals_per_draw_loop(cell_list, config, budget, estimator):
     (cell,) = cell_list
-    with mock.patch.object(inference, "CHUNK_ELEMENTS", budget):
+    with sized(budget):
         draws = bootstrap_process(cell, GRID, config, estimator, cell_index=3, key_prefix=(2,))
-    reference = per_draw_bootstrap(cell, GRID, config, estimator, cell_index=3, key_prefix=(2,))
+        reference = per_draw_bootstrap(
+            cell, GRID, config, estimator, cell_index=3, key_prefix=(2,)
+        )
     np.testing.assert_array_equal(draws, reference)
 
 
@@ -230,21 +240,21 @@ def test_bootstrap_process_equals_per_draw_loop(cell_list, config, budget, estim
 @given(cells(), configs, budgets)
 def test_estimators_share_each_draw(cell_list, config, budget):
     (cell,) = cell_list
-    with mock.patch.object(inference, "CHUNK_ELEMENTS", budget):
+    with sized(budget):
         both = bootstrap_process(cell, GRID, config, ("ddid", "cic"), cell_index=1)
-    for est in ("ddid", "cic"):
-        np.testing.assert_array_equal(
-            both[est], per_draw_bootstrap(cell, GRID, config, est, cell_index=1)
-        )
+        for est in ("ddid", "cic"):
+            np.testing.assert_array_equal(
+                both[est], per_draw_bootstrap(cell, GRID, config, est, cell_index=1)
+            )
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda k: cells(count=k)), configs, budgets)
 def test_unconditional_equals_per_draw_loop(cell_list, config, budget):
     indexed = list(zip((0, 2, 5), cell_list))
-    with mock.patch.object(inference, "CHUNK_ELEMENTS", budget):
+    with sized(budget):
         draws = bootstrap_unconditional(indexed, GRID, config)
-    np.testing.assert_array_equal(draws, per_draw_unconditional(indexed, GRID, config, 50))
+        np.testing.assert_array_equal(draws, per_draw_unconditional(indexed, GRID, config, 50))
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,12 +264,14 @@ def test_unconditional_draw_ranges_stack_to_all_draws(cell_list, config, budget,
     indexed = list(zip((1, 3), cell_list))
     cuts = data.draw(st.lists(st.integers(0, config.iterations), max_size=3))
     bounds = [0, *sorted(cuts), config.iterations]
-    with mock.patch.object(inference, "CHUNK_ELEMENTS", budget):
-        parts = [
-            bootstrap_unconditional(indexed, GRID, config, range(a, b))
-            for a, b in zip(bounds, bounds[1:])
-        ]
-    whole = bootstrap_unconditional(indexed, GRID, config)
+    chunk, block = budget
+    with mock.patch.object(inference, "BLOCK_ELEMENTS", block):
+        with mock.patch.object(inference, "CHUNK_ELEMENTS", chunk):
+            parts = [
+                bootstrap_unconditional(indexed, GRID, config, range(a, b))
+                for a, b in zip(bounds, bounds[1:])
+            ]
+        whole = bootstrap_unconditional(indexed, GRID, config)
     np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
@@ -276,14 +288,16 @@ def test_draw_blocks_fill_each_cells_and_the_mixtures_draws(cell_list, config, b
     kept = data.draw(st.integers(0, len(indexed)))
     stores = [np.full((2, config.iterations, GRID.size), np.nan) for _ in range(kept)]
     mixture = np.full((config.iterations, GRID.size), np.nan)
-    with mock.patch.object(inference, "CHUNK_ELEMENTS", budget):
-        for a, b in zip(bounds, bounds[1:]):
-            bootstrap_block(indexed, GRID, config, names, stores, mixture, range(a, b))
-    for (index, cell), store in zip(indexed, stores):
-        draws = bootstrap_process(cell, GRID, config, names, cell_index=index)
-        for e, est in enumerate(names):
-            np.testing.assert_array_equal(store[e], draws[est])
-    np.testing.assert_array_equal(mixture, bootstrap_unconditional(indexed, GRID, config))
+    chunk, block = budget
+    with mock.patch.object(inference, "BLOCK_ELEMENTS", block):
+        with mock.patch.object(inference, "CHUNK_ELEMENTS", chunk):
+            for a, b in zip(bounds, bounds[1:]):
+                bootstrap_block(indexed, GRID, config, names, stores, mixture, range(a, b))
+        for (index, cell), store in zip(indexed, stores):
+            draws = bootstrap_process(cell, GRID, config, names, cell_index=index)
+            for e, est in enumerate(names):
+                np.testing.assert_array_equal(store[e], draws[est])
+        np.testing.assert_array_equal(mixture, bootstrap_unconditional(indexed, GRID, config))
 
 
 @pytest.mark.parametrize(
@@ -334,11 +348,12 @@ def test_unconditional_draw_ranges_are_checked():
 def test_run_mc_equals_per_draw_loop():
     spec = DgpSpec(variant=1, n_per_arm=12, te=0.5)
     for scheme in ("multinomial", "dirichlet"):
-        with mock.patch.object(inference, "CHUNK_ELEMENTS", 40):  # 3 draws per chunk
+        # 3 draws per chunk, in blocks of 2
+        with mock.patch.multiple(inference, CHUNK_ELEMENTS=40, BLOCK_ELEMENTS=24):
             res = run_mc(spec, reps=3, taus=(0.1, 0.5, 0.9), bootstrap_iterations=7,
                          alpha=0.2, scheme=scheme, seed=8)
-        reference = per_draw_mc_rejections(spec, 3, (0.1, 0.5, 0.9), ("ddid", "cic"),
-                                           7, 0.2, scheme, 8)
+            reference = per_draw_mc_rejections(spec, 3, (0.1, 0.5, 0.9), ("ddid", "cic"),
+                                               7, 0.2, scheme, 8)
         for est in ("ddid", "cic"):
             np.testing.assert_array_equal(res.rejection[est], reference[est])
 

@@ -115,40 +115,49 @@ def keep_cells(monkeypatch, kept, bootstrap):
 def test_chunks_straddling_the_draw_ranges_leave_outputs_unchanged(
     tmp_path, monkeypatch, command, kept
 ):
-    """25 draws split into ranges of 8, 8 and 9 (or 12 and 13), and 3 cells
-    of 15 units per arm and a budget of 135 give 3-draw chunks, so the
-    chunks of one range cross the ends of the others. With one cell kept,
-    the other two are tasks of their own."""
+    """25 draws split into ranges of 8, 8 and 9 (or 12 and 13), over 3
+    cells of 15 units per arm in blocks of 3 draws. A chunk budget of 135
+    gives 3-draw chunks over the 3 cells, so the chunks of one range cross
+    the ends of the others, and 9-draw chunks in a cell's own task. One of
+    4096, above the block budget, gives each range one chunk, which spans
+    several blocks. With one cell kept, the other two are tasks of their
+    own."""
+    monkeypatch.setattr(inference, "BLOCK_ELEMENTS", 45)
     workers(monkeypatch, 1)
     reference = run(tmp_path, command, 25, name="whole")[1]
-    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 135)
     keep_cells(monkeypatch, kept, 25)
-    for count in (1, 2, 3):
-        workers(monkeypatch, count)
-        code, files = run(tmp_path, command, 25, name=f"w{count}")
-        assert code == EXIT_OK
-        assert {n.partition(".")[2]: d for n, d in files.items()} == {
-            n.partition(".")[2]: d for n, d in reference.items()
-        }
+    for chunk in (135, 4096):
+        monkeypatch.setattr(inference, "CHUNK_ELEMENTS", chunk)
+        for count in (1, 2, 3):
+            workers(monkeypatch, count)
+            code, files = run(tmp_path, command, 25, name=f"w{count}")
+            assert code == EXIT_OK
+            assert {n.partition(".")[2]: d for n, d in files.items()} == {
+                n.partition(".")[2]: d for n, d in reference.items()
+            }
 
 
 @pytest.mark.parametrize("kept", [3, 1, 0])
 def test_an_unconditional_run_draws_each_weight_row_once(tmp_path, monkeypatch, kept):
-    """The cells' analyses and the mixture share each draw's weights. A cell
-    whose draws do not fit the store budget draws them again in its own
+    """The cells' analyses and the mixture share each draw's weights. In
+    blocks of 3 draws, with 2-draw chunks in the one pass and 6-draw chunks
+    in a cell's own task, each block is drawn once per task; a cell whose
+    draws do not fit the store budget draws its blocks again in its own
     task."""
     workers(monkeypatch, 1)
     keep_cells(monkeypatch, kept, 25)
-    original = inference._weight_rows
+    monkeypatch.setattr(inference, "BLOCK_ELEMENTS", 45)
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 100)
+    original = inference.substream
     drawn = collections.Counter()
 
-    def counting(arm_sizes, config, key, draws):
-        drawn.update((key, b) for b in draws)
-        return original(arm_sizes, config, key, draws)
+    def counting(seed, *key):
+        drawn[key] += 1
+        return original(seed, *key)
 
-    monkeypatch.setattr(inference, "_weight_rows", counting)
+    monkeypatch.setattr(inference, "substream", counting)
     assert run(tmp_path, "panel", 25)[0] == EXIT_OK
-    assert drawn == {((cell,), b): 1 if cell < kept else 2 for cell in range(3) for b in range(25)}
+    assert drawn == {(cell, j): 1 if cell < kept else 2 for cell in range(3) for j in range(9)}
 
 
 def test_a_delegating_closure_runs_in_the_workers(tmp_path, monkeypatch):
