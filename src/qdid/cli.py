@@ -330,7 +330,10 @@ def _bulk_columns(handle, path: str, width: int, used: list[int], has_unit: bool
         covariates[:, j] = table[f"x{j}"]
     del table  # before the unit ids widen to str
     if has_unit:
-        units = units.astype(f"U{np.char.str_len(units).max(initial=1)}")
+        # plain ASCII: each byte is its own code point, so widen by a view
+        w = np.char.str_len(units).max(initial=1)
+        codes = units.view(np.uint8).reshape(-1, units.itemsize)[:, :w].astype(np.uint32)
+        units = codes.view(f"U{w}")[:, 0]
     return y, *flags, covariates, units
 
 

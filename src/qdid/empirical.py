@@ -11,6 +11,13 @@ row whose weights are all 1. ``StepDistribution`` is the same CDF for one
 weight vector: its fits are the one-row case of ``StepRows.fit`` and
 ``SortedSample.fit_rows``, and ``rank_transform`` clamps rank 0 as
 ``rank_rows`` does.
+
+Every fit sorts through ``_sort_layout``: numpy's default (SIMD) argsort,
+then, where a row has ties, one sort of the integer keys ``group * n +
+position``, which puts each tie group back in index order. The layout is
+the stable sort's, bit for bit, so each tie group is represented by its
+first value in sample order (a group of 0.0 and -0.0 takes the sign that
+comes first) and its weights are summed in sample order.
 """
 
 from __future__ import annotations
@@ -157,17 +164,44 @@ def searchsorted_rows(rows, levels) -> np.ndarray:
     return out
 
 
+def _take_rows(a, index) -> np.ndarray:
+    """``a[index]`` row by row: a 1-d ``a`` is shared by every row of
+    ``index``, and row r of a (C, S) ``a`` is gathered at row r of (C, m)
+    ``index`` by one take from the flat array, with no index grid to build."""
+    if a.ndim == 1:
+        return a[index]
+    return a.ravel().take(index + a.shape[1] * np.arange(index.shape[0])[:, None])
+
+
 def _sort_layout(values):
     """The stable sort of each row of (C, n) values: the order, the sorted
-    rows, and at each sorted position the position of the first value of its
-    tie group."""
-    order = np.argsort(values, axis=1, kind="stable")
-    support = np.take_along_axis(values, order, axis=1)
+    rows, at each sorted position the position of the first value of its tie
+    group, and whether any row has ties.
+
+    numpy's default argsort (SIMD on float64) is several times faster than
+    its stable sort, but it leaves tied values in no fixed order. When some
+    row has ties, one in-place sort of the integer keys ``group * n +
+    position`` puts each tie group back in index order (the keys of a row
+    without ties are in order already), and the rows are gathered again by
+    that order, so a group holding both 0.0 and -0.0 shows each where the
+    stable sort puts it.
+    """
+    n = values.shape[1]
+    order = np.argsort(values, axis=1)
+    support = _take_rows(values, order)
     first = np.empty(values.shape, dtype=bool)
     first[:, 0] = True
     np.not_equal(support[:, 1:], support[:, :-1], out=first[:, 1:])
-    head = np.maximum.accumulate(np.where(first, np.arange(values.shape[1]), 0), axis=1)
-    return order, support, head
+    tied = not first.all()
+    if tied:
+        offset = np.cumsum(first, axis=1)
+        offset *= n
+        key = offset + order
+        key.sort(axis=1)
+        order = np.subtract(key, offset, out=key)
+        support = _take_rows(values, order)
+    head = np.maximum.accumulate(np.where(first, np.arange(n), 0), axis=1)
+    return order, support, head, tied
 
 
 def _mixture_probs(components, shares) -> np.ndarray:
@@ -175,13 +209,6 @@ def _mixture_probs(components, shares) -> np.ndarray:
     return np.concatenate(
         [s * (c.masses / c.total[:, None]) for s, c in zip(shares, components)], axis=1
     )
-
-
-def _take_rows(support, index) -> np.ndarray:
-    """``support[index]`` row by row; a 1-d support is shared by all rows."""
-    if support.ndim == 1:
-        return support[index]
-    return np.take_along_axis(support, index, axis=1)
 
 
 class StepRows:
@@ -210,14 +237,17 @@ class StepRows:
     def fit(cls, values, weights) -> "StepRows":
         """Row-wise weighted ECDF of (C, n) values under (C, n) weights.
 
-        Each tie group's mass sits on its first point: a stable sort keeps
+        Without ties the masses are the weights in sorted order. With ties,
+        each tie group's mass sits on its first point: ``_sort_layout`` keeps
         tied values in index order, so one bincount sums each group in the
         order ``np.bincount`` of the row alone sums it, and row r without its
         zero-mass points is ``StepDistribution.fit(values[r], weights[r])``.
         (``reduceat`` would not: it adds segments of eight or more pairwise.)
         """
-        order, support, head = _sort_layout(values)
-        masses = _row_bincount(head, np.take_along_axis(weights, order, axis=1), values.shape[1])
+        order, support, head, tied = _sort_layout(values)
+        masses = _take_rows(np.asarray(weights, dtype=float), order)
+        if tied:
+            masses = _row_bincount(head, masses, values.shape[1])
         return cls(support, masses)
 
     @classmethod
@@ -241,7 +271,7 @@ class StepRows:
         """Row-wise cumulative probability of the first ``count`` support
         points, (C, m) counts: the CDF at a point with that many support
         points at or below it."""
-        below = np.take_along_axis(self.cum_probs, np.maximum(count - 1, 0), axis=1)
+        below = _take_rows(self.cum_probs, np.maximum(count - 1, 0))
         return np.where(count > 0, below, 0.0)
 
     def quantile(self, levels) -> np.ndarray:
@@ -259,7 +289,7 @@ class MixtureLayout:
     __slots__ = ("order", "support", "head")
 
     def __init__(self, supports):
-        order, support, head = _sort_layout(np.concatenate(supports)[None])
+        order, support, head, _ = _sort_layout(np.concatenate(supports)[None])
         self.order, self.support, self.head = order[0], support[0], head[0]
 
     def mixture(self, components, shares) -> StepRows:
@@ -278,10 +308,14 @@ class SortedSample:
 
     Bootstrap draws reweight the same observations thousands of times; the
     support and tie structure never change, so ``fit`` here skips sorting.
+    ``order`` is the stable sort of the values (``_sort_layout``),
+    ``support`` holds each tie group's first value in index order, so a
+    group of 0.0 and -0.0 takes the sign of its first occurrence, as in
+    ``StepRows.fit``, and ``inverse`` maps each value to its tie group.
     Zero-weight points are kept in the layout (harmless for evaluation).
     """
 
-    __slots__ = ("values", "support", "inverse")
+    __slots__ = ("values", "order", "support", "inverse")
 
     def __init__(self, values):
         values = np.asarray(values, dtype=float)
@@ -289,8 +323,13 @@ class SortedSample:
             raise ValueError("need at least one value")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
+        order, support, head, _ = _sort_layout(values[None])
+        first = head[0] == np.arange(values.size)
         self.values = values
-        self.support, self.inverse = np.unique(values, return_inverse=True)
+        self.order = order[0]
+        self.support = support[0][first]
+        self.inverse = np.empty(values.size, dtype=np.intp)
+        self.inverse[self.order] = np.cumsum(first) - 1
 
     def __len__(self) -> int:
         return self.values.size
@@ -302,7 +341,10 @@ class SortedSample:
         return _first_row(self.fit_rows(weights), compact=False)
 
     def fit_rows(self, weights) -> StepRows:
-        """Refit under each row of a (C, n) weight matrix, on the fixed support."""
+        """Refit under each row of a (C, n) weight matrix, on the fixed
+        support: the weights in sorted order when the sample has no ties."""
+        if self.support.size == len(self):
+            return StepRows(self.support, np.asarray(weights, dtype=float)[:, self.order])
         index = np.broadcast_to(self.inverse, weights.shape)
         return StepRows(self.support, _row_bincount(index, weights, self.support.size))
 

@@ -25,7 +25,9 @@ block draws that block and drops its head. ``draw_weights`` is the one-row
 block.
 
 A run's analyses are independent tasks, evaluated by ``_parallel`` in
-forked worker processes, one per CPU the process may run on. A viable
+worker processes forked with ``os.fork``, one per CPU the process may run
+on. They take task indices from one pipe and send their results back over
+a pipe each, and no process pool module is loaded. A viable
 cell is one task, whose report is assembled inside it. With the
 unconditional analysis, the mixture's draws are split into one contiguous
 draw range (``_split``) per worker, and each range is one task over every
@@ -45,6 +47,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -554,58 +558,150 @@ def _split(n: int) -> list[range]:
     return [range(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
-# The tasks of the pool this worker process serves (set by _start_worker).
-_TASKS: list = []
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback: the cause of the error it raised."""
+
+    def __init__(self, tb: str):
+        self.tb = tb
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.tb}"""'
 
 
-def _start_worker(tasks: list, parent: int) -> None:
-    """Set up a forked worker: keep the task list, and die with the parent.
+def _work(tasks: list, queue: int, feed: int, send: int, parent: int) -> None:
+    """A forked worker's whole life; it never returns.
 
-    An idle worker waits on the task queue, whose write end it holds too, so
-    it would outlive a parent killed with SIGKILL; PR_SET_PDEATHSIG (Linux)
-    has the kernel kill it when the parent exits.
+    It takes 4-byte task indices from the pipe ``queue`` until end of file
+    (the parent writes whole indices, and a pipe read of 4 bytes takes one
+    at once), pickles each result, and stops at the first task that raises.
+    Then it writes one pickle of its (index, result) pairs and its error, if
+    any, to ``send``, flushes standard output and error, and leaves by
+    ``os._exit``: no interpreter teardown, and nothing of the parent's stack
+    runs.
+
+    A busy worker would outlive a parent killed with SIGKILL, so it has the
+    kernel kill it when the parent exits (PR_SET_PDEATHSIG, Linux), and
+    exits at once if the parent exited before that took effect.
     """
-    import ctypes
-    import signal
+    code = 1
+    try:
+        import ctypes
+        import signal
 
-    global _TASKS
-    _TASKS = tasks
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
-    if os.getppid() != parent:  # the parent exited before prctl took effect
-        os._exit(1)
+        os.close(feed)  # else the queue never reaches end of file
+        prctl = getattr(ctypes.CDLL(None), "prctl", None)
+        if prctl is not None:
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            return
+        done, error = [], None
+        while index := os.read(queue, 4):
+            index = int.from_bytes(index, sys.byteorder)
+            try:
+                done.append((index, pickle.dumps(tasks[index](), pickle.HIGHEST_PROTOCOL)))
+            except BaseException as exc:  # raised again in the parent
+                import traceback
 
-
-def _run_task(index: int):
-    return _TASKS[index]()
+                text = traceback.format_exc()
+                try:
+                    pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                except Exception:
+                    exc = RuntimeError(traceback.format_exception_only(exc)[-1].strip())
+                error = index, exc, text
+                break
+        os.close(queue)  # once every worker has stopped, the parent's writes fail, not block
+        with open(send, "wb") as pipe:
+            pipe.write(pickle.dumps((done, error), pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except (OSError, ValueError):  # closed, or its reader is gone
+                pass
+        os._exit(code)
 
 
 def _parallel(tasks: list) -> list:
     """The results of the zero-argument callables ``tasks``, in task order.
 
     With more than one worker (``_workers``, at most one per task), the
-    tasks run in a pool of forked worker processes, which inherit the task
-    list: only task indices and results are pickled, so a task may be any
-    callable, a closure included. Fork copies only the calling thread, and
-    qdid starts no thread before it forks. The first task to raise, in task
-    order, raises here; every worker has exited when this returns.
-    Otherwise the tasks run here, one after another, and
-    ``multiprocessing`` is not imported.
+    tasks run in worker processes forked here with ``os.fork``, which
+    inherit the task list: only task indices and results cross a pipe, so a
+    task may be any callable, a closure included. Fork copies only the
+    calling thread, and qdid starts no thread. The parent writes every task
+    index to one pipe that the workers read in turn, so a long task holds
+    back no other, and then reads each worker's results from a pipe of its
+    own (``_work``). The first task to fail, in task order, raises here with
+    the worker's traceback as its cause, and a worker that exits without
+    sending its results is a RuntimeError; every worker has exited, and
+    every pipe is closed, when this returns or raises. Otherwise the tasks
+    run here, one after another.
     """
     workers = min(_workers(), len(tasks))
     if workers < 2:
         return [task() for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    pool = ProcessPoolExecutor(
-        workers, mp_context=get_context("fork"), initializer=_start_worker,
-        initargs=(tasks, os.getpid()),
-    )
+    for stream in (sys.stdout, sys.stderr):  # else each worker writes the buffer again
+        stream.flush()
+    parent = os.getpid()
+    running = []  # [pid, read end of its result pipe], in fork order
+    queue, feed = os.pipe()
     try:
-        futures = [pool.submit(_run_task, index) for index in range(len(tasks))]
-        return [future.result() for future in futures]
+        for _ in range(workers):
+            reply, send = os.pipe()
+            running.append([0, reply])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(tasks, queue, feed, send, parent)
+            finally:
+                os.close(send)
+            running[-1][0] = pid
+        os.close(queue)
+        queue = None
+        indices = memoryview(np.arange(len(tasks), dtype=np.uint32).tobytes())
+        try:
+            while indices:
+                indices = indices[os.write(feed, indices) :]
+        except BrokenPipeError:  # every worker has stopped; their results say why
+            pass
+        os.close(feed)
+        feed = None
+        results, errors, lost = {}, {}, []
+        while running:
+            pid, reply = running[0]
+            with open(reply, "rb") as pipe:
+                running[0][1] = None
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.pop(0)
+            if status != 0 or not payload:
+                lost.append(f"worker process {pid} exited with status {status} "
+                            "before sending its results")
+                continue
+            done, error = pickle.loads(payload)
+            results.update(done)
+            if error is not None:
+                errors[error[0]] = error[1:]
+        for index in range(len(tasks)):
+            if index in results:
+                continue
+            if index in errors:
+                exc, text = errors[index]
+                raise exc from _RemoteTraceback(text)
+            raise RuntimeError(lost[0])
+        return [pickle.loads(results[index]) for index in range(len(tasks))]
     finally:
-        pool.shutdown(cancel_futures=True)
+        for end in (queue, feed):
+            if end is not None:
+                os.close(end)
+        if running:  # only when this call is failing
+            import signal
+
+            for pid, reply in running:
+                if reply is not None:
+                    os.close(reply)
+                if pid:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)

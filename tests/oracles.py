@@ -17,7 +17,10 @@ one-weight-vector API now takes from the kernel's one-row case; ``cqtt`` of
 the counterfactual, the scalar changes-in-changes body, their dispatch, and
 the share-weighted mixture of ``StepDistribution``s behind
 ``unconditional_qtt``. They build ``StepDistribution``s directly from their
-support and masses.
+support and masses, and represent each tie group by its first value in
+sample order, so a group of 0.0 and -0.0 takes the sign that comes first.
+``stable_sort_layout`` is the package's sort layout before it used numpy's
+default sort: the reference for ``empirical._sort_layout``, bit for bit.
 
 The per-draw references at the end are the draw loops the package ran
 before its batched bootstrap kernel: one weight vector per arm and one full
@@ -118,11 +121,38 @@ def sample_weights(cell, weights):
     return (None,) * 4 if weights is None else cell.sample_weights(weights)
 
 
+def stable_sort_layout(values):
+    """The stable sort of each row of (C, n) values: the order, the sorted
+    rows, and at each sorted position the position of the first value of
+    its tie group. The package's sort layout before it used numpy's default
+    sort, and the reference for ``empirical._sort_layout``."""
+    order = np.argsort(values, axis=1, kind="stable")
+    support = np.take_along_axis(values, order, axis=1)
+    first = np.empty(values.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(support[:, 1:], support[:, :-1], out=first[:, 1:])
+    head = np.maximum.accumulate(np.where(first, np.arange(values.shape[1]), 0), axis=1)
+    return order, support, head
+
+
+def first_occurrences(values):
+    """The distinct values of a sample in increasing order, each tie group
+    represented by its first value in sample order, and each value's index
+    into them. A dict keeps the first key of equal keys, and 0.0 == -0.0,
+    so a group of zeros takes the sign that comes first."""
+    first = {}
+    for v in np.asarray(values, dtype=float).tolist():
+        first.setdefault(v, v)
+    support = sorted(first.values())
+    index = {v: k for k, v in enumerate(support)}
+    return np.array(support), np.array([index[v] for v in values.tolist()], dtype=np.intp)
+
+
 def scalar_fit(values, weights=None):
-    """Weighted ECDF of one sample: ``np.unique`` merges ties and one
-    bincount sums their weights; zero-mass points are dropped."""
+    """Weighted ECDF of one sample: its first occurrences carry the merged
+    ties and one bincount sums their weights; zero-mass points are dropped."""
     values = np.asarray(values, dtype=float)
-    support, inverse = np.unique(values, return_inverse=True)
+    support, inverse = first_occurrences(values)
     weights = np.ones(values.size) if weights is None else np.asarray(weights, dtype=float)
     masses = np.bincount(inverse, weights=weights, minlength=support.size)
     keep = masses > 0
@@ -131,10 +161,11 @@ def scalar_fit(values, weights=None):
 
 def scalar_refit(sample, weights=None):
     """A ``SortedSample`` refit under one weight vector: one bincount over
-    its tie layout, zero-mass points kept."""
+    the first occurrences of its values, zero-mass points kept."""
+    support, inverse = first_occurrences(sample.values)
     weights = np.ones(len(sample)) if weights is None else np.asarray(weights, dtype=float)
-    masses = np.bincount(sample.inverse, weights=weights, minlength=sample.support.size)
-    return StepDistribution(sample.support, masses)
+    masses = np.bincount(inverse, weights=weights, minlength=support.size)
+    return StepDistribution(support, masses)
 
 
 def scalar_rank_transform(source, target, y):

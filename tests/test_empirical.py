@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import mixture, scalar_fit
@@ -201,3 +201,21 @@ def test_step_distribution_invariants(values):
     assert np.all(d.masses >= 0)
     assert np.all(np.diff(d.cum_probs) >= 0)
     assert abs(d.cum_probs[-1] - 1.0) < 1e-12
+
+
+@example([0.5, 0.5, 0.0, -0.0], 0)
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]), min_size=1, max_size=40),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_tie_group_takes_the_sign_of_its_first_value(values, seed):
+    """0.0 and -0.0 tie; the fitted and the sorted-sample supports show the
+    zero that comes first in the sample, whatever the sort does with ties."""
+    values = np.asarray(values)
+    zeros = values[values == 0.0]
+    weights = np.random.default_rng(seed).integers(1, 3, size=values.size).astype(float)
+    for support in (SortedSample(values).support, StepDistribution.fit(values, weights).support):
+        assert support.size == np.unique(values).size
+        at_zero = support[support == 0.0]
+        np.testing.assert_array_equal(np.signbit(at_zero), np.signbit(zeros[:1]))

@@ -300,13 +300,13 @@ def _row_reader_calls(monkeypatch):
     return calls
 
 
-def _clean_lines():
+def _clean_lines(unit_id="unit{}".format):
     rng = np.random.default_rng(3)
     lines = ["unit,period,y,d,x1,x2"]
     for u in range(40):
         d, codes = u % 2, f"{u % 3},{-(u % 2)}"
         for period in (0, 1):
-            lines.append(f"unit{u},{period},{float(rng.standard_normal())!r},{d},{codes}")
+            lines.append(f"{unit_id(u)},{period},{float(rng.standard_normal())!r},{d},{codes}")
     return lines
 
 
@@ -326,6 +326,29 @@ def test_clean_files_are_read_in_bulk(tmp_path, monkeypatch, mode, eol):
 
     monkeypatch.setattr(qdid.cli, "_row_columns", refuse)
     assert_same_dataset(load_csv(config), want)
+
+
+def _padded_id(u):
+    """A distinct id 1 to 15 characters wide (u % 15 + 1), with inner spaces
+    from width 3, padded with spaces or a tab where the field stays within
+    the bulk read's unit width."""
+    width = u % 15 + 1
+    core = chr(ord("A") + u) + ("i d  e" * 3)[: max(width - 2, 0)] + "z" * (width > 1)
+    pad = ["", " ", "\t", "  "][u % 4]
+    field = pad + core + pad[::-1]
+    return field if len(field) < 16 else core
+
+
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+def test_unit_ids_of_every_bulk_width_are_read_in_bulk(tmp_path, monkeypatch, mode):
+    path = tmp_path / "widths.csv"
+    path.write_text("\n".join(_clean_lines(_padded_id)) + "\n", encoding="utf-8")
+    config = RunConfig(input_path=str(path), mode=mode, covariate_cols=("x1", "x2"))
+    want = row_by_row_load_csv(config)
+    assert set(map(len, want.unit_ids)) == set(range(1, 16))
+    calls = _row_reader_calls(monkeypatch)
+    assert_same_dataset(load_csv(config), want)
+    assert not calls
 
 
 TEMPLATE = "unit,period,y,d,x\n{u},0,1.5,0,1\n{u},1,{y},{d},{x}\nb,0,0.5,1,2\nb,1,3.5,{e},2\n"

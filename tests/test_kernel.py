@@ -23,6 +23,7 @@ from oracles import (
     scalar_fit,
     scalar_rank_transform,
     scalar_refit,
+    stable_sort_layout,
     unconditional_qtt,
 )
 from qdid import inference
@@ -31,6 +32,7 @@ from qdid.empirical import (
     SortedSample,
     StepDistribution,
     StepRows,
+    _sort_layout,
     rank_rows,
     rank_transform,
 )
@@ -101,11 +103,16 @@ def cells(draw, kind=None, count=1):
 
 @st.composite
 def weighted_rows(draw):
-    """(C, n) tied values and uneven weights, some zero, every row positive."""
-    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    """(C, n) values and uneven weights, some zero, every row positive. The
+    values are tied, with zeros of both signs, or (a wide spread) mostly
+    distinct; some rows are a few hundred values wide."""
+    rows = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(1, 30), st.integers(100, 400)))
+    spread = draw(st.sampled_from([3, 10**6]))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
-    values = rng.integers(-3, 4, size=(rows, n)) / 4.0
+    values = rng.integers(-spread, spread + 1, size=(rows, n)) / 4.0
+    values[rng.random((rows, n)) < 0.5] *= -1.0
     weights = rng.dirichlet(np.ones(n), size=rows) * n
     weights[rng.random((rows, n)) < 0.3] = 0.0
     weights[:, rng.integers(n)] += 1.0
@@ -119,9 +126,15 @@ def compacted(rows, r):
     return support[keep], rows.masses[r][keep], rows.cum_probs[r][keep]
 
 
+def assert_same_bits(a, b):
+    """Equal arrays whose zeros also have the same signs."""
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
 def assert_same_distribution(dist, reference):
     for name in ("support", "masses", "cum_probs"):
-        np.testing.assert_array_equal(getattr(dist, name), getattr(reference, name))
+        assert_same_bits(getattr(dist, name), getattr(reference, name))
     assert dist.total == reference.total
 
 
@@ -142,6 +155,9 @@ def test_step_rows_equal_step_distributions(case):
             np.testing.assert_array_equal(support, dist.support)
             np.testing.assert_array_equal(masses, dist.masses)
             np.testing.assert_array_equal(cum_probs, dist.cum_probs)
+        # a tie group of 0.0 and -0.0 takes the sign of its first value
+        assert_same_bits(compacted(fitted, r)[0], one.support)
+        assert_same_bits(refit.support, same_sample.support)
         np.testing.assert_array_equal(refit.masses[r], same_sample.masses)
         np.testing.assert_array_equal(refit.cum_probs[r], same_sample.cum_probs)
         np.testing.assert_array_equal(fitted.quantile(GRID)[r], one.quantile(GRID))
@@ -150,6 +166,66 @@ def test_step_rows_equal_step_distributions(case):
             rank_rows(refit, source.inverse, fitted)[r],
             scalar_rank_transform(same_sample, one, values[0]),
         )
+
+
+@st.composite
+def layout_rows(draw):
+    """(C, n) rows 1 to 700 values wide, past the widths at which numpy's
+    default sort changes method. Each row draws from a pool of 1, 2, 7 or
+    50 quarters, with zeros of both signs, or is continuous (no ties), so a
+    chunk may mix tied and tie-free rows."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 700))
+    pools = draw(st.lists(st.sampled_from([1, 2, 7, 50, 0]), min_size=rows, max_size=rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((rows, n))
+    for r, pool in enumerate(pools):
+        if pool:
+            values[r] = rng.integers(0, pool, size=n) / 4.0
+            values[r, rng.random(n) < 0.5] *= -1.0
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_rows())
+def test_sort_layout_is_the_stable_sort(values):
+    """The default argsort with its tie keys gives the stable layout: the
+    same order and tie heads, and sorted values with the same bits."""
+    order, support, head, tied = _sort_layout(values)
+    want_order, want_support, want_head = stable_sort_layout(values)
+    np.testing.assert_array_equal(order, want_order)
+    np.testing.assert_array_equal(head, want_head)
+    assert_same_bits(support, want_support)
+    assert tied == bool((want_head != np.arange(values.shape[1])).any())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 500), st.integers(0, 2**16))
+def test_refit_of_continuous_values_equals_scalar_reference(rows, n, seed):
+    """A sample without ties refits by gathering its weights in sorted order."""
+    rng = np.random.default_rng(seed)
+    sample = SortedSample(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4))
+    weights = rng.integers(0, 3, size=(rows, n)).astype(float)
+    weights[:, rng.integers(n)] += 0.5
+    refit = sample.fit_rows(weights)
+    for r in range(rows):
+        one = scalar_refit(sample, weights[r])
+        assert_same_bits(refit.support, one.support)
+        np.testing.assert_array_equal(refit.masses[r], one.masses)
+        np.testing.assert_array_equal(refit.cum_probs[r], one.cum_probs)
+
+
+def test_a_zero_reports_the_sign_of_its_first_occurrence():
+    """The treated post-period sample holds 0.0 before -0.0, so its tied
+    zeros are represented by 0.0, and the effect below the median is
+    0.0 - 0.0. (``np.unique``'s unstable sort kept -0.0 here, and the
+    report read -0.0.)"""
+    cell = PanelCell((), np.array([-0.0]), np.array([0.0]),
+                     np.array([-0.5, -0.0, -1.0, -0.0]), np.array([0.5, 0.5, 0.0, -0.0]))
+    assert not np.signbit(cell.samples[3].support[0])
+    for est, process in estimate_process(cell, GRID, ("ddid", "cic")).items():
+        assert process.values.tolist() == [0.0] * 10 + [0.5] * 9
+        assert not np.signbit(process.values).any()
+        assert_same_bits(process.values, scalar_estimate_process(cell, GRID, est).values)
 
 
 @settings(max_examples=100, deadline=None)

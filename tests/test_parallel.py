@@ -1,6 +1,6 @@
 """Parallel evaluation: outputs do not depend on the number of worker
 processes, tasks may be closures, a worker's error is an internal error, and
-no worker outlives its run."""
+no worker, pipe or process pool module outlives its run."""
 
 import collections
 import csv
@@ -87,6 +87,21 @@ def run(tmp_path, command, bootstrap, name="out"):
 
 def workers(monkeypatch, count):
     monkeypatch.setattr(inference, "_workers", lambda: count)
+
+
+def assert_no_child():
+    """This process has no child left, running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_script(tmp_path, code, *args):
+    """Run Python code in a fresh interpreter with qdid importable, in
+    ``tmp_path``; a run that hangs fails after two minutes."""
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args], capture_output=True, text=True,
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
+    )
 
 
 @pytest.mark.parametrize("bootstrap", [2, 25])
@@ -193,7 +208,118 @@ def test_an_error_in_a_worker_is_an_internal_error(tmp_path, capsys, monkeypatch
     assert "internal error" in err
     assert "operands could not be broadcast together" in err
     assert "_RemoteTraceback" in err  # raised in a worker process
+    assert ", in broken\n" in err  # the worker's traceback
     assert multiprocessing.active_children() == []
+    assert_no_child()
+
+
+def test_a_worker_killed_mid_task_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    workers(monkeypatch, 2)
+
+    def killed(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(qdid.cli, "bootstrap_block", killed)
+    code, _ = run(tmp_path, "panel", 20)
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    assert f"exited with status {-signal.SIGKILL} before sending its results" in err
+    assert_no_child()
+
+
+def test_an_unpicklable_exception_keeps_its_message_and_traceback(monkeypatch):
+    workers(monkeypatch, 2)
+
+    def unpicklable_error():
+        error = ValueError("operands could not be broadcast together")
+        error.hook = lambda: None
+        raise error
+
+    with pytest.raises(RuntimeError, match="ValueError: operands could not be") as raised:
+        inference._parallel([lambda: 1, unpicklable_error, lambda: 3])
+    assert isinstance(raised.value.__cause__, inference._RemoteTraceback)
+    assert "in unpicklable_error" in str(raised.value.__cause__)
+    assert_no_child()
+
+
+def test_the_first_failing_task_in_task_order_raises(monkeypatch):
+    """Each of two workers fails on its own task; the lower index raises."""
+    workers(monkeypatch, 2)
+
+    def fail(index):
+        if index in (1, 2):
+            time.sleep(0.2 * (2 - index))  # task 2 fails first
+            raise KeyError(index)
+        return index
+
+    with pytest.raises(KeyError, match="^1$"):
+        inference._parallel([lambda i=i: fail(i) for i in range(6)])
+    assert_no_child()
+
+
+def _descriptors():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+def test_every_pipe_is_closed_after_a_run_or_an_error(monkeypatch):
+    """20000 task indices are more than a pipe's buffer holds at once, and
+    four workers, which may be more than there are CPUs, read them in turn:
+    each index is run once."""
+    workers(monkeypatch, 4)
+    before = _descriptors()
+    assert inference._parallel([lambda i=i: i * i for i in range(20000)]) == [
+        i * i for i in range(20000)
+    ]
+    assert _descriptors() == before
+    with pytest.raises(ZeroDivisionError):
+        inference._parallel([lambda i=i: 1 // (i - 7) for i in range(20)])
+    assert _descriptors() == before
+    with pytest.raises(RuntimeError, match="before sending its results"):
+        inference._parallel([lambda: os._exit(3)] * 3)
+    assert _descriptors() == before
+    assert_no_child()
+
+
+def test_workers_flush_their_output_and_not_the_parents(tmp_path):
+    """Output that a task leaves in the buffers of standard output and error
+    is written before its worker exits; what the parent buffered before the
+    fork is written once."""
+    out = run_script(tmp_path, """
+        import sys
+        from qdid import inference
+        inference._workers = lambda: 2
+        print("parent", end=" ")
+
+        def task(i):
+            sys.stdout.write(f"out{i} ")
+            sys.stderr.write(f"err{i} ")
+            return i
+
+        assert inference._parallel([lambda i=i: task(i) for i in range(4)]) == [0, 1, 2, 3]
+        """)
+    assert out.returncode == 0, out.stderr
+    assert sorted(out.stdout.split()) == ["out0", "out1", "out2", "out3", "parent"]
+    assert sorted(out.stderr.split()) == ["err0", "err1", "err2", "err3"]
+
+
+def test_a_run_with_two_workers_loads_no_process_pool(tmp_path):
+    panel_csv(tmp_path / "input.csv")
+    out = run_script(tmp_path, """
+        import sys
+        import qdid.cli
+        from qdid import inference
+        inference._workers = lambda: 2
+        calls = []
+        parallel = inference._parallel
+        qdid.cli._parallel = lambda tasks: calls.append(len(tasks)) or parallel(tasks)
+        argv = ["estimate", "-i", "input.csv", "-o", "out", "-b", "4", *sys.argv[1:]]
+        assert qdid.cli.main(argv) == 0
+        print("tasks:", calls)
+        print("pools:", "multiprocessing" in sys.modules, "concurrent.futures" in sys.modules)
+        """, *ESTIMATE)
+    assert out.stdout.splitlines()[-2:] == ["tasks: [2]", "pools: False False"], out.stderr
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins the run to one CPU")
