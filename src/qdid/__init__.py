@@ -8,7 +8,6 @@ exchangeable-bootstrap uniform inference and a Monte Carlo harness.
 from .data_model import (
     PanelData,
     RcsData,
-    ValidationError,
     ValidationReport,
     build_cells,
     validate,
@@ -64,7 +63,6 @@ __all__ = [
     "SortedSample",
     "StepDistribution",
     "StepRows",
-    "ValidationError",
     "ValidationReport",
     "analyze_cell",
     "analyze_unconditional",

@@ -39,7 +39,6 @@ from .inference import (
     InferenceReport,
     _draw_stores,
     _parallel,
-    _split,
     analyze_cell,
     analyze_unconditional,
     bootstrap_block,
@@ -129,13 +128,13 @@ class RunConfig:
         _check_draws_fit(self.estimators, self.bootstrap, grid.size)
 
 
-def _flag_value(flags: str, build):
-    """``build()``, with a ValueError, an OverflowError or a MemoryError (a
-    value asking for an array that cannot be allocated) it raises reported
-    as a bad value of ``flags``."""
+def _flag_value(flags: str, build, errors=(ValueError, OverflowError, MemoryError)):
+    """``build()``, with an error of ``errors`` it raises reported as a bad
+    value of ``flags``: by default a ValueError, an OverflowError or a
+    MemoryError (a value asking for an array that cannot be allocated)."""
     try:
         return build()
-    except (ValueError, OverflowError, MemoryError) as exc:
+    except errors as exc:
         raise FlagError(f"{flags}: {exc}") from None
 
 
@@ -269,6 +268,8 @@ def load_csv(config: RunConfig) -> PanelData | RcsData:
             columns, line_of = _row_columns(reader, len(header), used, names, has_unit)
     except UnicodeDecodeError as exc:
         raise LoadError(f"cannot read {config.input_path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise LoadError(f"cannot read {config.input_path}: {exc}") from None
     return _dataset(config, *columns, line_of=line_of)
 
 
@@ -475,31 +476,32 @@ def run_estimation(config: RunConfig) -> RunResult:
     )
     viable = [(index, cell) for index, cell in enumerate(cells) if cell.viable]
     names, n_total = config.estimators, dataset.n_total
-    ranges, stores, mixture = [], [], None
-    if config.unconditional:
-        # the mixture's draws, and those of the first cells that fit, are
-        # taken in one pass (bootstrap_block) and kept in shared memory
+    for _, cell in viable:  # sorted here, once, for the workers to inherit
+        cell.samples
+    reports, mixture = [], None
+    while len(reports) < len(viable):
+        # a round: the draws of the next cells that fit, and in the first
+        # round of an --unconditional run the mixture's, are taken in one
+        # pass (bootstrap_block) over each worker's draw range and kept in
+        # shared memory
+        rest = viable[len(reports) :]
         try:
-            mixture, stores = _draw_stores(len(viable), len(names), boot, grid.size)
+            mixed, stores = _draw_stores(
+                len(rest), len(names), boot, grid.size, config.unconditional and not reports
+            )
         except (MemoryError, OSError, OverflowError) as exc:
             raise FlagError(
-                f"--bootstrap {boot.iterations}: cannot hold the draws of the unconditional "
-                f"analysis ({exc})"
+                f"--bootstrap {boot.iterations}: cannot hold the bootstrap draws ({exc})"
             ) from None
-        ranges = _split(boot.iterations)
-    kept = viable[: len(stores)]
-    # the blocks first: each outlasts a cell's task
-    results = _parallel([
-        functools.partial(bootstrap_block, viable, grid, boot, names, stores, mixture, draws)
-        for draws in ranges
-    ] + [
-        functools.partial(analyze_cell, cell, grid, boot, names, n_total, cell_index=index)
-        for index, cell in viable[len(kept) :]
-    ])
-    reports = []
-    for index, cell in kept:  # each store is unmapped once its reports are built
-        reports.append(analyze_cell(cell, grid, boot, names, n_total, index, stores.pop(0)))
-    reports = iter(reports + results[len(ranges) :])
+        if not reports:
+            mixture = mixed
+        _parallel(
+            functools.partial(bootstrap_block, rest, grid, boot, names, stores, mixed),
+            boot.iterations,
+        )
+        for index, cell in rest[: len(stores)]:  # each store is unmapped once read
+            reports.append(analyze_cell(cell, grid, boot, names, n_total, index, stores.pop(0)))
+    reports = iter(reports)
     analyses = [CellAnalysis(cell, next(reports) if cell.viable else None) for cell in cells]
     unconditional = None
     if config.unconditional:
@@ -783,7 +785,7 @@ def _cmd_estimate(args) -> int:
     config = RunConfig(**flags)
     _warn_if_critical_value_is_largest_draw(config.bootstrap, config.alpha)
     result = run_estimation(config)
-    for path in write_report(result, out):
+    for path in _flag_value("--out", lambda: write_report(result, out), OSError):
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -827,7 +829,9 @@ def _cmd_mc(args) -> int:
         )
         for param, spec in designs
     ]
-    for path in write_mc_outputs(results, param_name, args.out):
+    for path in _flag_value(
+        "--out", lambda: write_mc_outputs(results, param_name, args.out), OSError
+    ):
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -838,13 +842,17 @@ def _cmd_simulate(args) -> int:
     n = _flag_value("--n", lambda: _per_arm_size(args.n))
     spec = _flag_value("--n/--te/--rho", lambda: DgpSpec(args.dgp, n, args.te, args.rho))
     data = simulate(spec, substream(args.seed, 0))
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["unit", "period", "y", "d"])
-        for i in range(data.n_units):
-            d = int(data.treated[i])
-            writer.writerow([int(data.unit_ids[i]), 0, _fnum(data.y_pre[i]), d])
-            writer.writerow([int(data.unit_ids[i]), 1, _fnum(data.y_post[i]), d])
+
+    def write():
+        with open(args.out, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["unit", "period", "y", "d"])
+            for i in range(data.n_units):
+                d = int(data.treated[i])
+                writer.writerow([int(data.unit_ids[i]), 0, _fnum(data.y_pre[i]), d])
+                writer.writerow([int(data.unit_ids[i]), 1, _fnum(data.y_post[i]), d])
+
+    _flag_value("--out", write, OSError)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -858,7 +866,7 @@ def main(argv=None) -> int:
         if args.command == "mc":
             return _cmd_mc(args)
         return _cmd_simulate(args)
-    except (LoadError, FlagError, OSError) as exc:  # OSError: --out
+    except (LoadError, FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleError as exc:

@@ -20,7 +20,6 @@ __all__ = [
     "RcsData",
     "ValidationIssue",
     "ValidationReport",
-    "ValidationError",
     "validate",
     "build_cells",
     "DEFAULT_MIN_CELL_SIZE",
@@ -155,14 +154,6 @@ class ValidationReport:
         if self.ok:
             return "dataset ok"
         return "\n".join(str(issue) for issue in self.issues)
-
-
-class ValidationError(ValueError):
-    """Raised when a dataset fails validation."""
-
-    def __init__(self, report: ValidationReport):
-        self.report = report
-        super().__init__(str(report))
 
 
 def _rows_msg(rows: np.ndarray, what: str) -> ValidationIssue:

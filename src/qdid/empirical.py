@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "StepDistribution",
     "StepRows",
-    "MixtureLayout",
     "SortedSample",
     "rank_transform",
     "rank_rows",
@@ -278,29 +277,6 @@ class StepRows:
         """Row-wise generalized inverse ``inf { y : F(y) >= level }`` at
         levels in (0, 1]: one 1-d array for every row, or a (C, m) array."""
         return _take_rows(self.support, searchsorted_rows(self.cum_probs, levels))
-
-
-class MixtureLayout:
-    """``StepRows.mixture`` for components whose supports never change, each a
-    1-d support shared by its rows (as ``SortedSample.fit_rows`` gives): the
-    merged support is sorted once, so each mixture is a gather of the
-    components' probabilities and one bincount."""
-
-    __slots__ = ("order", "support", "head")
-
-    def __init__(self, supports):
-        order, support, head, _ = _sort_layout(np.concatenate(supports)[None])
-        self.order, self.support, self.head = order[0], support[0], head[0]
-
-    def mixture(self, components, shares) -> StepRows:
-        """``StepRows.mixture(components, shares)`` bit for bit, for components
-        on the supports of this layout, in their order."""
-        components = list(components)
-        if len(components) == 1:
-            return components[0]
-        probs = _mixture_probs(components, shares)[:, self.order]
-        head = np.broadcast_to(self.head, probs.shape)
-        return StepRows(self.support, _row_bincount(head, probs, self.head.size))
 
 
 class SortedSample:

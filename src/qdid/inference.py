@@ -24,23 +24,21 @@ span blocks draw each block once; a walk whose draw range starts inside a
 block draws that block and drops its head. ``draw_weights`` is the one-row
 block.
 
-A run's analyses are independent tasks, evaluated by ``_parallel`` in
-worker processes forked with ``os.fork``, one per CPU the process may run
-on. They take task indices from one pipe and send their results back over
-a pipe each, and no process pool module is loaded. A viable
-cell is one task, whose report is assembled inside it. With the
-unconditional analysis, the mixture's draws are split into one contiguous
-draw range (``_split``) per worker, and each range is one task over every
-viable cell (``bootstrap_block``). It draws each cell's weights and refits
-them once per chunk, and from that one fit writes the mixture's rows, and the
-rows of each cell whose draws fit ``STORE_ELEMENTS``, into arrays of shared
-memory (``_draw_stores``) that the parent makes before it forks; those
-cells get no task of their own, and the parent builds their reports from
-the arrays. Monte Carlo reps run in contiguous blocks. Results are
-gathered in task order, and since every draw is keyed order-free, outputs
-do not depend on the number of workers. With one CPU, or where the process
-cannot fork or read its CPU set, the tasks run in process, one after
-another.
+A run's bootstrap is split by ``_parallel`` into one contiguous range of
+draw indices (``qdid estimate``) or rep indices (``qdid mc``) per worker
+process, forked with ``os.fork``, one per CPU the process may run on. Each
+worker runs one callable over its range and sends its result back over a
+pipe of its own, and no process pool module is loaded. ``qdid estimate``
+runs in rounds. In each, every range is one pass (``bootstrap_block``) that
+writes the draws of as many viable cells as fit ``STORE_ELEMENTS``, at
+least one, into arrays of shared memory (``_draw_stores``) that the parent
+makes before it forks; the parent then builds those cells' reports from the
+arrays. The first round of a run with the unconditional analysis also walks
+every viable cell for the mixture: it draws each cell's weights and refits
+them once per chunk, and from that one fit writes the mixture's rows and
+the stored cells' rows. Every draw is keyed order-free, so outputs do not
+depend on the number of workers. With one CPU, or where the process cannot
+fork or read its CPU set, the one range runs in process.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import MixtureLayout, StepRows, _row_bincount
+from .empirical import SortedSample, StepRows, _mixture_probs, _row_bincount
 # counterfactual_cdf_panel/_rcs are unused here; bench/tracer.py rebinds them by this path
 from .estimators import (
     Cell,
@@ -90,9 +88,9 @@ __all__ = [
 
 SCHEMES = ("multinomial", "dirichlet")
 
-# The most draws a bootstrap may take, an input check on --bootstrap: every
-# draw index, and so every block index of a substream's key, fits one 32-bit
-# word.
+# The most draws a bootstrap may take, an input check on --bootstrap that
+# bounds a run's size. The draw stream needs no bound: a substream key may
+# hold any non-negative integer.
 MAX_ITERATIONS = 2**32 - 1
 
 # Entries in one block of a cell's weight rows for its largest arm: draw b is
@@ -114,13 +112,13 @@ BLOCK_ELEMENTS = 2048
 # one cell of 200 units per arm (mc) holds about 1.2 MB more than at 8192.
 CHUNK_ELEMENTS = 16384
 
-# Entries (8 bytes each) of the shared arrays a run with the unconditional
-# analysis may hold: the mixture's draws, and the draws of as many cells as
-# fit with them, which are then taken in the mixture's pass (see
+# Entries (8 bytes each) of the shared arrays one round of qdid estimate may
+# hold: the draws of as many cells as fit, at least one, and in the first
+# round of a run with the unconditional analysis the mixture's draws (see
 # _draw_stores). Those draws stay in memory until the parent has read them,
-# each worker holding the part its range writes, so this caps what the one
-# pass adds to a run's memory; 2**20 (8 MiB) holds 8 cells, two estimators,
-# B = 500 and 91 grid points (6.2 MB).
+# each worker holding the part its range writes, so this caps what a round
+# adds to a run's memory; 2**20 (8 MiB) holds the mixture and 8 cells, two
+# estimators, B = 500 and 91 grid points (6.2 MB).
 STORE_ELEMENTS = 2**20
 
 
@@ -226,6 +224,8 @@ def _chunk_weights(members: list, config: BootstrapConfig, draws: range):
     a slice, and each ``(key, cell)`` member's ``_weight_rows`` for the chunk.
     A chunk fills at most CHUNK_ELEMENTS entries of a matrix as wide as the
     members' largest arms put together."""
+    if draws.step != 1 or not 0 <= draws.start <= draws.stop <= config.iterations:
+        raise ValueError("draws must be a contiguous range of draw indices below B")
     sizes = [(key, cell.arm_sizes()) for key, cell in members]
     step = max(1, CHUNK_ELEMENTS // sum(max(arms.values()) for _, arms in sizes))
     walks = zip(*(_weight_rows(arms, config, key, draws, step) for key, arms in sizes))
@@ -253,12 +253,20 @@ def bootstrap_process(
     check_nonempty(cell)
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
     taus = np.asarray(tau_grid, dtype=float)
-    draws = {est: np.empty((config.iterations, taus.size)) for est in names}
-    members = [((*key_prefix, cell_index), cell)]
-    for rows, (weights,) in _chunk_weights(members, config, range(config.iterations)):
-        for est, values in estimate_rows(cell, taus, weights, names).items():
-            draws[est][rows] = values
-    return draws[estimator] if isinstance(estimator, str) else draws
+    draws = np.empty((len(names), config.iterations, taus.size))
+    key = (*key_prefix, cell_index)
+    _store_rows(cell, taus, config, names, key, range(config.iterations), draws)
+    return draws[0] if isinstance(estimator, str) else dict(zip(names, draws))
+
+
+def _store_rows(cell, taus, config, estimators, key, draws: range, store) -> None:
+    """The estimators' rows of one cell for the draws in ``draws``, its
+    blocks keyed ``key``, written into ``store`` (len(estimators), B, grid)
+    at their draw indices."""
+    part = store[:, draws.start : draws.stop]
+    for rows, (weights,) in _chunk_weights([(key, cell)], config, draws):
+        values = estimate_rows(cell, taus, weights, estimators)
+        part[:, rows] = [values[est] for est in estimators]
 
 
 def _order_index(n: int, q: float) -> int:
@@ -392,18 +400,22 @@ def analyze_cell(
     return reports[estimator] if isinstance(estimator, str) else reports
 
 
-def _treated_layout(cells: list[Cell]) -> MixtureLayout:
-    """The merged layout of the cells' treated CDFs, which are refits of
-    their treated post-period samples (the last sample) on fixed supports."""
-    return MixtureLayout([cell.samples[-1].support for cell in cells])
+def _treated_layout(cells: list[Cell]) -> SortedSample:
+    """The pooled supports of the cells' treated CDFs, which are refits of
+    their treated post-period samples (the last sample) on fixed supports:
+    their mixture is a refit of this sample, sorted once."""
+    return SortedSample(np.concatenate([cell.samples[-1].support for cell in cells]))
 
 
-def _mixture_rows(layout: MixtureLayout, taus, cdfs: list, shares) -> np.ndarray:
+def _mixture_rows(layout: SortedSample, taus, cdfs: list, shares) -> np.ndarray:
     """The unconditional process under a chunk of draws: row r mixes row r of
     each cell's (treated, counterfactual) CDFs in ``cdfs`` by the cells'
-    treated shares; ``layout`` is the cells' ``_treated_layout``."""
+    treated shares; ``layout`` is the cells' ``_treated_layout``. One cell's
+    treated CDF is its own mixture (a refit would change low bits)."""
     treated, counterfactual = zip(*cdfs)
-    mixed = layout.mixture(treated, shares).quantile(taus)
+    if len(treated) > 1:
+        treated = [layout.fit_rows(_mixture_probs(treated, shares))]
+    mixed = treated[0].quantile(taus)
     return mixed - StepRows.mixture(counterfactual, shares).quantile(taus)
 
 
@@ -458,8 +470,6 @@ def _block_rows(cells, taus, config: BootstrapConfig, draws: range, estimators=(
     """
     if not cells:
         raise ValueError("need at least one viable cell")
-    if draws.step != 1 or not 0 <= draws.start <= draws.stop <= config.iterations:
-        raise ValueError("draws must be a contiguous range of draw indices below B")
     members = [cell for _, cell in cells]
     for cell in members:
         check_nonempty(cell)
@@ -475,23 +485,24 @@ def _block_rows(cells, taus, config: BootstrapConfig, draws: range, estimators=(
         yield rows, _mixture_rows(layout, taus, cdfs, shares), values
 
 
-def _draw_stores(cells: int, estimators: int, config: BootstrapConfig, grid_size: int):
-    """Arrays of shared anonymous memory for a run's blocks to write: one for
-    the mixture's draws, (B, grid), and one for each of the first cells,
-    (estimators, B, grid), as many of the ``cells`` as fit STORE_ELEMENTS
-    with the mixture's. Made before a fork, they hold what the forked
-    workers write for the parent to read; an array's memory is unmapped
-    when its last view is dropped. Raises MemoryError or OSError when the
-    memory cannot be had.
+def _draw_stores(cells: int, estimators: int, config: BootstrapConfig, grid_size: int,
+                 mixture: bool):
+    """Arrays of shared anonymous memory for a round's passes to write: with
+    ``mixture``, one for the mixture's draws, (B, grid), else None; and one
+    for each of the first cells, (estimators, B, grid), as many of the
+    ``cells`` as fit STORE_ELEMENTS with the mixture's, and at least one.
+    Made before a fork, they hold what the forked workers write for the
+    parent to read; an array's memory is unmapped when its last view is
+    dropped. Raises MemoryError or OSError when the memory cannot be had.
     """
-    import mmap  # here: a run that makes no store does not load it (0.2 MB)
+    import mmap  # here: importing qdid does not load it
 
     def shared(*shape):
         return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
 
     size = config.iterations * grid_size
-    kept = min(cells, max(0, STORE_ELEMENTS - size) // (estimators * size))
-    return shared(config.iterations, grid_size), [
+    kept = min(cells, max(1, (STORE_ELEMENTS - mixture * size) // (estimators * size)))
+    return shared(config.iterations, grid_size) if mixture else None, [
         shared(estimators, config.iterations, grid_size) for _ in range(kept)
     ]
 
@@ -502,24 +513,30 @@ def bootstrap_block(
     config: BootstrapConfig,
     estimators: tuple[str, ...],
     stores: list[np.ndarray],
-    mixture: np.ndarray,
+    mixture: np.ndarray | None,
     draws: range,
 ) -> None:
-    """One task of a run that analyzes the cells and their mixture: the rows
-    of the draws in ``draws`` for the mixture, written into ``mixture`` (B,
-    grid), as ``bootstrap_unconditional`` gives them, and for the
-    estimators of each of the first ``len(stores)`` cells, written into
-    ``stores[k]`` (len(estimators), B, grid), as ``bootstrap_process``
-    gives them. Rows depend only on their draw index, so blocks whose
-    ranges cover range(B) fill the arrays in any order and any process.
+    """One worker's part of a round of a run: the rows of the draws in
+    ``draws`` for the estimators of each of the first ``len(stores)`` cells,
+    written into ``stores[k]`` (len(estimators), B, grid), as
+    ``bootstrap_process`` gives them, and, given a ``mixture`` array (B,
+    grid), for the mixture of every cell, as ``bootstrap_unconditional``
+    gives them. With a mixture, one walk over every cell draws and refits
+    each cell's weights once per chunk for both; without one, the stored
+    cells are walked one at a time. Rows depend only on their draw index, so
+    parts whose ranges cover range(B) fill the arrays in any order and any
+    process.
     """
     taus = checked_grid(tau_grid)
+    if mixture is None:
+        for (index, cell), store in zip(cells, stores):
+            _store_rows(cell, taus, config, estimators, (index,), draws, store)
+        return
+    parts = [store[:, draws.start : draws.stop] for store in stores]
     for rows, mixed, values in _block_rows(cells, taus, config, draws, estimators, len(stores)):
-        rows = slice(draws.start + rows.start, draws.start + rows.stop)
-        mixture[rows] = mixed
-        for store, cell_values in zip(stores, values):
-            for e, est in enumerate(estimators):
-                store[e, rows] = cell_values[est]
+        mixture[draws.start : draws.stop][rows] = mixed
+        for part, cell_values in zip(parts, values):
+            part[:, rows] = [cell_values[est] for est in estimators]
 
 
 def analyze_unconditional(
@@ -568,16 +585,13 @@ class _RemoteTraceback(Exception):
         return f'\n"""\n{self.tb}"""'
 
 
-def _work(tasks: list, queue: int, feed: int, send: int, parent: int) -> None:
+def _work(run, part: range, send: int, parent: int) -> None:
     """A forked worker's whole life; it never returns.
 
-    It takes 4-byte task indices from the pipe ``queue`` until end of file
-    (the parent writes whole indices, and a pipe read of 4 bytes takes one
-    at once), pickles each result, and stops at the first task that raises.
-    Then it writes one pickle of its (index, result) pairs and its error, if
-    any, to ``send``, flushes standard output and error, and leaves by
-    ``os._exit``: no interpreter teardown, and nothing of the parent's stack
-    runs.
+    It writes one pickle to ``send``: of ``run(part)`` or, when that raises,
+    of the error and its formatted traceback. Then it flushes standard
+    output and error and leaves by ``os._exit``: no interpreter teardown,
+    and nothing of the parent's stack runs.
 
     A busy worker would outlive a parent killed with SIGKILL, so it has the
     kernel kill it when the parent exits (PR_SET_PDEATHSIG, Linux), and
@@ -588,31 +602,25 @@ def _work(tasks: list, queue: int, feed: int, send: int, parent: int) -> None:
         import ctypes
         import signal
 
-        os.close(feed)  # else the queue never reaches end of file
         prctl = getattr(ctypes.CDLL(None), "prctl", None)
         if prctl is not None:
             prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
             prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
         if os.getppid() != parent:
             return
-        done, error = [], None
-        while index := os.read(queue, 4):
-            index = int.from_bytes(index, sys.byteorder)
-            try:
-                done.append((index, pickle.dumps(tasks[index](), pickle.HIGHEST_PROTOCOL)))
-            except BaseException as exc:  # raised again in the parent
-                import traceback
+        try:
+            payload = pickle.dumps((run(part), None), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # raised again in the parent
+            import traceback
 
-                text = traceback.format_exc()
-                try:
-                    pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-                except Exception:
-                    exc = RuntimeError(traceback.format_exception_only(exc)[-1].strip())
-                error = index, exc, text
-                break
-        os.close(queue)  # once every worker has stopped, the parent's writes fail, not block
+            text = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+            except Exception:
+                exc = RuntimeError(traceback.format_exception_only(exc)[-1].strip())
+            payload = pickle.dumps((None, (exc, text)), pickle.HIGHEST_PROTOCOL)
         with open(send, "wb") as pipe:
-            pipe.write(pickle.dumps((done, error), pickle.HIGHEST_PROTOCOL))
+            pipe.write(payload)
         code = 0
     finally:
         for stream in (sys.stdout, sys.stderr):
@@ -623,52 +631,39 @@ def _work(tasks: list, queue: int, feed: int, send: int, parent: int) -> None:
         os._exit(code)
 
 
-def _parallel(tasks: list) -> list:
-    """The results of the zero-argument callables ``tasks``, in task order.
+def _parallel(run, n: int) -> list:
+    """``run(part)`` for each part of ``_split(n)``, in order: one
+    contiguous range of range(n) per worker.
 
-    With more than one worker (``_workers``, at most one per task), the
-    tasks run in worker processes forked here with ``os.fork``, which
-    inherit the task list: only task indices and results cross a pipe, so a
-    task may be any callable, a closure included. Fork copies only the
-    calling thread, and qdid starts no thread. The parent writes every task
-    index to one pipe that the workers read in turn, so a long task holds
-    back no other, and then reads each worker's results from a pipe of its
-    own (``_work``). The first task to fail, in task order, raises here with
-    the worker's traceback as its cause, and a worker that exits without
-    sending its results is a RuntimeError; every worker has exited, and
-    every pipe is closed, when this returns or raises. Otherwise the tasks
-    run here, one after another.
+    With more than one part, each runs in a worker process forked here with
+    ``os.fork``, which inherits ``run``: only results cross a pipe, so
+    ``run`` may be any callable, a closure included. Fork copies only the
+    calling thread, and qdid starts no thread. Each worker sends its result
+    over a pipe of its own (``_work``), read here in part order. The first
+    part to fail, in order, raises here with the worker's traceback as its
+    cause, and a worker that exits without sending its result is a
+    RuntimeError; every worker has exited, and every pipe is closed, when
+    this returns or raises. With one part, it runs here.
     """
-    workers = min(_workers(), len(tasks))
-    if workers < 2:
-        return [task() for task in tasks]
+    parts = _split(n)
+    if len(parts) < 2:
+        return [run(part) for part in parts]
     for stream in (sys.stdout, sys.stderr):  # else each worker writes the buffer again
         stream.flush()
     parent = os.getpid()
-    running = []  # [pid, read end of its result pipe], in fork order
-    queue, feed = os.pipe()
+    running = []  # [pid, read end of its result pipe], in part order
     try:
-        for _ in range(workers):
+        for part in parts:
             reply, send = os.pipe()
             running.append([0, reply])
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(tasks, queue, feed, send, parent)
+                    _work(run, part, send, parent)
             finally:
                 os.close(send)
             running[-1][0] = pid
-        os.close(queue)
-        queue = None
-        indices = memoryview(np.arange(len(tasks), dtype=np.uint32).tobytes())
-        try:
-            while indices:
-                indices = indices[os.write(feed, indices) :]
-        except BrokenPipeError:  # every worker has stopped; their results say why
-            pass
-        os.close(feed)
-        feed = None
-        results, errors, lost = {}, {}, []
+        results = []
         while running:
             pid, reply = running[0]
             with open(reply, "rb") as pipe:
@@ -677,25 +672,15 @@ def _parallel(tasks: list) -> list:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             running.pop(0)
             if status != 0 or not payload:
-                lost.append(f"worker process {pid} exited with status {status} "
-                            "before sending its results")
-                continue
-            done, error = pickle.loads(payload)
-            results.update(done)
+                raise RuntimeError(
+                    f"worker process {pid} exited with status {status} before sending its results"
+                )
+            result, error = pickle.loads(payload)
             if error is not None:
-                errors[error[0]] = error[1:]
-        for index in range(len(tasks)):
-            if index in results:
-                continue
-            if index in errors:
-                exc, text = errors[index]
-                raise exc from _RemoteTraceback(text)
-            raise RuntimeError(lost[0])
-        return [pickle.loads(results[index]) for index in range(len(tasks))]
+                raise error[0] from _RemoteTraceback(error[1])
+            results.append(result)
+        return results
     finally:
-        for end in (queue, feed):
-            if end is not None:
-                os.close(end)
         if running:  # only when this call is failing
             import signal
 

@@ -31,7 +31,6 @@ from .estimators import ESTIMATORS, checked_grid, estimate_process
 from .inference import (
     BootstrapConfig,
     _parallel,
-    _split,
     bootstrap_process,
     draw_weights,  # noqa: F401
     empirical_quantile,
@@ -158,11 +157,11 @@ class McResult:
 
 def _mc_block(
     spec: DgpSpec,
-    reps: range,
     grid: np.ndarray,
     estimators: tuple[str, ...],
     seed: int,
     config: BootstrapConfig | None,
+    reps: range,
 ):
     """Estimation errors and, given a bootstrap config, rejections of the
     reps in ``reps``: per estimator, one row per rep, in rep order."""
@@ -206,7 +205,7 @@ def run_mc(
     reject when |estimate| exceeds the (1-alpha) quantile of the recentered
     bootstrap absolute deviations at that tau. With bootstrap_iterations=0
     only bias and RMSE are computed. The settings are checked here; reps
-    then run in contiguous blocks, one per worker process (see
+    then run in contiguous ranges, one per worker process (see
     ``qdid.inference``).
     """
     if reps < 1:
@@ -221,12 +220,7 @@ def run_mc(
         if bootstrap_iterations != 0
         else None
     )
-    blocks = _parallel(
-        [
-            functools.partial(_mc_block, spec, block, grid, estimators, seed, config)
-            for block in _split(reps)
-        ]
-    )
+    blocks = _parallel(functools.partial(_mc_block, spec, grid, estimators, seed, config), reps)
     errors = {est: np.concatenate([e[est] for e, _ in blocks]) for est in estimators}
     bias = {est: errors[est].mean(axis=0) for est in estimators}
     rmse = {est: np.sqrt(np.mean(errors[est] ** 2, axis=0)) for est in estimators}

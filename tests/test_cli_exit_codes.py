@@ -44,7 +44,7 @@ def no_simulation(monkeypatch):
         (["--te", "nan"], "--n/--te"),
         (["--estimators", ""], "--estimators"),
         (["--estimators", "ddid,ddid"], "--estimators"),
-        # draw indices are 32-bit words
+        # past the bound on the draw count (inference.MAX_ITERATIONS)
         (["--bootstrap", "5000000000"], "--bootstrap"),
         # draws of 68 PB: past any address space, so the allocation fails at once
         (["--bootstrap", "4294967295", "--taus", ",".join(str(k / 1000) for k in range(1, 1000))],
@@ -137,7 +137,7 @@ def test_draw_stores_that_cannot_be_held_are_a_bootstrap_error(
     """An --unconditional run holds the draws of the mixture, then of each
     cell that fits the store budget (here the one cell), in shared memory.
     One that cannot be allocated fails the run after the cells are built and
-    before any task or draw."""
+    before any pass or draw."""
     path = tmp_path / "data.csv"
     assert main(["simulate", "--dgp", "1", "--n", "20", "-o", str(path)]) == EXIT_OK
     allocate, ran = mmap.mmap, []
@@ -156,8 +156,73 @@ def test_draw_stores_that_cannot_be_held_are_a_bootstrap_error(
     assert main(argv) == EXIT_VALIDATION
     assert ran == ["mmap"] * fail_at
     err = capsys.readouterr().err
-    assert err.startswith("error: --bootstrap 20: cannot hold the draws of the unconditional analysis (")
+    assert err.startswith("error: --bootstrap 20: cannot hold the bootstrap draws (")
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("error", [MemoryError(), OSError(errno.ENOMEM, "Cannot allocate memory")])
+def test_a_cell_store_that_cannot_be_held_is_a_bootstrap_error(tmp_path, capsys, monkeypatch, error):
+    """A run without the mixture keeps each round's cells' draws in shared
+    memory too."""
+    path = tmp_path / "data.csv"
+    assert main(["simulate", "--dgp", "1", "--n", "20", "-o", str(path)]) == EXIT_OK
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(mmap, "mmap", failing)
+    assert main(["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20"]) == 2
+    assert capsys.readouterr().err.startswith("error: --bootstrap 20: cannot hold the bootstrap")
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_failing_system_call_is_an_internal_error(tmp_path, capsys, monkeypatch, call):
+    """An OSError of the program's own (here no process or pipe can be
+    made) is not bad input: it exits 4, with every pipe closed."""
+    path = tmp_path / "data.csv"
+    assert main(["simulate", "--dgp", "1", "--n", "20", "-o", str(path)]) == EXIT_OK
+    monkeypatch.setattr(inference, "_workers", lambda: 2)
+
+    def failing():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    before = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(os, call, failing)
+    code = main(["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20"])
+    monkeypatch.undo()
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Too many open files" in err and "internal error" in err
+    assert before is None or sorted(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ChildProcessError):  # no child left
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_read_error_on_the_input_is_an_input_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "data.csv"
+    assert main(["simulate", "--dgp", "1", "--n", "20", "-o", str(path)]) == EXIT_OK
+
+    def failing(name):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(qdid.cli, "_plain_ascii", failing)
+    assert main(["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: [Errno 5]")
+
+
+@pytest.mark.parametrize("command", ["estimate", "mc", "simulate"])
+def test_an_unwritable_out_names_the_flag(tmp_path, capsys, command):
+    path = tmp_path / "data.csv"
+    assert main(["simulate", "--dgp", "1", "--n", "20", "-o", str(path)]) == EXIT_OK
+    argv = {
+        "estimate": ["estimate", "-i", str(path), "-b", "20"],
+        "mc": ["mc", "--dgp", "1", "--n", "10", "--reps", "2", "--bootstrap", "0"],
+        "simulate": ["simulate", "--dgp", "1", "--n", "5"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["-o", str(tmp_path / "missing" / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and "internal error" not in err
 
 
 def test_input_errors_keep_exit_2(tmp_path, capsys):

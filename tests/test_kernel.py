@@ -28,10 +28,10 @@ from oracles import (
 )
 from qdid import inference
 from qdid.empirical import (
-    MixtureLayout,
     SortedSample,
     StepDistribution,
     StepRows,
+    _mixture_probs,
     _sort_layout,
     rank_rows,
     rank_transform,
@@ -356,14 +356,17 @@ def test_unconditional_draw_ranges_stack_to_all_draws(cell_list, config, budget,
 def test_draw_blocks_fill_each_cells_and_the_mixtures_draws(cell_list, config, budget, data):
     """Blocks over any split of range(B) write what the unconditional
     bootstrap gives and, for each of the first cells, what its own
-    bootstrap gives; the other cells only enter the mixture."""
+    bootstrap gives; the other cells only enter the mixture. Without a
+    mixture array, the blocks write the first cells' draws alone."""
     indexed = list(zip((0, 2, 5), cell_list))
     names = ("ddid", "cic")
     cuts = data.draw(st.lists(st.integers(0, config.iterations), max_size=3))
     bounds = [0, *sorted(cuts), config.iterations]
     kept = data.draw(st.integers(0, len(indexed)))
     stores = [np.full((2, config.iterations, GRID.size), np.nan) for _ in range(kept)]
-    mixture = np.full((config.iterations, GRID.size), np.nan)
+    mixture = None
+    if data.draw(st.booleans()):
+        mixture = np.full((config.iterations, GRID.size), np.nan)
     chunk, block = budget
     with mock.patch.object(inference, "BLOCK_ELEMENTS", block):
         with mock.patch.object(inference, "CHUNK_ELEMENTS", chunk):
@@ -373,7 +376,8 @@ def test_draw_blocks_fill_each_cells_and_the_mixtures_draws(cell_list, config, b
             draws = bootstrap_process(cell, GRID, config, names, cell_index=index)
             for e, est in enumerate(names):
                 np.testing.assert_array_equal(store[e], draws[est])
-        np.testing.assert_array_equal(mixture, bootstrap_unconditional(indexed, GRID, config))
+        if mixture is not None:
+            np.testing.assert_array_equal(mixture, bootstrap_unconditional(indexed, GRID, config))
 
 
 @pytest.mark.parametrize(
@@ -381,10 +385,23 @@ def test_draw_blocks_fill_each_cells_and_the_mixtures_draws(cell_list, config, b
 )
 def test_draw_stores_keep_the_cells_that_fit_the_budget(monkeypatch, budget, cells, kept):
     """The mixture's array (here 10 x 7 entries) is always made; a cell's (2
-    x 10 x 7) only while the arrays together stay within STORE_ELEMENTS."""
+    x 10 x 7) while the arrays together stay within STORE_ELEMENTS, and for
+    one cell even when they do not, so that every round makes progress."""
     monkeypatch.setattr(inference, "STORE_ELEMENTS", budget)
-    mixture, stores = inference._draw_stores(cells, 2, BootstrapConfig(iterations=10), 7)
+    mixture, stores = inference._draw_stores(cells, 2, BootstrapConfig(iterations=10), 7, True)
     assert mixture.shape == (10, 7) and not mixture.any()
+    assert [s.shape for s in stores] == [(2, 10, 7)] * max(kept, 1)
+
+
+@pytest.mark.parametrize(
+    "budget, cells, kept", [(910, 8, 6), (910, 3, 3), (279, 3, 1), (280, 3, 2), (50, 2, 1)]
+)
+def test_a_round_without_the_mixture_stores_the_cells_that_fit(monkeypatch, budget, cells, kept):
+    """Without the mixture's array, the cells' arrays (2 x 10 x 7) take the
+    whole budget, and at least one is made."""
+    monkeypatch.setattr(inference, "STORE_ELEMENTS", budget)
+    mixture, stores = inference._draw_stores(cells, 2, BootstrapConfig(iterations=10), 7, False)
+    assert mixture is None
     assert [s.shape for s in stores] == [(2, 10, 7)] * kept
 
 
@@ -392,7 +409,10 @@ def test_draw_stores_keep_the_cells_that_fit_the_budget(monkeypatch, budget, cel
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16))
 def test_mixture_layout_equals_step_rows_mixture(count, rows, seed):
     """Refits on fixed supports that share values across components, some
-    weights zero: the layout sorted once mixes them as ``StepRows.mixture``."""
+    weights zero: the pooled supports, sorted once as one ``SortedSample``,
+    refit under the components' probabilities mix them as
+    ``StepRows.mixture``, on the positive-mass points of each row (the refit
+    has one point per distinct value, the mixture one per component point)."""
     rng = np.random.default_rng(seed)
     samples = [SortedSample(rng.integers(-3, 4, size=rng.integers(1, 9)) / 2.0)
                for _ in range(count)]
@@ -402,14 +422,17 @@ def test_mixture_layout_equals_step_rows_mixture(count, rows, seed):
         weights[:, rng.integers(len(s))] += 0.5
         components.append(s.fit_rows(weights))
     shares = rng.dirichlet(np.ones(count))
-    layout = MixtureLayout([s.support for s in samples])
-    mixed, reference = layout.mixture(components, shares), StepRows.mixture(components, shares)
-    np.testing.assert_array_equal(
-        np.broadcast_to(mixed.support, mixed.masses.shape),
-        np.broadcast_to(reference.support, reference.masses.shape),
-    )
-    for name in ("masses", "total", "cum_probs"):
-        np.testing.assert_array_equal(getattr(mixed, name), getattr(reference, name))
+    layout = SortedSample(np.concatenate([s.support for s in samples]))
+    reference = StepRows.mixture(components, shares)
+    # one component is its own mixture, as in inference._mixture_rows
+    mixed = layout.fit_rows(_mixture_probs(components, shares)) if count > 1 else reference
+    np.testing.assert_array_equal(mixed.total, reference.total)
+    points = [np.broadcast_to(x.support, x.masses.shape) for x in (mixed, reference)]
+    pairs = [points, (mixed.masses, reference.masses), (mixed.cum_probs, reference.cum_probs)]
+    for r in range(rows):
+        here, there = mixed.masses[r] > 0, reference.masses[r] > 0
+        for a, b in pairs:
+            np.testing.assert_array_equal(a[r][here], b[r][there])
     np.testing.assert_array_equal(mixed.quantile(GRID), reference.quantile(GRID))
 
 

@@ -1,6 +1,7 @@
 """Parallel evaluation: outputs do not depend on the number of worker
-processes, tasks may be closures, a worker's error is an internal error, and
-no worker, pipe or process pool module outlives its run."""
+processes, each worker runs one contiguous range, the callable may be a
+closure, a worker's error is an internal error, and no worker, pipe or
+process pool module outlives its run."""
 
 import collections
 import csv
@@ -16,7 +17,7 @@ import pytest
 
 import qdid
 import qdid.cli
-from qdid import inference
+from qdid import inference, simulation
 from qdid.cli import EXIT_INTERNAL, EXIT_OK, main
 from qdid.inference import substream
 
@@ -46,7 +47,8 @@ def panel_csv(path):
 
 def rcs_csv(path):
     """Three covariate cells of 15 rows per arm and period, and a fourth
-    (x1 = 3) too small to estimate."""
+    (x1 = 3) of 2 rows per arm and period, the smallest a cell may be at the
+    default --min-cell-size."""
     rng = substream(6, 0)
     rows = []
     for x, n in ((0, 15), (1, 15), (2, 15), (3, 2)):
@@ -60,10 +62,11 @@ ESTIMATE = ["--covariates", "x1", "--estimators", "ddid,cic", "--unconditional"]
 COMMANDS = {
     "panel": (panel_csv, ["estimate", *ESTIMATE]),
     "rcs": (rcs_csv, ["estimate", "--mode", "rcs", *ESTIMATE]),
-    # one task per viable cell
+    # the cells alone, in rounds of the cells whose draws fit the store budget
     "rcs-cells": (rcs_csv, ["estimate", "--mode", "rcs", *ESTIMATE[:-1]]),
+    "panel-cells": (panel_csv, ["estimate", *ESTIMATE[:-1]]),
     "mc": (None, ["mc", "--dgp", "1", "--n", "20", "--reps", "5", "--seed", "3"]),
-    # one pool per design
+    # one parallel run per design
     "mc-designs": (None, ["mc", "--dgp", "2", "--n", "20", "--rho", "0,0.5", "--reps", "4",
                           "--seed", "3"]),
 }
@@ -121,22 +124,23 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, comman
 
 def keep_cells(monkeypatch, kept, bootstrap):
     """Size the store budget so that the draws of the first ``kept`` cells
-    (two estimators, 91 grid points) fit with the mixture's."""
+    (two estimators, 91 grid points) fit with the mixture's. A round without
+    the mixture keeps as many, since (1 + 2 kept) // 2 is ``kept``."""
     monkeypatch.setattr(inference, "STORE_ELEMENTS", bootstrap * 91 * (1 + 2 * kept))
 
 
 @pytest.mark.parametrize("kept", [3, 1])
-@pytest.mark.parametrize("command", ["panel", "rcs"])
+@pytest.mark.parametrize("command", ["panel", "rcs", "panel-cells", "rcs-cells"])
 def test_chunks_straddling_the_draw_ranges_leave_outputs_unchanged(
     tmp_path, monkeypatch, command, kept
 ):
     """25 draws split into ranges of 8, 8 and 9 (or 12 and 13), over 3
     cells of 15 units per arm in blocks of 3 draws. A chunk budget of 135
     gives 3-draw chunks over the 3 cells, so the chunks of one range cross
-    the ends of the others, and 9-draw chunks in a cell's own task. One of
+    the ends of the others, and 9-draw chunks over one cell alone. One of
     4096, above the block budget, gives each range one chunk, which spans
-    several blocks. With one cell kept, the other two are tasks of their
-    own."""
+    several blocks. With one cell kept, a run takes three rounds, with or
+    without the mixture."""
     monkeypatch.setattr(inference, "BLOCK_ELEMENTS", 45)
     workers(monkeypatch, 1)
     reference = run(tmp_path, command, 25, name="whole")[1]
@@ -156,9 +160,10 @@ def test_chunks_straddling_the_draw_ranges_leave_outputs_unchanged(
 def test_an_unconditional_run_draws_each_weight_row_once(tmp_path, monkeypatch, kept):
     """The cells' analyses and the mixture share each draw's weights. In
     blocks of 3 draws, with 2-draw chunks in the one pass and 6-draw chunks
-    in a cell's own task, each block is drawn once per task; a cell whose
-    draws do not fit the store budget draws its blocks again in its own
-    task."""
+    over one cell alone, each block is drawn once per pass; a cell whose
+    draws do not fit the store budget with the mixture's draws its blocks
+    again in a later round. The first round keeps at least one cell, even
+    when none fits (``kept`` 0)."""
     workers(monkeypatch, 1)
     keep_cells(monkeypatch, kept, 25)
     monkeypatch.setattr(inference, "BLOCK_ELEMENTS", 45)
@@ -172,11 +177,40 @@ def test_an_unconditional_run_draws_each_weight_row_once(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(inference, "substream", counting)
     assert run(tmp_path, "panel", 25)[0] == EXIT_OK
+    kept = max(kept, 1)
     assert drawn == {(cell, j): 1 if cell < kept else 2 for cell in range(3) for j in range(9)}
 
 
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("command", ["panel", "rcs-cells", "mc", "mc-designs"])
+def test_each_parallel_run_forks_one_worker_per_part(tmp_path, monkeypatch, command, count):
+    """Every ``_parallel`` call of ``estimate`` and ``mc`` splits its draws
+    or reps into at most one part per worker, and forks once per part."""
+    workers(monkeypatch, count)
+    keep_cells(monkeypatch, 1, 25)  # one cell per round
+    fork, forks, calls = os.fork, [], []
+
+    def counting_fork():
+        forks.append(1)  # before the fork: counted in the parent only
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for module in (qdid.cli, simulation):
+        def recording(run, n, parallel=module._parallel):
+            before = len(forks)
+            results = parallel(run, n)
+            calls.append((n, len(results), len(forks) - before))
+            return results
+
+        monkeypatch.setattr(module, "_parallel", recording)
+    assert run(tmp_path, command, 25)[0] == EXIT_OK
+    expected = {"panel": 3, "rcs-cells": 4, "mc": 1, "mc-designs": 2}[command]
+    assert len(calls) == expected
+    assert all(parts == forked == min(count, n) for n, parts, forked in calls)
+
+
 def test_a_delegating_closure_runs_in_the_workers(tmp_path, monkeypatch):
-    """A closure rebound on the name the CLI submits as its tasks, as the
+    """A closure rebound on the name the CLI runs in its workers, as the
     benchmark tracer rebinds names, runs in the workers without being
     pickled."""
     workers(monkeypatch, 2)
@@ -237,24 +271,24 @@ def test_an_unpicklable_exception_keeps_its_message_and_traceback(monkeypatch):
         raise error
 
     with pytest.raises(RuntimeError, match="ValueError: operands could not be") as raised:
-        inference._parallel([lambda: 1, unpicklable_error, lambda: 3])
+        inference._parallel(lambda part: unpicklable_error() if part.start == 1 else 1, 3)
     assert isinstance(raised.value.__cause__, inference._RemoteTraceback)
     assert "in unpicklable_error" in str(raised.value.__cause__)
     assert_no_child()
 
 
 def test_the_first_failing_task_in_task_order_raises(monkeypatch):
-    """Each of two workers fails on its own task; the lower index raises."""
-    workers(monkeypatch, 2)
+    """Each of two workers fails on its own part; the earlier part raises."""
+    workers(monkeypatch, 3)
 
-    def fail(index):
-        if index in (1, 2):
-            time.sleep(0.2 * (2 - index))  # task 2 fails first
-            raise KeyError(index)
-        return index
+    def fail(part):
+        if part.start in (1, 2):
+            time.sleep(0.2 * (2 - part.start))  # part 2 fails first
+            raise KeyError(part.start)
+        return part.start
 
     with pytest.raises(KeyError, match="^1$"):
-        inference._parallel([lambda i=i: fail(i) for i in range(6)])
+        inference._parallel(fail, 3)
     assert_no_child()
 
 
@@ -264,20 +298,20 @@ def _descriptors():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
 def test_every_pipe_is_closed_after_a_run_or_an_error(monkeypatch):
-    """20000 task indices are more than a pipe's buffer holds at once, and
-    four workers, which may be more than there are CPUs, read them in turn:
-    each index is run once."""
+    """Each of four workers, which may be more than there are CPUs, sends a
+    result larger than a pipe's buffer holds at once: each index is run
+    once, in its part's order."""
     workers(monkeypatch, 4)
     before = _descriptors()
-    assert inference._parallel([lambda i=i: i * i for i in range(20000)]) == [
-        i * i for i in range(20000)
+    assert inference._parallel(lambda part: [i * i for i in part], 200000) == [
+        [i * i for i in range(k * 50000, (k + 1) * 50000)] for k in range(4)
     ]
     assert _descriptors() == before
     with pytest.raises(ZeroDivisionError):
-        inference._parallel([lambda i=i: 1 // (i - 7) for i in range(20)])
+        inference._parallel(lambda part: [1 // (i - 7) for i in part], 20)
     assert _descriptors() == before
     with pytest.raises(RuntimeError, match="before sending its results"):
-        inference._parallel([lambda: os._exit(3)] * 3)
+        inference._parallel(lambda part: os._exit(3), 3)
     assert _descriptors() == before
     assert_no_child()
 
@@ -289,15 +323,15 @@ def test_workers_flush_their_output_and_not_the_parents(tmp_path):
     out = run_script(tmp_path, """
         import sys
         from qdid import inference
-        inference._workers = lambda: 2
+        inference._workers = lambda: 4
         print("parent", end=" ")
 
-        def task(i):
-            sys.stdout.write(f"out{i} ")
-            sys.stderr.write(f"err{i} ")
-            return i
+        def task(part):
+            sys.stdout.write(f"out{part.start} ")
+            sys.stderr.write(f"err{part.start} ")
+            return part.start
 
-        assert inference._parallel([lambda i=i: task(i) for i in range(4)]) == [0, 1, 2, 3]
+        assert inference._parallel(task, 4) == [0, 1, 2, 3]
         """)
     assert out.returncode == 0, out.stderr
     assert sorted(out.stdout.split()) == ["out0", "out1", "out2", "out3", "parent"]
@@ -313,7 +347,13 @@ def test_a_run_with_two_workers_loads_no_process_pool(tmp_path):
         inference._workers = lambda: 2
         calls = []
         parallel = inference._parallel
-        qdid.cli._parallel = lambda tasks: calls.append(len(tasks)) or parallel(tasks)
+
+        def counted(run, n):
+            results = parallel(run, n)
+            calls.append(len(results))
+            return results
+
+        qdid.cli._parallel = counted
         argv = ["estimate", "-i", "input.csv", "-o", "out", "-b", "4", *sys.argv[1:]]
         assert qdid.cli.main(argv) == 0
         print("tasks:", calls)
@@ -352,7 +392,7 @@ def _alive(pid: int) -> bool:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
 def test_workers_exit_when_their_parent_is_killed(tmp_path):
-    """Task 0 waits for task 1 to start in the other worker, then kills the
+    """Part 0 waits for part 1 to start in the other worker, then kills the
     parent with SIGKILL: neither the busy worker nor the idle one is left."""
     code = textwrap.dedent(
         """
@@ -371,7 +411,7 @@ def test_workers_exit_when_their_parent_is_killed(tmp_path):
             os.kill(os.getppid(), signal.SIGKILL)
             time.sleep(60)
 
-        inference._parallel([kill_parent, started])
+        inference._parallel(lambda part: kill_parent() if part.start == 0 else started(), 2)
         """
     )
     (tmp_path / "pids").mkdir()

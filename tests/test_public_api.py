@@ -61,7 +61,7 @@ def test_importing_qdid_leaves_numpy_random_unloaded():
 
 
 def test_importing_qdid_leaves_mmap_unloaded():
-    """Only the shared draw stores of an --unconditional run load mmap."""
+    """Only the shared draw stores of ``qdid estimate`` load mmap."""
     code = "import sys, qdid, qdid.cli; print('mmap' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
@@ -69,8 +69,8 @@ def test_importing_qdid_leaves_mmap_unloaded():
 
 
 def test_starting_the_cli_loads_no_process_pool():
-    """The worker pool is imported at the first parallel run, so the CLI's
-    start-up (the benchmark's setup_s) does not pay for it."""
+    """Workers are plain forked processes, so no process pool module is
+    loaded, and the CLI's start-up (the benchmark's setup_s) pays for none."""
     code = (
         "import sys, qdid.cli; qdid.cli._build_parser(); "
         "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)"
@@ -99,6 +99,5 @@ def test_a_run_loads_only_the_standard_library_and_numpy(tmp_path):
     loaded = set(out.stdout.splitlines()[-1].split())  # after the "wrote" lines
     # numpy.random's Cython extensions register cython_runtime and _cython_<version>
     loaded -= {"cython_runtime", *(name for name in loaded if name.startswith("_cython_"))}
-    # __mp_main__: multiprocessing's alias of __main__, set when a pool starts
-    assert loaded - sys.stdlib_module_names - {"numpy", "qdid", "__mp_main__"} == set()
+    assert loaded - sys.stdlib_module_names - {"numpy", "qdid"} == set()
     assert {"numpy", "qdid"} <= loaded

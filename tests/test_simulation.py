@@ -171,7 +171,7 @@ class TestRunMc:
     ids=str,
 )
 def test_run_mc_checks_its_settings_before_running_reps(monkeypatch, settings):
-    def refuse(tasks):
+    def refuse(run, n):
         raise AssertionError("run_mc started its reps")
 
     monkeypatch.setattr(simulation, "_parallel", refuse)
