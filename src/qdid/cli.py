@@ -19,6 +19,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -43,7 +44,7 @@ from .inference import (
     analyze_unconditional,
     bootstrap_block,
 )
-from .simulation import DgpSpec, McResult, run_mc, simulate, substream
+from .simulation import DEFAULT_MC_TAUS, DgpSpec, McResult, run_mc, simulate, substream
 
 __all__ = [
     "RunConfig",
@@ -748,12 +749,12 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--te", type=float, default=0.0)
     mc.add_argument("--rho", default="0", help="comma-separated rho_bar values (dgp 2)")
     mc.add_argument("--reps", type=int, default=1000)
-    mc.add_argument("--taus", default="0.1,0.5,0.9")
+    mc.add_argument("--taus", default=",".join(map(str, DEFAULT_MC_TAUS)))
     mc.add_argument("--bootstrap", "-b", type=int, default=1000)
     mc.add_argument("--alpha", type=float, default=0.05)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--scheme", choices=SCHEMES, default="multinomial")
-    mc.add_argument("--estimators", type=_names, default="ddid,cic")
+    mc.add_argument("--estimators", type=_names, default=",".join(ESTIMATORS))
     mc.add_argument("--out", "-o", required=True, help="output path prefix")
 
     sim = sub.add_parser("simulate", help="write one simulated draw as a long CSV")
@@ -861,17 +862,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "mc":
-            return _cmd_mc(args)
-        return _cmd_simulate(args)
+        command = {"estimate": _cmd_estimate, "mc": _cmd_mc}.get(args.command, _cmd_simulate)
+        code = command(args)
+        sys.stdout.flush()  # a reader that is gone shows here, not in the exit flush
+        return code
     except (LoadError, FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except BrokenPipeError:  # stdout's reader is gone; every file is written before "wrote"
+        null = os.open(os.devnull, os.O_WRONLY)  # so that the flush at exit fails no more
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_OK
     except Exception:
         import traceback  # only on this path, so start-up imports stay as they are
         traceback.print_exc()

@@ -10,9 +10,10 @@ Quantile effects are differences of generalized-inverse quantiles between
 the observed treated CDF and the counterfactual CDF.
 
 ``estimate_rows`` is the one estimator: it evaluates the estimators for a
-chunk of bootstrap draws at once, from one weight matrix per arm. The
-bootstrap is linear in its weights, so the point estimate is the draw whose
-weights are all 1: ``estimate_process`` is the one-row case of the kernel.
+chunk of bootstrap draws at once, from one weight matrix per arm; it and
+``counterfactual_rows`` are cases of ``_cell_rows``, the kernel's stages in
+order. The bootstrap is linear in its weights, so the point estimate is the
+draw whose weights are all 1: ``estimate_process`` is the one-row case.
 ``counterfactual_cdf`` is the one-row case of the counterfactual construction;
 the pipeline does not call it.
 """
@@ -222,9 +223,8 @@ def counterfactual_cdf(
     points; the counterfactual CDF drops them.
     """
     rows = _checked_rows(cell, weights)
-    treated, counterfactual, transformed = _counterfactual_rows(
-        cell, _fit_rows(cell, rows), rows
-    )
+    fitted = [s.fit_rows(w) for s, w in zip(cell.samples, cell.sample_weights(rows))]
+    treated, counterfactual, transformed = _counterfactual_rows(cell, fitted, rows)
     return CounterfactualResult(
         code=cell.code,
         treated=_first_row(treated, compact=False),
@@ -324,15 +324,6 @@ def estimate_process(
     return processes[estimator] if isinstance(estimator, str) else processes
 
 
-def _fit_rows(cell, weights, estimators=("ddid",)) -> list[StepRows | None]:
-    """The four samples refit under a chunk of weight rows. The control
-    post-period fit is None when nothing reads it: ddid alone on a cell
-    whose control change is observed."""
-    skip = "cic" not in estimators and cell.observed_dy is not None
-    fits = zip(cell.samples, cell.sample_weights(weights))
-    return [None if skip and i == 1 else s.fit_rows(w) for i, (s, w) in enumerate(fits)]
-
-
 def _counterfactual_rows(cell, fitted, weights) -> tuple[StepRows, StepRows, np.ndarray]:
     """The treated and counterfactual CDFs of each weight row, and the
     (C, n_control) transformed outcomes the counterfactual is fitted to."""
@@ -354,7 +345,7 @@ def counterfactual_rows(
     draw's weight vector. Row r of each result is that draw's treated and
     counterfactual CDF; ``counterfactual_cdf`` is the one-row case.
     """
-    return _counterfactual_rows(cell, _fit_rows(cell, weights), weights)[:2]
+    return _cell_rows(cell, None, weights, counterfactual=True)[0]
 
 
 def _cic_rows(fitted, taus, treated) -> np.ndarray:
@@ -391,18 +382,26 @@ def estimate_rows(
     Returns one (C, len(grid)) array per estimator, whose row r is the
     estimate under row r's weights; a row of ones gives the point estimate.
     """
-    taus = checked_grid(tau_grid)
-    fitted = _fit_rows(cell, weights, estimators)
-    cdfs = _counterfactual_rows(cell, fitted, weights)[:2] if "ddid" in estimators else None
-    return _estimates(fitted, cdfs, taus, estimators)
+    return _cell_rows(cell, checked_grid(tau_grid), weights, estimators)[1]
 
 
-def _estimates(fitted, cdfs, taus, estimators) -> dict[str, np.ndarray]:
-    """Each estimator's rows from the samples refit under a chunk of draws
-    and, for ddid, the chunk's (treated, counterfactual) CDFs. Both take the
-    same treated post-period quantile, searched once."""
-    treated = fitted[3].quantile(taus)
+def _cell_rows(cell, taus, weights, estimators=(), counterfactual=False):
+    """The kernel's stages for one cell under a chunk of weight rows, in
+    order: the four samples refit, the chunk's (treated, counterfactual)
+    CDFs, and each estimator's rows at ``taus``. The CDFs are built only for
+    ddid or given ``counterfactual``, and the control post-period refit is
+    skipped (None) when nothing reads it: no cic on a cell whose control
+    change is observed. Returns the CDFs given ``counterfactual``, else
+    None, and one (C, len(taus)) array per estimator."""
+    skip = "cic" not in estimators and cell.observed_dy is not None
+    fits = zip(cell.samples, cell.sample_weights(weights))
+    fitted = [None if skip and i == 1 else s.fit_rows(w) for i, (s, w) in enumerate(fits)]
+    cdfs = None
+    if counterfactual or "ddid" in estimators:
+        cdfs = _counterfactual_rows(cell, fitted, weights)[:2]
     out = {}
+    if estimators:  # both estimators take the treated post-period quantile, searched once
+        treated = fitted[3].quantile(taus)
     for est in estimators:
         if est == "ddid":
             out[est] = treated - cdfs[1].quantile(taus)
@@ -410,4 +409,4 @@ def _estimates(fitted, cdfs, taus, estimators) -> dict[str, np.ndarray]:
             out[est] = _cic_rows(fitted, taus, treated)
         else:
             raise ValueError(f"unknown estimator {est!r} (expected 'ddid' or 'cic')")
-    return out
+    return cdfs if counterfactual else None, out

@@ -14,15 +14,17 @@ A cell's draws are taken in blocks of K, K set by its largest arm
 cell index, j): one numpy ``integers`` or ``standard_exponential`` call per
 arm, in sorted arm order, gives the raw draws of its K weight vectors, and
 draw b is row b mod K of block b // K. So results are reproducible and do
-not depend on evaluation order. Every bootstrap walks its draws in chunks
-(``_chunk_weights``): the weight vectors of a run of draws are stacked into
-one matrix per arm, at most ``CHUNK_ELEMENTS`` entries for the largest arms,
-and the batched kernel ``estimate_rows`` refits every row at once, sharing
-each draw's weights between the estimators of a cell. A walk keeps the last
-block it drew for the next chunk, so chunks that start inside a block or
-span blocks draw each block once; a walk whose draw range starts inside a
-block draws that block and drops its head. ``draw_weights`` is the one-row
-block.
+not depend on evaluation order. Every bootstrap, of a cell, of the
+unconditional mixture or of a round of ``qdid estimate``, runs one draw
+loop, ``_walk``. It takes its draws in chunks (``_chunk_weights``): the
+weight vectors of a run of draws are stacked into one matrix per arm, at
+most ``CHUNK_ELEMENTS`` entries for the walked cells' largest arms
+together, and each cell is refit under every row at once
+(``estimators._cell_rows``); the cell's estimators and the mixture share
+that fit. A walk keeps the last block it drew for the next chunk, so
+chunks that start inside a block or span blocks draw each block once; a
+walk whose draw range starts inside a block draws that block and drops its
+head. ``draw_weights`` is the one-row block.
 
 A run's bootstrap is split by ``_parallel`` into one contiguous range of
 draw indices (``qdid estimate``) or rep indices (``qdid mc``) per worker
@@ -34,11 +36,9 @@ writes the draws of as many viable cells as fit ``STORE_ELEMENTS``, at
 least one, into arrays of shared memory (``_draw_stores``) that the parent
 makes before it forks; the parent then builds those cells' reports from the
 arrays. The first round of a run with the unconditional analysis also walks
-every viable cell for the mixture: it draws each cell's weights and refits
-them once per chunk, and from that one fit writes the mixture's rows and
-the stored cells' rows. Every draw is keyed order-free, so outputs do not
-depend on the number of workers. With one CPU, or where the process cannot
-fork or read its CPU set, the one range runs in process.
+every viable cell for the mixture. Every draw is keyed order-free, so
+outputs do not depend on the number of workers. With one CPU, or where the
+process cannot fork or read its CPU set, the one range runs in process.
 """
 
 from __future__ import annotations
@@ -60,12 +60,9 @@ from .estimators import (
     checked_grid,
     counterfactual_cdf_panel,  # noqa: F401
     counterfactual_cdf_rcs,  # noqa: F401
-    _counterfactual_rows,
-    _estimates,
-    _fit_rows,
+    _cell_rows,
     counterfactual_rows,
     estimate_process,
-    estimate_rows,
     treated_shares,
 )
 
@@ -250,23 +247,40 @@ def bootstrap_process(
     estimators, returns a dict of replicates per estimator, all computed
     from the same draws.
     """
-    check_nonempty(cell)
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
-    taus = np.asarray(tau_grid, dtype=float)
+    taus = checked_grid(tau_grid)
     draws = np.empty((len(names), config.iterations, taus.size))
     key = (*key_prefix, cell_index)
-    _store_rows(cell, taus, config, names, key, range(config.iterations), draws)
+    _walk([(key, cell)], taus, config, range(config.iterations), names, [draws])
     return draws[0] if isinstance(estimator, str) else dict(zip(names, draws))
 
 
-def _store_rows(cell, taus, config, estimators, key, draws: range, store) -> None:
-    """The estimators' rows of one cell for the draws in ``draws``, its
-    blocks keyed ``key``, written into ``store`` (len(estimators), B, grid)
-    at their draw indices."""
-    part = store[:, draws.start : draws.stop]
-    for rows, (weights,) in _chunk_weights([(key, cell)], config, draws):
-        values = estimate_rows(cell, taus, weights, estimators)
-        part[:, rows] = [values[est] for est in estimators]
+def _walk(members, taus, config, draws: range, estimators=(), stores=(), mixture=None):
+    """Every bootstrap's draw loop: ``draws`` a chunk at a time over the
+    ``(key, cell)`` members. Each chunk draws and refits each member's
+    weights once, and from that one fit writes the rows of ``estimators``
+    of member k into ``stores[k]`` (len(estimators), len(draws), grid), for
+    the first len(stores) members, and, given ``mixture`` (len(draws),
+    grid), the rows of the members' mixture; row i is draw ``draws[i]``.
+    """
+    if not members:
+        raise ValueError("need at least one viable cell")
+    cells = [cell for _, cell in members]
+    for cell in cells:
+        check_nonempty(cell)
+    if mixture is not None:
+        layout, shares = _treated_layout(cells), treated_shares(cells)
+    for rows, weights in _chunk_weights(members, config, draws):
+        cdfs = []
+        for k, (cell, w) in enumerate(zip(cells, weights)):
+            names = estimators if k < len(stores) else ()
+            pair, values = _cell_rows(cell, taus, w, names, mixture is not None)
+            if mixture is not None:
+                cdfs.append(pair)
+            if names:
+                stores[k][:, rows] = [values[est] for est in names]
+        if mixture is not None:
+            mixture[rows] = _mixture_rows(layout, taus, cdfs, shares)
 
 
 def _order_index(n: int, q: float) -> int:
@@ -455,34 +469,8 @@ def bootstrap_unconditional(
     taus = checked_grid(tau_grid)
     draws = range(config.iterations) if draws is None else draws
     out = np.empty((len(draws), taus.size))
-    for rows, mixed, _ in _block_rows(cells, taus, config, draws):
-        out[rows] = mixed
+    _walk([((i,), cell) for i, cell in cells], taus, config, draws, mixture=out)
     return out
-
-
-def _block_rows(cells, taus, config: BootstrapConfig, draws: range, estimators=(), kept=0):
-    """``draws`` a chunk at a time, over every cell at once: yields the
-    chunk's rows within ``draws`` (a slice), the chunk's rows of the
-    unconditional process, and the ``estimate_rows`` of ``estimators`` for
-    each of the first ``kept`` cells. A cell's weights are drawn and refit
-    once per chunk, under the key of its own bootstrap, and its estimates
-    and its part of the mixture come from that one fit.
-    """
-    if not cells:
-        raise ValueError("need at least one viable cell")
-    members = [cell for _, cell in cells]
-    for cell in members:
-        check_nonempty(cell)
-    layout, shares = _treated_layout(members), treated_shares(members)
-    for rows, weights in _chunk_weights([((i,), cell) for i, cell in cells], config, draws):
-        cdfs, values = [], []
-        for k, (cell, w) in enumerate(zip(members, weights)):
-            names = estimators if k < kept else ()
-            fitted = _fit_rows(cell, w, names)
-            cdfs.append(_counterfactual_rows(cell, fitted, w)[:2])
-            if names:
-                values.append(_estimates(fitted, cdfs[-1], taus, names))
-        yield rows, _mixture_rows(layout, taus, cdfs, shares), values
 
 
 def _draw_stores(cells: int, estimators: int, config: BootstrapConfig, grid_size: int,
@@ -528,15 +516,18 @@ def bootstrap_block(
     process.
     """
     taus = checked_grid(tau_grid)
-    if mixture is None:
-        for (index, cell), store in zip(cells, stores):
-            _store_rows(cell, taus, config, estimators, (index,), draws, store)
+    part = slice(draws.start, draws.stop)
+    members = [((index,), cell) for index, cell in cells]
+    stores = [store[:, part] for store in stores]
+    if mixture is not None:
+        _walk(members, taus, config, draws, estimators, stores, mixture[part])
         return
-    parts = [store[:, draws.start : draws.stop] for store in stores]
-    for rows, mixed, values in _block_rows(cells, taus, config, draws, estimators, len(stores)):
-        mixture[draws.start : draws.stop][rows] = mixed
-        for part, cell_values in zip(parts, values):
-            part[:, rows] = [cell_values[est] for est in estimators]
+    # One walk per stored cell: a chunk's rows are shared by the cells of a
+    # walk, and a cell of 250 units per arm runs at 65 rows per chunk alone
+    # but 8 in a walk over 8 cells: 82 against 121 us per draw on one CPU
+    # (ROADMAP.md, Baseline).
+    for member, store in zip(members, stores):
+        _walk([member], taus, config, draws, estimators, [store])
 
 
 def analyze_unconditional(
@@ -550,9 +541,10 @@ def analyze_unconditional(
 
     ``cells`` pairs each cell with its index in the full deterministic cell
     list; per-cell weights reuse the same (seed, cell index, block) keying
-    as the per-cell analyses. Mixture shares are the treated counts,
-    which multinomial resampling holds fixed. ``draws`` are the replicates
-    of ``bootstrap_unconditional``, drawn here when not given.
+    as the per-cell analyses. Every draw mixes the cells at the sample's
+    treated shares, under either scheme, so the band leaves out the
+    shares' estimation error. ``draws`` are the replicates of
+    ``bootstrap_unconditional``, drawn here when not given.
     """
     _check_draw_count(config.iterations)
     if draws is None:

@@ -190,7 +190,7 @@ def run_mc(
     spec: DgpSpec,
     reps: int,
     taus: Sequence[float] = DEFAULT_MC_TAUS,
-    estimators: Sequence[str] = ("ddid", "cic"),
+    estimators: Sequence[str] = ESTIMATORS,
     bootstrap_iterations: int = 0,
     alpha: float = 0.05,
     scheme: str = "multinomial",

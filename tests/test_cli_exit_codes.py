@@ -4,6 +4,7 @@ import contextlib
 import errno
 import mmap
 import os
+import subprocess
 import sys
 import threading
 
@@ -223,6 +224,37 @@ def test_an_unwritable_out_names_the_flag(tmp_path, capsys, command):
     assert main(argv + ["-o", str(tmp_path / "missing" / "out")]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: --out: ") and "internal error" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["estimate", "mc", "simulate"])
+def test_a_closed_standard_output_loses_only_the_wrote_lines(tmp_path, command, unbuffered):
+    """Standard output is a pipe whose reader is closed: the "wrote" lines
+    cannot be written, with PYTHONUNBUFFERED at the print and without it at
+    the flush. Every file is written before them, so the command exits 0
+    and says nothing on standard error."""
+    data = tmp_path / "data.csv"
+    assert main(["simulate", "--dgp", "1", "--n", "20", "-o", str(data)]) == EXIT_OK
+    argv, written = {
+        "estimate": (["estimate", "-i", str(data), "-b", "20"], ["out.json", "out.bands.csv",
+                                                                  "out.summary.csv"]),
+        "mc": (["mc", "--dgp", "1", "--n", "10", "--reps", "2", "--bootstrap", "20"],
+               ["out.csv", "out.json"]),
+        "simulate": (["simulate", "--dgp", "1", "--n", "5"], ["out"]),
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qdid.cli.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "qdid", *argv, "-o", str(tmp_path / "out")],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    assert all((tmp_path / name).stat().st_size > 0 for name in written)
 
 
 def test_input_errors_keep_exit_2(tmp_path, capsys):

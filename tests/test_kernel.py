@@ -26,7 +26,7 @@ from oracles import (
     stable_sort_layout,
     unconditional_qtt,
 )
-from qdid import inference
+from qdid import estimators, inference
 from qdid.empirical import (
     SortedSample,
     StepDistribution,
@@ -562,3 +562,78 @@ def test_single_cell_unconditional_equals_cell_draws():
         bootstrap_unconditional([(4, cell)], GRID, config),
         bootstrap_process(cell, GRID, config, cell_index=4),
     )
+
+
+
+def test_cic_alone_builds_no_counterfactual(monkeypatch):
+    """Only ddid and the mixture read a cell's counterfactual rows: cic
+    alone, per cell or in a round without the mixture, builds none."""
+    config = BootstrapConfig(iterations=6, seed=2)
+    indexed = list(enumerate(edge_cells()))
+    plain = [bootstrap_process(cell, GRID, config, "cic", cell_index=i) for i, cell in indexed]
+
+    def refuse(*args):
+        raise AssertionError("counterfactual rows were built")
+
+    monkeypatch.setattr(estimators, "_counterfactual_rows", refuse)
+    stores = [np.zeros((1, 6, GRID.size)) for _ in indexed]
+    bootstrap_block(indexed, GRID, config, ("cic",), stores, None, range(6))
+    for (i, cell), store, reference in zip(indexed, stores, plain):
+        np.testing.assert_array_equal(bootstrap_process(cell, GRID, config, "cic", cell_index=i),
+                                      reference)
+        np.testing.assert_array_equal(store[0], reference)
+
+
+def test_ddid_alone_on_a_panel_never_refits_the_control_post_period(monkeypatch):
+    """A panel cell observes its control change, so ddid, alone or with the
+    mixture, reads nothing of the control post-period fit."""
+    config = BootstrapConfig(iterations=6, seed=2)
+    indexed = [(i, cell) for i, cell in enumerate(edge_cells()) if cell.observed_dy is not None]
+    unread = {id(cell.samples[1]) for _, cell in indexed}
+    fit_rows = SortedSample.fit_rows
+
+    def guarded(sample, weights):
+        assert id(sample) not in unread, "the control post-period sample was refit"
+        return fit_rows(sample, weights)
+
+    monkeypatch.setattr(SortedSample, "fit_rows", guarded)
+    stores = [np.zeros((1, 6, GRID.size)) for _ in indexed]
+    bootstrap_block(indexed, GRID, config, ("ddid",), stores, np.zeros((6, GRID.size)), range(6))
+    bootstrap_block(indexed, GRID, config, ("ddid",), stores, None, range(6))
+    bootstrap_unconditional(indexed, GRID, config)
+    for i, cell in indexed:
+        bootstrap_process(cell, GRID, config, "ddid", cell_index=i)
+
+
+def test_every_bootstrap_runs_the_one_walk(monkeypatch):
+    """Every bootstrap, of a cell, of the mixture, of a round with and
+    without the mixture, and of an mc rep, runs ``inference._walk``, the one
+    loop over ``_chunk_weights``, and writes the same rows through a
+    delegate that counts its calls."""
+    config = BootstrapConfig(iterations=6, seed=2)
+    names = ("ddid", "cic")
+    indexed = list(zip((0, 3), edge_cells()))
+
+    def block(mixture):
+        stores = [np.zeros((2, 6, GRID.size))]
+        mixed = np.zeros((6, GRID.size)) if mixture else None
+        bootstrap_block(indexed, GRID, config, names, stores, mixed, range(6))
+        return stores, mixed
+
+    runs = {
+        "bootstrap_process": lambda: bootstrap_process(indexed[0][1], GRID, config, names),
+        "bootstrap_unconditional": lambda: bootstrap_unconditional(indexed, GRID, config),
+        "bootstrap_block, mixture": lambda: block(True),
+        "bootstrap_block, no mixture": lambda: block(False),
+        "run_mc": lambda: run_mc(DgpSpec(variant=1, n_per_arm=12), 2, bootstrap_iterations=6)
+        .rejection,
+    }
+    monkeypatch.setattr(inference, "_workers", lambda: 1)  # run_mc's reps in process
+    walk = inference._walk
+    for name, run in runs.items():
+        plain, calls = run(), []
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "_walk", lambda *a, **k: calls.append(name) or walk(*a, **k))
+            counted = run()
+        assert calls, f"{name} does not run the walk"
+        np.testing.assert_equal(counted, plain)

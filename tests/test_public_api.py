@@ -14,6 +14,8 @@ import pytest
 import qdid
 import qdid.cli
 from qdid.cli import EXIT_OK, RunConfig, main
+from qdid.estimators import ESTIMATORS
+from qdid.simulation import DEFAULT_MC_TAUS
 
 SRC = os.path.dirname(os.path.dirname(qdid.__file__))
 MODULES = ["qdid"] + [
@@ -49,6 +51,18 @@ def test_estimate_without_flags_takes_the_run_config_defaults(monkeypatch):
     monkeypatch.setattr(qdid.cli, "write_report", lambda result, out_prefix: [])
     assert main(["estimate", "-i", "x", "-o", "y"]) == EXIT_OK
     assert configs == [RunConfig(input_path="x")]
+
+
+def test_mc_without_flags_takes_the_library_defaults(monkeypatch, tmp_path):
+    calls = []
+
+    def record(spec, reps, taus, estimators, **kwargs):
+        calls.append((tuple(taus), tuple(estimators)))
+
+    monkeypatch.setattr(qdid.cli, "run_mc", record)
+    monkeypatch.setattr(qdid.cli, "write_mc_outputs", lambda *args: [])
+    assert main(["mc", "--dgp", "1", "-o", str(tmp_path / "out")]) == EXIT_OK
+    assert calls == [(DEFAULT_MC_TAUS, ESTIMATORS)]
 
 
 def test_importing_qdid_leaves_numpy_random_unloaded():
