@@ -37,6 +37,16 @@ def _as_covariates(covariates, n_rows: int) -> np.ndarray:
     return x
 
 
+def _as_codes(values, dtype, name: str) -> np.ndarray:
+    """``values`` as ``dtype`` codes, refused where the cast would change one."""
+    x = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        codes = x.astype(dtype, copy=False)
+    if codes is not x and not np.array_equal(codes.astype(x.dtype), x):
+        raise ValueError(f"{name} must hold {'integer codes' if dtype is int else '0/1 flags'}")
+    return codes
+
+
 @dataclass(frozen=True)
 class PanelData:
     """Two-period panel: one row per unit, everyone untreated in the first period."""
@@ -52,7 +62,7 @@ class PanelData:
         object.__setattr__(self, "unit_ids", np.asarray(self.unit_ids))
         object.__setattr__(self, "y_pre", np.asarray(self.y_pre, dtype=float))
         object.__setattr__(self, "y_post", np.asarray(self.y_post, dtype=float))
-        object.__setattr__(self, "treated", np.asarray(self.treated, dtype=bool))
+        object.__setattr__(self, "treated", _as_codes(self.treated, bool, "treated"))
         object.__setattr__(self, "covariates", _as_covariates(self.covariates, n))
         for name in ("y_pre", "y_post", "treated"):
             if getattr(self, name).shape != (n,):
@@ -95,8 +105,8 @@ class RcsData:
     def __post_init__(self):
         n = len(self.y)
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "period", np.asarray(self.period, dtype=int))
-        object.__setattr__(self, "treated", np.asarray(self.treated, dtype=bool))
+        object.__setattr__(self, "period", _as_codes(self.period, int, "period"))
+        object.__setattr__(self, "treated", _as_codes(self.treated, bool, "treated"))
         object.__setattr__(self, "covariates", _as_covariates(self.covariates, n))
         if self.unit_ids is not None:
             object.__setattr__(self, "unit_ids", np.asarray(self.unit_ids))

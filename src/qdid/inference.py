@@ -16,15 +16,16 @@ arm, in sorted arm order, gives the raw draws of its K weight vectors, and
 draw b is row b mod K of block b // K. So results are reproducible and do
 not depend on evaluation order. Every bootstrap, of a cell, of the
 unconditional mixture or of a round of ``qdid estimate``, runs one draw
-loop, ``_walk``. It takes its draws in chunks (``_chunk_weights``): the
-weight vectors of a run of draws are stacked into one matrix per arm, at
-most ``CHUNK_ELEMENTS`` entries for the walked cells' largest arms
-together, and each cell is refit under every row at once
-(``estimators._cell_rows``); the cell's estimators and the mixture share
-that fit. A walk keeps the last block it drew for the next chunk, so
-chunks that start inside a block or span blocks draw each block once; a
-walk whose draw range starts inside a block draws that block and drops its
-head. ``draw_weights`` is the one-row block.
+loop, ``_walk``, the one function that takes a range of draw indices: it
+checks that the range is contiguous and below B, and writes draw b to row b
+of its arrays. It takes its draws in chunks: the weight vectors of a run of
+draws are stacked into one matrix per arm, at most ``CHUNK_ELEMENTS``
+entries for the walked cells' largest arms together, and each cell is refit
+under every row at once (``estimators._cell_rows``); the cell's estimators
+and the mixture share that fit. A walk keeps the last block it drew for the
+next chunk, so chunks that start inside a block or span blocks draw each
+block once; a walk whose draw range starts inside a block draws that block
+and drops its head. ``draw_weights`` is the one-row block.
 
 A run's bootstrap is split by ``_parallel`` into one contiguous range of
 draw indices (``qdid estimate``) or rep indices (``qdid mc``) per worker
@@ -216,20 +217,6 @@ def _weight_rows(
         }
 
 
-def _chunk_weights(members: list, config: BootstrapConfig, draws: range):
-    """``draws`` a chunk at a time: yields the chunk's rows within ``draws``, as
-    a slice, and each ``(key, cell)`` member's ``_weight_rows`` for the chunk.
-    A chunk fills at most CHUNK_ELEMENTS entries of a matrix as wide as the
-    members' largest arms put together."""
-    if draws.step != 1 or not 0 <= draws.start <= draws.stop <= config.iterations:
-        raise ValueError("draws must be a contiguous range of draw indices below B")
-    sizes = [(key, cell.arm_sizes()) for key, cell in members]
-    step = max(1, CHUNK_ELEMENTS // sum(max(arms.values()) for _, arms in sizes))
-    walks = zip(*(_weight_rows(arms, config, key, draws, step) for key, arms in sizes))
-    for start, weights in zip(range(0, len(draws), step), walks):
-        yield slice(start, min(start + step, len(draws))), list(weights)
-
-
 def bootstrap_process(
     cell: Cell,
     tau_grid,
@@ -256,13 +243,17 @@ def bootstrap_process(
 
 
 def _walk(members, taus, config, draws: range, estimators=(), stores=(), mixture=None):
-    """Every bootstrap's draw loop: ``draws`` a chunk at a time over the
-    ``(key, cell)`` members. Each chunk draws and refits each member's
-    weights once, and from that one fit writes the rows of ``estimators``
-    of member k into ``stores[k]`` (len(estimators), len(draws), grid), for
-    the first len(stores) members, and, given ``mixture`` (len(draws),
-    grid), the rows of the members' mixture; row i is draw ``draws[i]``.
+    """Every bootstrap's draw loop, and the one place that takes a draw range:
+    ``draws``, contiguous and below B, a chunk at a time over the ``(key,
+    cell)`` members. A chunk fills at most CHUNK_ELEMENTS entries of a matrix
+    as wide as the members' largest arms put together. Each chunk draws
+    (``_weight_rows``) and refits each member's weights once, and from that
+    one fit writes the rows of ``estimators`` of member k into ``stores[k]``
+    (len(estimators), B, grid), for the first len(stores) members, and, given
+    ``mixture`` (B, grid), the rows of the members' mixture; row b is draw b.
     """
+    if draws.step != 1 or not 0 <= draws.start <= draws.stop <= config.iterations:
+        raise ValueError("draws must be a contiguous range of draw indices below B")
     if not members:
         raise ValueError("need at least one viable cell")
     cells = [cell for _, cell in members]
@@ -270,7 +261,11 @@ def _walk(members, taus, config, draws: range, estimators=(), stores=(), mixture
         check_nonempty(cell)
     if mixture is not None:
         layout, shares = _treated_layout(cells), treated_shares(cells)
-    for rows, weights in _chunk_weights(members, config, draws):
+    sizes = [(key, cell.arm_sizes()) for key, cell in members]
+    step = max(1, CHUNK_ELEMENTS // sum(max(arms.values()) for _, arms in sizes))
+    walks = zip(*(_weight_rows(arms, config, key, draws, step) for key, arms in sizes))
+    for start, weights in zip(draws[::step], walks):
+        rows = slice(start, min(start + step, draws.stop))
         cdfs = []
         for k, (cell, w) in enumerate(zip(cells, weights)):
             names = estimators if k < len(stores) else ()
@@ -452,24 +447,17 @@ def unconditional_process(
 
 
 def bootstrap_unconditional(
-    cells: list[tuple[int, Cell]],
-    tau_grid,
-    config: BootstrapConfig,
-    draws: range | None = None,
+    cells: list[tuple[int, Cell]], tau_grid, config: BootstrapConfig
 ) -> np.ndarray:
-    """Bootstrap replicates of the unconditional process: one row per draw
-    index in ``draws`` (all B by default); shape (len(draws), len(grid)).
+    """Bootstrap replicates of the unconditional process; shape (B, len(grid)).
 
     Draw b takes, for the cell at index i, the weights of draw b of that
     cell's own bootstrap (its blocks are keyed (i, j)), and mixes the
-    cells' treated and counterfactual CDFs by their treated shares. Rows depend only on their
-    draw index, so the replicates of a split of range(B) stack up to those
-    of range(B).
+    cells' treated and counterfactual CDFs by their treated shares.
     """
     taus = checked_grid(tau_grid)
-    draws = range(config.iterations) if draws is None else draws
-    out = np.empty((len(draws), taus.size))
-    _walk([((i,), cell) for i, cell in cells], taus, config, draws, mixture=out)
+    out = np.empty((config.iterations, taus.size))
+    _walk([((i,), cell) for i, cell in cells], taus, config, range(config.iterations), mixture=out)
     return out
 
 
@@ -516,11 +504,9 @@ def bootstrap_block(
     process.
     """
     taus = checked_grid(tau_grid)
-    part = slice(draws.start, draws.stop)
     members = [((index,), cell) for index, cell in cells]
-    stores = [store[:, part] for store in stores]
     if mixture is not None:
-        _walk(members, taus, config, draws, estimators, stores, mixture[part])
+        _walk(members, taus, config, draws, estimators, stores, mixture)
         return
     # One walk per stored cell: a chunk's rows are shared by the cells of a
     # walk, and a cell of 250 units per arm runs at 65 rows per chunk alone

@@ -204,12 +204,14 @@ def run_mc(
     estimators. The null tested is zero effect at each tau separately:
     reject when |estimate| exceeds the (1-alpha) quantile of the recentered
     bootstrap absolute deviations at that tau. With bootstrap_iterations=0
-    only bias and RMSE are computed. The settings are checked here; reps
-    then run in contiguous ranges, one per worker process (see
-    ``qdid.inference``).
+    only bias and RMSE are computed; a test needs at least 2 draws. The
+    settings are checked here; reps then run in contiguous ranges, one per
+    worker process (see ``qdid.inference``).
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if bootstrap_iterations == 1:
+        raise ValueError("bootstrap_iterations must be 0 (no test) or at least 2")
     grid = checked_grid(taus)
     taus = tuple(map(float, grid))
     estimators = tuple(estimators)

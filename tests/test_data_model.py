@@ -25,6 +25,12 @@ def make_panel(y_pre, y_post, treated, covariates=None, unit_ids=None):
     )
 
 
+def make_rcs(period=(0, 0, 1, 1), treated=(False, True, False, True)):
+    return RcsData(
+        y=np.arange(4.0), period=period, treated=treated, covariates=np.empty((4, 0), dtype=int)
+    )
+
+
 def assert_same_samples(a, b):
     """Two panel cells hold the same samples, in the same order."""
     for name in ("control_y_pre", "control_dy", "treated_y_pre", "treated_y_post"):
@@ -205,6 +211,32 @@ class TestConstruction:
             covariates=np.empty((6, 0), dtype=int),
         )
         assert rcs.n_total == 6
+
+    @pytest.mark.parametrize("period", [0.6, 1.7, np.nan])
+    def test_a_period_the_cast_would_change_is_refused(self, period):
+        with pytest.raises(ValueError, match="period must hold integer codes"):
+            make_rcs(period=[0, 0, period, 1])
+
+    @pytest.mark.parametrize("flag", [2, 0.5])
+    @pytest.mark.parametrize("design", ["panel", "rcs"])
+    def test_a_treated_flag_the_cast_would_change_is_refused(self, design, flag):
+        with pytest.raises(ValueError, match="treated must hold 0/1 flags"):
+            if design == "panel":
+                make_panel(np.zeros(4), np.zeros(4), [0, flag, 0, 1])
+            else:
+                make_rcs(treated=[0, flag, 0, 1])
+
+    def test_codes_the_cast_keeps_are_taken(self):
+        """Integral floats and 0/1 integers are cast; arrays of the target
+        dtype are taken as they are, without a copy."""
+        rcs = make_rcs(period=[0.0, 0.0, 1.0, 2.0], treated=[0, 1, 0, 1])
+        assert rcs.period.dtype == int and rcs.period.tolist() == [0, 0, 1, 2]
+        assert rcs.treated.tolist() == [False, True, False, True]
+        assert not validate(rcs).ok  # period 2 is reported, not refused
+        period, treated = np.array([0, 0, 1, 1]), np.array([False, True, False, True])
+        rcs = make_rcs(period=period, treated=treated)
+        assert rcs.period is period and rcs.treated is treated
+        assert make_panel(np.zeros(4), np.zeros(4), treated).treated is treated
 
     def test_cell_label(self):
         one = np.array([1.0])

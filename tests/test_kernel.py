@@ -334,24 +334,6 @@ def test_unconditional_equals_per_draw_loop(cell_list, config, budget):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 2).flatmap(lambda k: cells(count=k)), configs, budgets, st.data())
-def test_unconditional_draw_ranges_stack_to_all_draws(cell_list, config, budget, data):
-    """Any split of range(B) into contiguous ranges, empty ones included."""
-    indexed = list(zip((1, 3), cell_list))
-    cuts = data.draw(st.lists(st.integers(0, config.iterations), max_size=3))
-    bounds = [0, *sorted(cuts), config.iterations]
-    chunk, block = budget
-    with mock.patch.object(inference, "BLOCK_ELEMENTS", block):
-        with mock.patch.object(inference, "CHUNK_ELEMENTS", chunk):
-            parts = [
-                bootstrap_unconditional(indexed, GRID, config, range(a, b))
-                for a, b in zip(bounds, bounds[1:])
-            ]
-        whole = bootstrap_unconditional(indexed, GRID, config)
-    np.testing.assert_array_equal(np.concatenate(parts), whole)
-
-
-@settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda k: cells(count=k)), configs, budgets, st.data())
 def test_draw_blocks_fill_each_cells_and_the_mixtures_draws(cell_list, config, budget, data):
     """Blocks over any split of range(B) write what the unconditional
@@ -436,12 +418,14 @@ def test_mixture_layout_equals_step_rows_mixture(count, rows, seed):
     np.testing.assert_array_equal(mixed.quantile(GRID), reference.quantile(GRID))
 
 
-def test_unconditional_draw_ranges_are_checked():
+def test_block_draw_ranges_are_checked():
     cell = edge_cells()[0]
     config = BootstrapConfig(iterations=4)
+    stores, mixture = [np.zeros((1, 4, GRID.size))], np.zeros((4, GRID.size))
     for draws in (range(0, 5), range(0, 4, 2), range(-1, 2)):
-        with pytest.raises(ValueError, match="draws must be"):
-            bootstrap_unconditional([(0, cell)], GRID, config, draws)
+        for kept in (mixture, None):
+            with pytest.raises(ValueError, match="draws must be"):
+                bootstrap_block([(0, cell)], GRID, config, ("ddid",), stores, kept, draws)
 
 
 def test_run_mc_equals_per_draw_loop():
@@ -608,8 +592,8 @@ def test_ddid_alone_on_a_panel_never_refits_the_control_post_period(monkeypatch)
 def test_every_bootstrap_runs_the_one_walk(monkeypatch):
     """Every bootstrap, of a cell, of the mixture, of a round with and
     without the mixture, and of an mc rep, runs ``inference._walk``, the one
-    loop over ``_chunk_weights``, and writes the same rows through a
-    delegate that counts its calls."""
+    draw loop, and writes the same rows through a delegate that counts its
+    calls."""
     config = BootstrapConfig(iterations=6, seed=2)
     names = ("ddid", "cic")
     indexed = list(zip((0, 3), edge_cells()))

@@ -164,6 +164,7 @@ class TestRunMc:
         {"taus": ()},
         {"scheme": "bogus"},
         {"bootstrap_iterations": -1},
+        {"bootstrap_iterations": 1},
         {"reps": 0},
         {"estimators": ("ddid", "qr")},
         {"estimators": ()},
