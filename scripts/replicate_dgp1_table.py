@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Reproduce the DGP 1 performance table (bias and rejection rates by N).
 
-Desk scale by default; pass --full for the published budget of 1000 Monte
-Carlo repetitions with 1000 bootstrap iterations each (hours, not minutes).
+A preset of ``qdid mc --dgp 1`` with ddid and cic. Desk scale by default;
+pass --full for the published budget of 1000 Monte Carlo repetitions with
+1000 bootstrap iterations each (hours, not minutes).
 
     python scripts/replicate_dgp1_table.py --te 0 --out dgp1_te0
     python scripts/replicate_dgp1_table.py --te 1 --full --out dgp1_te1_full
 """
 
 import argparse
-import time
 
-from qdid.cli import write_mc_outputs
-from qdid.simulation import DgpSpec, run_mc
+from qdid.cli import main as qdid_main
 
 
 def main() -> None:
@@ -26,26 +25,22 @@ def main() -> None:
     parser.add_argument("--out", default="dgp1_table")
     args = parser.parse_args()
 
-    reps = 1000 if args.full else args.reps
-    boots = 1000 if args.full else args.bootstrap
-    results = []
-    for n in (int(tok) for tok in args.n.split(",")):
-        start = time.perf_counter()
-        res = run_mc(
-            DgpSpec(variant=1, n_per_arm=n, te=args.te),
-            reps=reps,
-            estimators=("ddid", "cic"),
-            bootstrap_iterations=boots,
-            seed=args.seed,
-        )
-        results.append((float(n), res))
-        print(f"n={n}: ddid bias {res.bias['ddid'].round(3)} "
-              f"rej {res.rejection['ddid'].round(3)} "
-              f"| cic bias {res.bias['cic'].round(3)} "
-              f"rej {res.rejection['cic'].round(3)} "
-              f"[{time.perf_counter() - start:.1f}s]")
-    for path in write_mc_outputs(results, "n", args.out):
-        print(f"wrote {path}")
+    code = qdid_main(
+        [
+            "mc", "--dgp", "1",
+            f"--n={args.n}",
+            f"--te={args.te!r}",
+            f"--reps={1000 if args.full else args.reps}",
+            f"--bootstrap={1000 if args.full else args.bootstrap}",
+            f"--seed={args.seed}",
+            "--estimators=ddid,cic",
+            f"--out={args.out}",
+        ]
+    )
+    if code == 0:
+        with open(f"{args.out}.csv", encoding="utf-8") as table:
+            print(table.read(), end="")
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Reproduce the DGP 2 robustness table (bias and RMSE by copula deviation).
 
-Bias and RMSE need no bootstrap, so even the published 1000 repetitions run
-in seconds.
+A preset of ``qdid mc --dgp 2`` with ddid and no bootstrap: bias and RMSE
+need none, so even the published 1000 repetitions run in seconds.
 
     python scripts/replicate_dgp2_table.py --te 0 --out dgp2_te0
     python scripts/replicate_dgp2_table.py --te 1 --out dgp2_te1
@@ -10,8 +10,7 @@ in seconds.
 
 import argparse
 
-from qdid.cli import write_mc_outputs
-from qdid.simulation import DgpSpec, run_mc
+from qdid.cli import main as qdid_main
 
 
 def main() -> None:
@@ -24,18 +23,23 @@ def main() -> None:
     parser.add_argument("--out", default="dgp2_table")
     args = parser.parse_args()
 
-    results = []
-    for rho in (float(tok) for tok in args.rho.split(",")):
-        res = run_mc(
-            DgpSpec(variant=2, n_per_arm=args.n, te=args.te, rho_bar=rho),
-            reps=args.reps,
-            estimators=("ddid",),
-            seed=args.seed,
-        )
-        results.append((rho, res))
-        print(f"rho_bar={rho}: bias {res.bias['ddid'].round(3)} rmse {res.rmse['ddid'].round(3)}")
-    for path in write_mc_outputs(results, "rho_bar", args.out):
-        print(f"wrote {path}")
+    code = qdid_main(
+        [
+            "mc", "--dgp", "2",
+            f"--n={args.n}",
+            f"--te={args.te!r}",
+            f"--rho={args.rho}",
+            f"--reps={args.reps}",
+            "--bootstrap=0",
+            f"--seed={args.seed}",
+            "--estimators=ddid",
+            f"--out={args.out}",
+        ]
+    )
+    if code == 0:
+        with open(f"{args.out}.csv", encoding="utf-8") as table:
+            print(table.read(), end="")
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

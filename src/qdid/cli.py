@@ -83,8 +83,8 @@ class InfeasibleError(RuntimeError):
 
 def tau_grid(tau_min: float, tau_max: float, tau_step: float) -> np.ndarray:
     """Evenly spaced quantile grid, rounded to sidestep float drift."""
-    if not (0.0 < tau_min <= tau_max < 1.0) or tau_step <= 0:
-        raise ValueError("grid must satisfy 0 < tau_min <= tau_max < 1, step > 0")
+    if not (0.0 < tau_min <= tau_max < 1.0 and 0.0 < tau_step < np.inf):
+        raise ValueError("grid must satisfy 0 < tau_min <= tau_max < 1, finite step > 0")
     count = int(np.floor((tau_max - tau_min) / tau_step + 1e-9)) + 1
     # a step below the rounding leaves repeated points, which checked_grid rejects
     return checked_grid(np.round(tau_min + tau_step * np.arange(count), 12))
@@ -275,12 +275,15 @@ def load_csv(config: RunConfig) -> PanelData | RcsData:
 
 
 def _plain_ascii(path: str) -> bool:
-    """Every byte of the file is printable ASCII or ASCII whitespace.
+    """Every byte of the file after a leading UTF-8 byte-order mark, which
+    the text handle drops, is printable ASCII or ASCII whitespace.
 
     Only then do the C parser's fields agree with the row reader's: a bytes
     field drops trailing NULs, and the C number parser also skips \\x1c-\\x1f
     and non-ASCII spaces, which ``float`` rejects."""
     with open(path, "rb") as raw:
+        if raw.read(3) != b"\xef\xbb\xbf":
+            raw.seek(0)
         chunks = iter(lambda: raw.read(1 << 20), b"")
         return not any(chunk.translate(None, _PLAIN_BYTES) for chunk in chunks)
 

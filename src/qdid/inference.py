@@ -11,21 +11,22 @@ kernel as the draws.
 
 A cell's draws are taken in blocks of K, K set by its largest arm
 (``BLOCK_ELEMENTS``), and block j is drawn from a substream keyed by (seed,
-cell index, j): one numpy ``integers`` or ``standard_exponential`` call per
-arm, in sorted arm order, gives the raw draws of its K weight vectors, and
-draw b is row b mod K of block b // K. So results are reproducible and do
-not depend on evaluation order. Every bootstrap, of a cell, of the
-unconditional mixture or of a round of ``qdid estimate``, runs one draw
-loop, ``_walk``, the one function that takes a range of draw indices: it
-checks that the range is contiguous and below B, and writes draw b to row b
-of its arrays. It takes its draws in chunks: the weight vectors of a run of
+cell index, j), or (seed, rep, cell index, j) in an mc run: one numpy
+``integers`` or ``standard_exponential`` call per arm, in sorted arm order,
+gives the raw draws of its K weight vectors, and draw b is row b mod K of
+block b // K. So results are reproducible and do not depend on evaluation
+order. Every bootstrap, of a cell, of an mc rep, of the unconditional
+mixture or of a round of ``qdid estimate``, runs one draw loop,
+``bootstrap_block``, the one function that takes a range of draw indices
+and builds the draw keys: it checks that the range is contiguous and below
+B, and writes draw b to row b of its arrays. It takes its draws in chunks: the weight vectors of a run of
 draws are stacked into one matrix per arm, at most ``CHUNK_ELEMENTS``
 entries for the walked cells' largest arms together, and each cell is refit
 under every row at once (``estimators._cell_rows``); the cell's estimators
-and the mixture share that fit. A walk keeps the last block it drew for the
-next chunk, so chunks that start inside a block or span blocks draw each
-block once; a walk whose draw range starts inside a block draws that block
-and drops its head. ``draw_weights`` is the one-row block.
+and the mixture share that fit. The loop keeps the last block it drew for
+the next chunk, so chunks that start inside a block or span blocks draw each
+block once; a draw range that starts inside a block draws that block and
+drops its head. ``draw_weights`` is the one-row block.
 
 A run's bootstrap is split by ``_parallel`` into one contiguous range of
 draw indices (``qdid estimate``) or rep indices (``qdid mc``) per worker
@@ -228,7 +229,7 @@ def bootstrap_process(
     """B bootstrap replicates of the effect process; shape (B, len(grid)).
 
     Draw b is row b mod K of the block of draws keyed (*key_prefix,
-    cell_index, b // K) under config.seed (see ``_weight_rows``), so
+    cell_index, b // K) under config.seed (see ``bootstrap_block``), so
     replicates are reproducible regardless of evaluation order and distinct
     cells never share draws. Given a tuple of
     estimators, returns a dict of replicates per estimator, all computed
@@ -237,45 +238,9 @@ def bootstrap_process(
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
     taus = checked_grid(tau_grid)
     draws = np.empty((len(names), config.iterations, taus.size))
-    key = (*key_prefix, cell_index)
-    _walk([(key, cell)], taus, config, range(config.iterations), names, [draws])
+    bootstrap_block([(cell_index, cell)], taus, config, names, [draws], None,
+                    range(config.iterations), key_prefix)
     return draws[0] if isinstance(estimator, str) else dict(zip(names, draws))
-
-
-def _walk(members, taus, config, draws: range, estimators=(), stores=(), mixture=None):
-    """Every bootstrap's draw loop, and the one place that takes a draw range:
-    ``draws``, contiguous and below B, a chunk at a time over the ``(key,
-    cell)`` members. A chunk fills at most CHUNK_ELEMENTS entries of a matrix
-    as wide as the members' largest arms put together. Each chunk draws
-    (``_weight_rows``) and refits each member's weights once, and from that
-    one fit writes the rows of ``estimators`` of member k into ``stores[k]``
-    (len(estimators), B, grid), for the first len(stores) members, and, given
-    ``mixture`` (B, grid), the rows of the members' mixture; row b is draw b.
-    """
-    if draws.step != 1 or not 0 <= draws.start <= draws.stop <= config.iterations:
-        raise ValueError("draws must be a contiguous range of draw indices below B")
-    if not members:
-        raise ValueError("need at least one viable cell")
-    cells = [cell for _, cell in members]
-    for cell in cells:
-        check_nonempty(cell)
-    if mixture is not None:
-        layout, shares = _treated_layout(cells), treated_shares(cells)
-    sizes = [(key, cell.arm_sizes()) for key, cell in members]
-    step = max(1, CHUNK_ELEMENTS // sum(max(arms.values()) for _, arms in sizes))
-    walks = zip(*(_weight_rows(arms, config, key, draws, step) for key, arms in sizes))
-    for start, weights in zip(draws[::step], walks):
-        rows = slice(start, min(start + step, draws.stop))
-        cdfs = []
-        for k, (cell, w) in enumerate(zip(cells, weights)):
-            names = estimators if k < len(stores) else ()
-            pair, values = _cell_rows(cell, taus, w, names, mixture is not None)
-            if mixture is not None:
-                cdfs.append(pair)
-            if names:
-                stores[k][:, rows] = [values[est] for est in names]
-        if mixture is not None:
-            mixture[rows] = _mixture_rows(layout, taus, cdfs, shares)
 
 
 def _order_index(n: int, q: float) -> int:
@@ -457,7 +422,7 @@ def bootstrap_unconditional(
     """
     taus = checked_grid(tau_grid)
     out = np.empty((config.iterations, taus.size))
-    _walk([((i,), cell) for i, cell in cells], taus, config, range(config.iterations), mixture=out)
+    bootstrap_block(cells, taus, config, (), (), out, range(config.iterations))
     return out
 
 
@@ -491,29 +456,53 @@ def bootstrap_block(
     stores: list[np.ndarray],
     mixture: np.ndarray | None,
     draws: range,
+    key_prefix: tuple[int, ...] = (),
 ) -> None:
-    """One worker's part of a round of a run: the rows of the draws in
-    ``draws`` for the estimators of each of the first ``len(stores)`` cells,
-    written into ``stores[k]`` (len(estimators), B, grid), as
-    ``bootstrap_process`` gives them, and, given a ``mixture`` array (B,
-    grid), for the mixture of every cell, as ``bootstrap_unconditional``
-    gives them. With a mixture, one walk over every cell draws and refits
-    each cell's weights once per chunk for both; without one, the stored
-    cells are walked one at a time. Rows depend only on their draw index, so
-    parts whose ranges cover range(B) fill the arrays in any order and any
-    process.
+    """Every bootstrap's draw loop, the one place that takes a draw range and
+    builds draw keys: ``draws``, contiguous and below B, a chunk at a time
+    over the ``(index, cell)`` pairs, the blocks of a cell keyed (*key_prefix,
+    index, j) (see ``_weight_rows``). A chunk fills at most CHUNK_ELEMENTS
+    entries of a matrix as wide as the cells' largest arms put together; it
+    draws and refits each cell's weights once, and from that fit writes the
+    rows of ``estimators`` of the k-th cell into ``stores[k]`` (len(estimators),
+    B, grid), for the first len(stores) cells, as ``bootstrap_process`` gives
+    them, and, given ``mixture`` (B, grid), the rows of the cells' mixture, as
+    ``bootstrap_unconditional`` gives them. Row b is draw b, so parts whose
+    ranges cover range(B) fill the arrays in any order and any process.
     """
-    taus = checked_grid(tau_grid)
-    members = [((index,), cell) for index, cell in cells]
-    if mixture is not None:
-        _walk(members, taus, config, draws, estimators, stores, mixture)
+    if draws.step != 1 or not 0 <= draws.start <= draws.stop <= config.iterations:
+        raise ValueError("draws must be a contiguous range of draw indices below B")
+    if not cells:
+        raise ValueError("need at least one viable cell")
+    if mixture is None and len(cells) > 1:
+        # One walk per stored cell: a chunk's rows are shared by the cells of a
+        # walk, and a cell of 250 units per arm runs at 65 rows per chunk alone
+        # but 8 in a walk over 8 cells: 82 against 121 us per draw on one CPU
+        # (ROADMAP.md, Baseline).
+        for cell, store in zip(cells, stores):
+            bootstrap_block([cell], tau_grid, config, estimators, [store], None, draws, key_prefix)
         return
-    # One walk per stored cell: a chunk's rows are shared by the cells of a
-    # walk, and a cell of 250 units per arm runs at 65 rows per chunk alone
-    # but 8 in a walk over 8 cells: 82 against 121 us per draw on one CPU
-    # (ROADMAP.md, Baseline).
-    for member, store in zip(members, stores):
-        _walk([member], taus, config, draws, estimators, [store])
+    taus = checked_grid(tau_grid)
+    members = [cell for _, cell in cells]
+    for cell in members:
+        check_nonempty(cell)
+    if mixture is not None:
+        layout, shares = _treated_layout(members), treated_shares(members)
+    sizes = [((*key_prefix, index), cell.arm_sizes()) for index, cell in cells]
+    step = max(1, CHUNK_ELEMENTS // sum(max(arms.values()) for _, arms in sizes))
+    walks = zip(*(_weight_rows(arms, config, key, draws, step) for key, arms in sizes))
+    for start, weights in zip(draws[::step], walks):
+        rows = slice(start, min(start + step, draws.stop))
+        cdfs = []
+        for k, (cell, w) in enumerate(zip(members, weights)):
+            names = estimators if k < len(stores) else ()
+            pair, values = _cell_rows(cell, taus, w, names, mixture is not None)
+            if mixture is not None:
+                cdfs.append(pair)
+            if names:
+                stores[k][:, rows] = [values[est] for est in names]
+        if mixture is not None:
+            mixture[rows] = _mixture_rows(layout, taus, cdfs, shares)
 
 
 def analyze_unconditional(

@@ -61,6 +61,11 @@ class TestTauGrid:
         with pytest.raises(ValueError):
             tau_grid(0.1, 0.9, 0.0)
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_a_step_that_is_not_finite_is_refused(self, step):
+        with pytest.raises(ValueError, match=r"^grid must satisfy .*, finite step > 0$"):
+            tau_grid(0.05, 0.95, step)
+
 
 class TestLoadPanel:
     def test_round_trip(self, tmp_path):
@@ -261,6 +266,11 @@ class TestMainExitCodes:
             (["-b", "5000000000"], "--bootstrap"),
             # draws of 3 PB (90001 grid points): past any address space, so they fail at once
             (["-b", "4294967295", "--tau-step", "1e-5"], "--bootstrap"),
+            # a step that is not finite gives no grid
+            (["--tau-step", "nan"], "--tau-min/--tau-max/--tau-step: grid must satisfy "
+             "0 < tau_min <= tau_max < 1, finite step > 0"),
+            (["--tau-step", "inf"], "--tau-min/--tau-max/--tau-step: grid must satisfy "
+             "0 < tau_min <= tau_max < 1, finite step > 0"),
         ],
     )
     def test_bad_bootstrap_settings_fail_before_loading(self, tmp_path, capsys, flags, name):

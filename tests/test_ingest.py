@@ -505,6 +505,30 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, source, mode):
         _load_from(tmp_path / "bad.csv", source, bad, **options)
 
 
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+def test_a_byte_order_mark_alone_keeps_a_file_in_the_bulk_read(tmp_path, monkeypatch, mode):
+    options = {"mode": mode, "covariate_cols": ("x1", "x2")}
+    plain = "\n".join(_clean_lines()) + "\n"
+    want = _load_from(tmp_path / "plain.csv", "file", plain.encode("utf-8"), **options)
+
+    def refuse(*args):
+        raise AssertionError("the row reader was called")
+
+    monkeypatch.setattr(qdid.cli, "_row_columns", refuse)
+    got = _load_from(tmp_path / "bom.csv", "file", plain.encode("utf-8-sig"), **options)
+    assert_same_dataset(got, want)
+
+
+def test_a_byte_order_mark_file_with_a_non_ascii_unit_takes_the_row_reader(tmp_path, monkeypatch):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(("\n".join(_clean_lines("é{}".format)) + "\n").encode("utf-8-sig"))
+    config = RunConfig(input_path=str(path), covariate_cols=("x1", "x2"))
+    calls = _row_reader_calls(monkeypatch)
+    got = load_csv(config)
+    assert calls
+    assert_same_dataset(got, row_by_row_load_csv(config))
+
+
 def test_a_loaded_file_is_scanned_for_repeated_rows_once(tmp_path, monkeypatch):
     calls = []
     for module in (qdid.data_model, qdid.cli):

@@ -591,8 +591,9 @@ def test_ddid_alone_on_a_panel_never_refits_the_control_post_period(monkeypatch)
 
 def test_every_bootstrap_runs_the_one_walk(monkeypatch):
     """Every bootstrap, of a cell, of the mixture, of a round with and
-    without the mixture, and of an mc rep, runs ``inference._walk``, the one
-    draw loop, and writes the same rows through a delegate that counts its
+    without the mixture, and of an mc rep, runs ``bootstrap_block``, the one
+    draw loop: each reaches ``inference._weight_rows``, which only that loop
+    calls, and writes the same rows through a delegate that counts its
     calls."""
     config = BootstrapConfig(iterations=6, seed=2)
     names = ("ddid", "cic")
@@ -613,11 +614,12 @@ def test_every_bootstrap_runs_the_one_walk(monkeypatch):
         .rejection,
     }
     monkeypatch.setattr(inference, "_workers", lambda: 1)  # run_mc's reps in process
-    walk = inference._walk
+    weight_rows = inference._weight_rows
     for name, run in runs.items():
         plain, calls = run(), []
         with monkeypatch.context() as patch:
-            patch.setattr(inference, "_walk", lambda *a, **k: calls.append(name) or walk(*a, **k))
+            patch.setattr(inference, "_weight_rows",
+                          lambda *a, **k: calls.append(name) or weight_rows(*a, **k))
             counted = run()
-        assert calls, f"{name} does not run the walk"
+        assert calls, f"{name} does not run the draw loop"
         np.testing.assert_equal(counted, plain)

@@ -1,13 +1,17 @@
-"""The public surface: every exported name resolves, and the ``estimate``
-flags bind to ``RunConfig`` fields by name, so its defaults live there only."""
+"""The public surface: every exported name resolves, every name the docs
+point at resolves, and the ``estimate`` flags bind to ``RunConfig`` fields by
+name, so its defaults live there only."""
 
 import argparse
 import dataclasses
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,52 @@ MODULES = ["qdid"] + [
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+DOC_MODULES = ("cli", "data_model", "empirical", "estimators", "inference", "simulation")
+# `inference.bootstrap_block` or `qdid.cli.RunConfig` in README.md, not a
+# file name such as qdid/inference.py
+README_NAME = re.compile(rf"(?<![\w./])(?:qdid\.)?({'|'.join(DOC_MODULES)})\.(?!py\b)(\w+)")
+DOC_NAME = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
+
+
+def _resolves(module: str, dotted: str) -> bool:
+    target = importlib.import_module(module)
+    for part in dotted.split("."):
+        if not hasattr(target, part):
+            return False
+        target = getattr(target, part)
+    return True
+
+
+def test_documented_names_resolve():
+    """Each `<module>.<name>` in README.md names an attribute of that qdid
+    module, and each double-backticked name in a docstring or comment of a
+    qdid module that is private (``_x``) or module-qualified
+    (``estimators._cell_rows``) resolves in its module."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [
+        f"README.md: {module}.{name}"
+        for module, name in README_NAME.findall(readme)
+        if not _resolves(f"qdid.{module}", name)
+    ]
+    for owner in MODULES:
+        with open(importlib.import_module(owner).__file__, "rb") as source:
+            tokens = list(tokenize.tokenize(source.readline))
+        for token in tokens:
+            if token.type not in (tokenize.COMMENT, tokenize.STRING):
+                continue
+            for name in DOC_NAME.findall(token.string):
+                head, _, rest = name.partition(".")
+                if head.startswith("_"):
+                    module, dotted = owner, name
+                elif head in DOC_MODULES and rest:
+                    module, dotted = f"qdid.{head}", rest
+                else:
+                    continue
+                if not _resolves(module, dotted):
+                    missing.append(f"{owner}, line {token.start[0]}: {name}")
     assert missing == []
 
 
