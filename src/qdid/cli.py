@@ -620,10 +620,13 @@ def write_report(result: RunResult, out_prefix: str) -> list[str]:
             for est, block in entry["estimators"].items():
                 for values in zip(*(block[key] for key in band_columns)):
                     bands.writerow(columns + [est] + [_fnum(v) for v in values])
-                taus, stats = np.asarray(block["taus"]), []
-                for t in SUMMARY_TAUS:
-                    j = int(np.argmin(np.abs(taus - t)))
-                    stats += [_fnum(block["estimate"][j]), _fnum(block["pointwise_se"][j])]
+                stats = []
+                for t in SUMMARY_TAUS:  # left empty where t is not a grid point
+                    if t in block["taus"]:
+                        j = block["taus"].index(t)
+                        stats += [_fnum(block["estimate"][j]), _fnum(block["pointwise_se"][j])]
+                    else:
+                        stats += ["", ""]
                 summary.writerow(
                     columns
                     + [est, block["n_control"], block["n_treated"], "true", ""]

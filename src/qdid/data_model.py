@@ -83,8 +83,8 @@ class PanelData:
 
     def _cell(self, code: tuple[int, ...], control: np.ndarray, treated: np.ndarray) -> PanelCell:
         """The cell of the given control and treated unit rows."""
-        y_pre, y_post = self.y_pre[control], self.y_post[control]
-        return PanelCell(code, y_pre, y_post - y_pre, self.y_pre[treated], self.y_post[treated])
+        return PanelCell(code, control_pre=self.y_pre[control], control_post=self.y_post[control],
+                         treated_pre=self.y_pre[treated], treated_post=self.y_post[treated])
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,10 @@ class RcsData:
         c, t = self.period[control], self.period[treated]
         return RcsCell(
             code,
-            self.y[control[c == 0]],
-            self.y[control[c == 1]],
-            self.y[treated[t == 0]],
-            self.y[treated[t == 1]],
+            control_pre=self.y[control[c == 0]],
+            control_post=self.y[control[c == 1]],
+            treated_pre=self.y[treated[t == 0]],
+            treated_post=self.y[treated[t == 1]],
         )
 
 

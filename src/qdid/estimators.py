@@ -20,7 +20,7 @@ the pipeline does not call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from typing import ClassVar, Mapping, Sequence
 
@@ -61,23 +61,33 @@ ESTIMATORS = ("ddid", "cic")
 class Cell:
     """Per-cell samples, with cached sort layouts for refits.
 
-    A cell has four samples: control pre, control post, treated pre and
-    treated post, in that order. ``SAMPLE_ARMS`` names the weight arm of
-    each; a bootstrap draw has one weight vector per distinct arm, and it
-    reweights every sample of that arm. ``observed_dy`` is the control
-    change, aligned with the control pre-period sample, where the data
-    observe it (panel), and None where it is recovered by rank matching the
-    control group across periods (repeated cross sections). Subclasses give
-    the four samples' values, in order, as ``sample_values``. ``reason`` is
-    None for a cell large enough to estimate, and otherwise says which arms
-    are too small (see ``build_cells``).
+    A cell has four samples, the outcomes as the data give them, passed by
+    name: ``control_pre``, ``control_post``, ``treated_pre`` and
+    ``treated_post``; ``sample_values`` gives them in that order.
+    ``SAMPLE_ARMS`` names the weight arm of each; a bootstrap draw has one
+    weight vector per distinct arm, and it reweights every sample of that
+    arm. Subclasses say only where the samples come from. ``observed_dy`` is
+    the control change, aligned with the control pre-period sample, where
+    the data observe it (panel), and None where it is recovered by rank
+    matching the control group across periods (repeated cross sections).
+    ``reason`` is None for a cell large enough to estimate, and otherwise
+    says which arms are too small (see ``build_cells``).
     """
 
     SAMPLE_ARMS: ClassVar[tuple[str, ...]]
     observed_dy = None
 
     code: tuple[int, ...]
-    reason: str | None = field(default=None, kw_only=True)
+    _: KW_ONLY
+    control_pre: np.ndarray
+    control_post: np.ndarray
+    treated_pre: np.ndarray
+    treated_post: np.ndarray
+    reason: str | None = None
+
+    @property
+    def sample_values(self) -> tuple[np.ndarray, ...]:
+        return (self.control_pre, self.control_post, self.treated_pre, self.treated_post)
 
     @property
     def viable(self) -> bool:
@@ -117,27 +127,20 @@ class Cell:
 
 @dataclass(frozen=True)
 class PanelCell(Cell):
-    """Panel cell: each unit is seen in both periods, so its change is observed."""
+    """Panel cell: each unit is seen in both periods, so a group's pre and post
+    samples hold one value per unit, in unit order, and the control change is observed."""
 
     SAMPLE_ARMS: ClassVar[tuple[str, ...]] = ("control", "control", "treated", "treated")
 
-    control_y_pre: np.ndarray
-    control_dy: np.ndarray
-    treated_y_pre: np.ndarray
-    treated_y_post: np.ndarray
-
-    @property
-    def observed_dy(self) -> np.ndarray:
-        return self.control_dy
+    def __post_init__(self):
+        control_pre, control_post, treated_pre, treated_post = map(len, self.sample_values)
+        if control_pre != control_post or treated_pre != treated_post:
+            raise ValueError(f"cell {self.code}: each group's pre and post samples must hold "
+                             "one value per unit")
 
     @cached_property
-    def sample_values(self) -> tuple[np.ndarray, ...]:
-        return (
-            self.control_y_pre,
-            self.control_y_pre + self.control_dy,
-            self.treated_y_pre,
-            self.treated_y_post,
-        )
+    def observed_dy(self) -> np.ndarray:
+        return self.control_post - self.control_pre
 
 
 @dataclass(frozen=True)
@@ -147,15 +150,6 @@ class RcsCell(Cell):
     SAMPLE_ARMS: ClassVar[tuple[str, ...]] = (
         "control_pre", "control_post", "treated_pre", "treated_post"
     )
-
-    control_pre: np.ndarray
-    control_post: np.ndarray
-    treated_pre: np.ndarray
-    treated_post: np.ndarray
-
-    @property
-    def sample_values(self) -> tuple[np.ndarray, ...]:
-        return (self.control_pre, self.control_post, self.treated_pre, self.treated_post)
 
 
 @dataclass(frozen=True)
@@ -270,10 +264,10 @@ def cic_qtt(
     repeated cross-section cell of the four samples.
     """
     samples = (control_pre, control_post, treated_pre, treated_post)
-    cell = RcsCell(
-        code,
-        *(np.asarray(s.values if isinstance(s, SortedSample) else s, dtype=float) for s in samples),
-    )
+    cell = RcsCell(code, **{  # an RcsCell's arms are its sample names
+        name: np.asarray(s.values if isinstance(s, SortedSample) else s, dtype=float)
+        for name, s in zip(RcsCell.SAMPLE_ARMS, samples)
+    })
     if weights is not None:
         weights = {
             arm: np.ones(len(v)) if w is None else w
@@ -393,8 +387,8 @@ def _cell_rows(cell, taus, weights, estimators=(), counterfactual=False):
     skipped (None) when nothing reads it: no cic on a cell whose control
     change is observed. Returns the CDFs given ``counterfactual``, else
     None, and one (C, len(taus)) array per estimator."""
+    fits = zip(cell.samples, cell.sample_weights(weights))  # refuses non-finite values first
     skip = "cic" not in estimators and cell.observed_dy is not None
-    fits = zip(cell.samples, cell.sample_weights(weights))
     fitted = [None if skip and i == 1 else s.fit_rows(w) for i, (s, w) in enumerate(fits)]
     cdfs = None
     if counterfactual or "ddid" in estimators:

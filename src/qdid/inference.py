@@ -13,13 +13,13 @@ A cell's draws are taken in blocks of K, K set by its largest arm
 (``BLOCK_ELEMENTS``), and block j is drawn from a substream keyed by (seed,
 cell index, j), or (seed, rep, cell index, j) in an mc run: one numpy
 ``integers`` or ``standard_exponential`` call per arm, in sorted arm order,
-gives the raw draws of its K weight vectors, and draw b is row b mod K of
-block b // K. So results are reproducible and do not depend on evaluation
-order. Every bootstrap, of a cell, of an mc rep, of the unconditional
-mixture or of a round of ``qdid estimate``, runs one draw loop,
-``bootstrap_block``, the one function that takes a range of draw indices
-and builds the draw keys: it checks that the range is contiguous and below
-B, and writes draw b to row b of its arrays. It takes its draws in chunks: the weight vectors of a run of
+gives its K weight vectors, and draw b is row b mod K of block b // K. So
+results are reproducible and do not depend on evaluation order. Every
+bootstrap, of a cell, of an mc rep, of the unconditional mixture or of a
+round of ``qdid estimate``, runs one draw loop, ``bootstrap_block``, the one
+function that takes a range of draw indices and builds the draw keys: it
+checks that the range is contiguous and below B, and writes draw b to row b
+of its arrays. It takes its draws in chunks: the weight vectors of a run of
 draws are stacked into one matrix per arm, at most ``CHUNK_ELEMENTS``
 entries for the walked cells' largest arms together, and each cell is refit
 under every row at once (``estimators._cell_rows``); the cell's estimators
@@ -46,6 +46,7 @@ process cannot fork or read its CPU set, the one range runs in process.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import sys
@@ -121,6 +122,14 @@ CHUNK_ELEMENTS = 16384
 STORE_ELEMENTS = 2**20
 
 
+def check_whole(name: str, value) -> None:
+    """Refuse a count or seed that ``operator.index`` does not take, such as 2.5 or 2.0."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     iterations: int = 1000
@@ -129,6 +138,8 @@ class BootstrapConfig:
     scheme: str = "multinomial"
 
     def __post_init__(self):
+        check_whole("iterations", self.iterations)
+        check_whole("seed", self.seed)
         if not 1 <= self.iterations <= MAX_ITERATIONS:
             raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}]")
         if not 0.0 < self.alpha < 1.0:
@@ -151,30 +162,20 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 def _draw_block(
     arm_sizes: dict[str, int], scheme: str, rng: np.random.Generator, rows: int
 ) -> dict[str, np.ndarray]:
-    """The raw draws behind ``rows`` weight vectors per arm, one generator
-    call per arm in sorted-name order: (rows, n) category indices
-    (multinomial), or (rows, n) standard exponentials, which are numpy's
-    gamma(1) variates of a flat Dirichlet."""
+    """``rows`` weight vectors per arm, one generator call per arm in sorted-name
+    order, each row finished on its own: the counts of (rows, n) category indices
+    (multinomial), or (rows, n) standard exponentials (a flat Dirichlet's gamma(1)
+    variates) over their sequential total, as numpy's ``dirichlet`` divides, times n."""
 
     def draw(n: int) -> np.ndarray:
         if scheme == "multinomial":
-            return rng.integers(0, n, size=(rows, n))
+            return _row_bincount(rng.integers(0, n, size=(rows, n)), None, n).astype(float)
         if scheme == "dirichlet":
-            return rng.standard_exponential((rows, n))
+            raw = rng.standard_exponential((rows, n))
+            return raw * (1.0 / np.add.accumulate(raw, axis=1)[:, -1:]) * n
         raise ValueError(f"scheme must be one of {SCHEMES}")
 
     return {arm: draw(arm_sizes[arm]) for arm in sorted(arm_sizes)}
-
-
-def _finish(raw: np.ndarray, scheme: str) -> np.ndarray:
-    """Weight rows from (C, n) raw variates, row by row: the counts of the
-    indices, or the exponentials over their sequential total (as numpy's
-    ``dirichlet`` sums and divides), times n."""
-    n = raw.shape[1]
-    if scheme == "multinomial":
-        return _row_bincount(raw, None, n).astype(float)
-    total = np.add.accumulate(raw, axis=1)[:, -1:]
-    return raw * (1.0 / total) * n
 
 
 def draw_weights(
@@ -186,8 +187,7 @@ def draw_weights(
     Dirichlet scaled by n, mean weight 1."""
     if any(n < 1 for n in arm_sizes.values()):
         raise ValueError("arm size must be >= 1")
-    raw = _draw_block(arm_sizes, scheme, rng, 1)
-    return {arm: _finish(values, scheme)[0] for arm, values in raw.items()}
+    return {arm: rows[0] for arm, rows in _draw_block(arm_sizes, scheme, rng, 1).items()}
 
 
 def _weight_rows(
@@ -204,18 +204,16 @@ def _weight_rows(
     draw's weights depend neither on ``step`` nor on where ``draws`` starts.
     """
     size = max(1, BLOCK_ELEMENTS // max(arm_sizes.values()))
-    block = raw = None
+    block = rows = None
     for start in range(draws.start, draws.stop, step):
         stop = min(start + step, draws.stop)
         parts = []
         for j in range(start // size, (stop - 1) // size + 1):
             if j != block:
                 block = j
-                raw = _draw_block(arm_sizes, config.scheme, substream(config.seed, *key, j), size)
-            parts.append([r[max(0, start - j * size) : stop - j * size] for r in raw.values()])
-        yield {
-            arm: _finish(np.concatenate(rows), config.scheme) for arm, rows in zip(raw, zip(*parts))
-        }
+                rows = _draw_block(arm_sizes, config.scheme, substream(config.seed, *key, j), size)
+            parts.append([r[max(0, start - j * size) : stop - j * size] for r in rows.values()])
+        yield {arm: np.concatenate(chunk) for arm, chunk in zip(rows, zip(*parts))}
 
 
 def bootstrap_process(

@@ -32,6 +32,7 @@ from .inference import (
     BootstrapConfig,
     _parallel,
     bootstrap_process,
+    check_whole,
     draw_weights,  # noqa: F401
     empirical_quantile,
     substream,
@@ -55,6 +56,7 @@ class DgpSpec:
     def __post_init__(self):
         if self.variant not in (1, 2):
             raise ValueError("variant must be 1 or 2")
+        check_whole("n_per_arm", self.n_per_arm)
         if self.n_per_arm < 1:
             raise ValueError("n_per_arm must be >= 1")
         if not np.isfinite([self.te, self.rho_bar]).all():
@@ -208,6 +210,8 @@ def run_mc(
     settings are checked here; reps then run in contiguous ranges, one per
     worker process (see ``qdid.inference``).
     """
+    check_whole("reps", reps)
+    check_whole("seed", seed)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if bootstrap_iterations == 1:

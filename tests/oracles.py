@@ -397,11 +397,11 @@ def per_draw_mc_rejections(spec, reps, taus, estimators, bootstrap_iterations,
         data = simulate(spec, substream(seed, r))
         t = data.treated
         cell = PanelCell(
-            code=(),
-            control_y_pre=data.y_pre[~t],
-            control_dy=data.y_post[~t] - data.y_pre[~t],
-            treated_y_pre=data.y_pre[t],
-            treated_y_post=data.y_post[t],
+            (),
+            control_pre=data.y_pre[~t],
+            control_post=data.y_post[~t],
+            treated_pre=data.y_pre[t],
+            treated_post=data.y_post[t],
         )
         point = {
             est: scalar_estimate_process(cell, grid, est, None, data.n_total).values
@@ -601,7 +601,7 @@ def dict_build_cells(dataset, min_cell_size=DEFAULT_MIN_CELL_SIZE):
             pre, post = dataset.y_pre.tolist(), dataset.y_post.tolist()
             samples = [
                 [pre[i] for i in control],
-                [post[i] - pre[i] for i in control],
+                [post[i] for i in control],
                 [pre[i] for i in treat],
                 [post[i] for i in treat],
             ]
@@ -612,5 +612,7 @@ def dict_build_cells(dataset, min_cell_size=DEFAULT_MIN_CELL_SIZE):
         if short:
             parts = ", ".join(f"{name} arm has {size} rows" for name, size in short.items())
             reason = f"{parts} (< min_cell_size {min_cell_size})"
-        cells.append(kind(code, *(np.array(v, dtype=float) for v in samples), reason=reason))
+        fields = ("control_pre", "control_post", "treated_pre", "treated_post")
+        values = {name: np.array(v, dtype=float) for name, v in zip(fields, samples)}
+        cells.append(kind(code, **values, reason=reason))
     return cells

@@ -53,7 +53,8 @@ def test_criterion_01_oracle_equivalence():
         dy = rng.integers(-4, 5, n0).astype(float)
         y_pre1 = rng.integers(-5, 6, n1).astype(float)
         y_post1 = rng.integers(-5, 6, n1).astype(float)
-        cell = PanelCell((), y_pre0, dy, y_pre1, y_post1)
+        cell = PanelCell((), control_pre=y_pre0, control_post=y_pre0 + dy, treated_pre=y_pre1,
+                         treated_post=y_post1)
         res = counterfactual_cdf(cell)
         transformed, table = brute_counterfactual_panel(
             list(zip(y_pre0.tolist(), dy.tolist())), y_pre1.tolist()
@@ -205,12 +206,13 @@ def test_criterion_08_determinism_and_duality():
     for i in range(50):
         n0, n1 = rng.integers(15, 60, size=2)
         effect = float(rng.choice([0.0, 0.0, 1.0, 2.0]))
+        control_pre = rng.normal(size=n0)
         cell = PanelCell(
             (),
-            rng.normal(size=n0),
-            rng.normal(size=n0),
-            rng.normal(size=n1),
-            rng.normal(size=n1) + effect,
+            control_pre=control_pre,
+            control_post=control_pre + rng.normal(size=n0),
+            treated_pre=rng.normal(size=n1),
+            treated_post=rng.normal(size=n1) + effect,
         )
         cfg = BootstrapConfig(iterations=80, seed=1000 + i)
         rep1 = analyze_cell(cell, grid, cfg, n_total=n0 + n1)
@@ -254,8 +256,9 @@ def test_criterion_10_rcs_reproduces_panel():
         y_post0 = np.sort(rng.normal(loc=0.5, size=n0))[np.argsort(np.argsort(y_pre0))]
         y_pre1 = rng.normal(loc=0.3, size=n1)
         y_post1 = rng.normal(loc=0.8, size=n1)
-        panel = PanelCell((), y_pre0, y_post0 - y_pre0, y_pre1, y_post1)
-        rcs = RcsCell((), y_pre0, y_post0, y_pre1, y_post1)
+        samples = dict(control_pre=y_pre0, control_post=y_post0, treated_pre=y_pre1,
+                       treated_post=y_post1)
+        panel, rcs = PanelCell((), **samples), RcsCell((), **samples)
         assert np.array_equal(
             np.sort(counterfactual_cdf(panel).transformed_outcomes),
             np.sort(counterfactual_cdf(rcs).transformed_outcomes),

@@ -44,11 +44,10 @@ def test_panel_cells_hold_their_units(n_covariates):
         assert cell.SAMPLE_ARMS == ("control", "control", "treated", "treated")
         assert cell.arm_sizes() == {"control": len(c), "treated": len(t)}
         assert (cell.n_control, cell.n_treated) == (len(c), len(t))
-        dy = data.y_post[c] - data.y_pre[c]
-        _assert_arrays([cell.control_y_pre, cell.control_dy], [data.y_pre[c], dy])
+        _assert_arrays([cell.observed_dy], [data.y_post[c] - data.y_pre[c]])
         _assert_arrays(
             _samples(cell),
-            [data.y_pre[c], data.y_pre[c] + dy, data.y_pre[t], data.y_post[t]],
+            [data.y_pre[c], data.y_post[c], data.y_pre[t], data.y_post[t]],
         )
 
 
@@ -77,3 +76,25 @@ def test_rcs_cells_hold_their_observations_per_period():
         assert cell.arm_sizes() == {arm: len(r) for arm, r in zip(arms, rows)}
         assert (cell.n_control, cell.n_treated) == (len(c), len(t))
         _assert_arrays(_samples(cell), [data.y[r] for r in rows])
+
+
+def test_panel_cells_keep_the_datas_control_post_values():
+    """A panel cell's control post-period sample is the data's, not the pre
+    value plus the change: on a 0.01 grid the two differ, and the sum would
+    split the data's tie groups."""
+    rng = np.random.default_rng(7)
+    n = 400
+    data = PanelData(
+        unit_ids=np.arange(n),
+        y_pre=rng.integers(-300, 300, n) / 100.0,
+        y_post=rng.integers(-300, 300, n) / 100.0,
+        treated=rng.random(n) < 0.5,
+        covariates=rng.integers(0, 2, size=(n, 2)),
+    )
+    cells = build_cells(data)
+    for cell in cells:
+        c, _ = _arms(data, cell.code)
+        np.testing.assert_array_equal(cell.control_post, data.y_post[c])
+        np.testing.assert_array_equal(cell.samples[1].support, np.unique(data.y_post[c]))
+    distinct = sum(cell.samples[1].support.size for cell in cells)
+    assert distinct == sum(np.unique(data.y_post[_arms(data, c.code)[0]]).size for c in cells)

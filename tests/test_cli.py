@@ -8,6 +8,7 @@ from qdid.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_VALIDATION,
+    SUMMARY_TAUS,
     LoadError,
     RunConfig,
     load_csv,
@@ -344,6 +345,34 @@ class TestMainExitCodes:
             (tmp_path / "one.bands.csv").read_bytes()
             == (tmp_path / "two.bands.csv").read_bytes()
         )
+
+    @pytest.mark.parametrize(
+        "grid, on_grid",
+        [
+            (["--tau-min", "0.3", "--tau-max", "0.7", "--tau-step", "0.1"], (0.5,)),
+            (["--tau-step", "0.02"], ()),
+            ([], SUMMARY_TAUS),
+        ],
+    )
+    def test_summary_reads_a_level_only_at_its_own_grid_point(self, tmp_path, grid, on_grid):
+        """``estimate_<t>`` and ``se_<t>`` hold the grid point t's values, and
+        are empty when t is not a grid point (never a neighbour's values)."""
+        path = tmp_path / "data.csv"
+        null_panel_csv(path, n_arm=20, seed=10)
+        code = main(["estimate", "-i", str(path), "-o", str(tmp_path / "rep"),
+                     "--bootstrap", "20"] + grid)
+        assert code == EXIT_OK
+        block = json.loads((tmp_path / "rep.json").read_text())["cells"][0]["estimators"]["ddid"]
+        with open(tmp_path / "rep.summary.csv", newline="", encoding="utf-8") as handle:
+            (row,) = csv.DictReader(handle)
+        for t in SUMMARY_TAUS:
+            fields = [row[f"estimate_{t}"], row[f"se_{t}"]]
+            if t in on_grid:
+                j = block["taus"].index(t)
+                assert fields == [repr(block["estimate"][j]), repr(block["pointwise_se"][j])]
+            else:
+                assert t not in block["taus"]
+                assert fields == ["", ""]
 
 
 class TestSimulateCommand:

@@ -33,7 +33,7 @@ def make_rcs(period=(0, 0, 1, 1), treated=(False, True, False, True)):
 
 def assert_same_samples(a, b):
     """Two panel cells hold the same samples, in the same order."""
-    for name in ("control_y_pre", "control_dy", "treated_y_pre", "treated_y_post"):
+    for name in ("control_pre", "control_post", "treated_pre", "treated_post"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
@@ -81,7 +81,7 @@ class TestBuildCells:
             covariates=rng.integers(0, 3, size=(n, 2)),
         )
         cells = build_cells(data, min_cell_size=0)
-        seen = np.concatenate([np.concatenate([c.treated_y_pre, c.control_y_pre]) for c in cells])
+        seen = np.concatenate([np.concatenate([c.treated_pre, c.control_pre]) for c in cells])
         assert sorted(seen.tolist()) == list(range(n))
 
     def test_lexicographic_order_and_determinism(self):
@@ -92,8 +92,8 @@ class TestBuildCells:
         first = build_cells(data, min_cell_size=0)
         second = build_cells(data, min_cell_size=0)
         assert [c.code for c in first] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert [c.treated_y_pre.tolist() for c in first] == [[2.0], [4.0], [0.0], []]
-        assert [c.control_y_pre.tolist() for c in first] == [[], [1.0], [], [3.0]]
+        assert [c.treated_pre.tolist() for c in first] == [[2.0], [4.0], [0.0], []]
+        assert [c.control_pre.tolist() for c in first] == [[], [1.0], [], [3.0]]
         for a, b in zip(first, second):
             assert_same_samples(a, b)
 
@@ -239,6 +239,7 @@ class TestConstruction:
         assert make_panel(np.zeros(4), np.zeros(4), treated).treated is treated
 
     def test_cell_label(self):
-        one = np.array([1.0])
-        assert PanelCell((), one, one, one, one).label() == "all"
-        assert PanelCell((1, 2), one, one, one, one).label() == "1|2"
+        one = dict.fromkeys(("control_pre", "control_post", "treated_pre", "treated_post"),
+                            np.array([1.0]))
+        assert PanelCell((), **one).label() == "all"
+        assert PanelCell((1, 2), **one).label() == "1|2"

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,19 +15,22 @@ from qdid.estimators import (
     estimate_rows,
     treated_shares,
 )
-from qdid.inference import substream, unconditional_process
+from qdid.inference import draw_weights, substream, unconditional_process
 from qdid.simulation import DgpSpec, simulate
 
 from oracles import brute_counterfactual_panel, scalar_counterfactual_cdf
 
 
-def panel_cell(control_y_pre, control_dy, treated_y_pre, treated_y_post):
+def panel_cell(control_pre, control_dy, treated_pre, treated_post):
+    """A panel cell whose control units start at ``control_pre`` and change
+    by ``control_dy``."""
+    control_pre = np.asarray(control_pre, dtype=float)
     return PanelCell(
-        code=(),
-        control_y_pre=np.asarray(control_y_pre, dtype=float),
-        control_dy=np.asarray(control_dy, dtype=float),
-        treated_y_pre=np.asarray(treated_y_pre, dtype=float),
-        treated_y_post=np.asarray(treated_y_post, dtype=float),
+        (),
+        control_pre=control_pre,
+        control_post=control_pre + np.asarray(control_dy, dtype=float),
+        treated_pre=np.asarray(treated_pre, dtype=float),
+        treated_post=np.asarray(treated_post, dtype=float),
     )
 
 
@@ -211,6 +215,69 @@ class TestCic:
         assert np.isfinite(proc.values).all()
 
 
+def tied_samples(rng, n0, n1):
+    """Four samples on a 0.01 grid, with ties: control post - pre + pre is
+    not always control post here."""
+    def draw(n):
+        return rng.integers(-150, 150, n) / 100.0
+
+    return dict(control_pre=draw(n0), control_post=draw(n0), treated_pre=draw(n1),
+                treated_post=draw(n1))
+
+
+class TestCellLayout:
+    def test_a_panel_cells_cic_is_the_rcs_cic_of_its_four_samples(self):
+        """Panel cic reads the control post-period sample as the data give
+        it, bit for bit as an RCS cell does; a draw's control weights enter
+        both control samples of the panel cell, as they would the RCS cell's."""
+        rng = np.random.default_rng(21)
+        grid = np.round(0.05 + 0.01 * np.arange(91), 12)
+        moved = 0
+        for i in range(20):
+            samples = tied_samples(rng, *rng.integers(5, 60, size=2))
+            panel, rcs = PanelCell((), **samples), RcsCell((), **samples)
+            moved += not np.array_equal(panel.control_pre + panel.observed_dy, panel.control_post)
+            np.testing.assert_array_equal(
+                estimate_process(panel, grid, "cic").values,
+                estimate_process(rcs, grid, "cic").values,
+            )
+            w = draw_weights(panel.arm_sizes(), "multinomial", substream(21, i))
+            both = {"control_pre": w["control"], "control_post": w["control"],
+                    "treated_pre": w["treated"], "treated_post": w["treated"]}
+            np.testing.assert_array_equal(
+                estimate_process(panel, grid, "cic", w).values,
+                estimate_process(rcs, grid, "cic", both).values,
+            )
+        assert moved > 0  # the old layout's pre + change would have differed
+
+    def test_a_panel_cell_derives_its_control_change(self):
+        samples = tied_samples(np.random.default_rng(22), 7, 4)
+        cell = PanelCell((3,), **samples)
+        np.testing.assert_array_equal(cell.observed_dy,
+                                      samples["control_post"] - samples["control_pre"])
+        assert cell.observed_dy is cell.observed_dy  # cached
+        for sample, name in zip(cell.samples, RcsCell.SAMPLE_ARMS):
+            np.testing.assert_array_equal(sample.values, samples[name])
+        assert RcsCell((3,), **samples).observed_dy is None
+
+    @pytest.mark.parametrize("group", ["control", "treated"])
+    def test_a_panel_cell_needs_one_post_value_per_unit(self, group):
+        samples = tied_samples(np.random.default_rng(23), 3, 3)
+        samples[f"{group}_post"] = np.r_[samples[f"{group}_post"], 0.5]
+        with pytest.raises(ValueError, match=r"^cell \(\): each group's pre and post samples "
+                                             r"must hold one value per unit$"):
+            PanelCell((), **samples)
+        RcsCell((), **samples)  # unlinked samples may differ in size
+
+    @pytest.mark.parametrize("kind", [PanelCell, RcsCell])
+    def test_a_cells_samples_are_passed_by_name(self, kind):
+        """A positional call, as in the old (pre, change, pre, post) layout,
+        is refused rather than read as four samples."""
+        samples = list(tied_samples(np.random.default_rng(24), 3, 3).values())
+        with pytest.raises(TypeError):
+            kind((), *samples)
+
+
 class TestProperties:
     def test_location_equivariance_exact(self):
         rng = np.random.default_rng(11)
@@ -224,10 +291,7 @@ class TestProperties:
             n0, n1 = rng.integers(3, 30, size=2)
             base = panel_cell(dyadic(n0), dyadic(n0), dyadic(n1), dyadic(n1))
             c = 1.0
-            shifted = panel_cell(
-                base.control_y_pre, base.control_dy, base.treated_y_pre,
-                base.treated_y_post + c,
-            )
+            shifted = replace(base, treated_post=base.treated_post + c)
             v0 = estimate_process(base, grid, "ddid").values
             v1 = estimate_process(shifted, grid, "ddid").values
             np.testing.assert_array_equal(v1, v0 + c)
@@ -284,9 +348,10 @@ class TestProperties:
             y_post0 = np.sort(rng.normal(loc=1.0, size=n0))[np.argsort(np.argsort(y_pre0))]
             y_pre1 = rng.normal(loc=0.5, size=n1)
             y_post1 = rng.normal(loc=1.5, size=n1)
-            panel_res = counterfactual_cdf(
-                panel_cell(y_pre0, y_post0 - y_pre0, y_pre1, y_post1)
-            )
+            panel_res = counterfactual_cdf(PanelCell(
+                (), control_pre=y_pre0, control_post=y_post0, treated_pre=y_pre1,
+                treated_post=y_post1,
+            ))
             rcs_res = counterfactual_cdf(rcs_cell(y_pre0, y_post0, y_pre1, y_post1))
             np.testing.assert_array_equal(
                 np.sort(panel_res.transformed_outcomes),
@@ -296,11 +361,12 @@ class TestProperties:
     def test_dgp1_consistency_large_sample(self):
         data = simulate(DgpSpec(variant=1, n_per_arm=10_000, te=1.0), substream(99, 0))
         treated = data.treated
-        cell = panel_cell(
-            data.y_pre[~treated],
-            data.y_post[~treated] - data.y_pre[~treated],
-            data.y_pre[treated],
-            data.y_post[treated],
+        cell = PanelCell(
+            (),
+            control_pre=data.y_pre[~treated],
+            control_post=data.y_post[~treated],
+            treated_pre=data.y_pre[treated],
+            treated_post=data.y_post[treated],
         )
         proc = estimate_process(cell, [0.1, 0.5, 0.9], "ddid")
         assert np.all(np.abs(proc.values - 1.0) < 0.1)

@@ -23,13 +23,16 @@ from qdid.inference import (
 )
 
 
-def panel_cell(control_y_pre, control_dy, treated_y_pre, treated_y_post):
+def panel_cell(control_pre, control_dy, treated_pre, treated_post):
+    """A panel cell whose control units start at ``control_pre`` and change
+    by ``control_dy``."""
+    control_pre = np.asarray(control_pre, dtype=float)
     return PanelCell(
-        code=(),
-        control_y_pre=np.asarray(control_y_pre, dtype=float),
-        control_dy=np.asarray(control_dy, dtype=float),
-        treated_y_pre=np.asarray(treated_y_pre, dtype=float),
-        treated_y_post=np.asarray(treated_y_post, dtype=float),
+        (),
+        control_pre=control_pre,
+        control_post=control_pre + np.asarray(control_dy, dtype=float),
+        treated_pre=np.asarray(treated_pre, dtype=float),
+        treated_post=np.asarray(treated_post, dtype=float),
     )
 
 
@@ -60,6 +63,12 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             BootstrapConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [("iterations", 2.5), ("seed", 1.5), ("seed", 2.0)])
+    def test_a_count_or_seed_must_be_a_whole_number(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a whole number, not {value!r}$"):
+            BootstrapConfig(**{field: value})
+        assert getattr(BootstrapConfig(**{field: np.int64(3)}), field) == 3
 
 
 def one_arm_weights(n, scheme, rng):
@@ -359,8 +368,10 @@ def test_size_under_structural_null():
 
 
 EMPTY_SAMPLE_CELLS = {
-    "panel": PanelCell((1,), np.arange(5.0), np.ones(5), np.empty(0), np.empty(0)),
-    "rcs": RcsCell((1,), np.arange(5.0), np.empty(0), np.arange(3.0), np.arange(4.0)),
+    "panel": PanelCell((1,), control_pre=np.arange(5.0), control_post=np.arange(1.0, 6.0),
+                       treated_pre=np.empty(0), treated_post=np.empty(0)),
+    "rcs": RcsCell((1,), control_pre=np.arange(5.0), control_post=np.empty(0),
+                   treated_pre=np.arange(3.0), treated_post=np.arange(4.0)),
 }
 ENTRIES = {
     "estimate_process": lambda cell, config: estimate_process(cell, [0.5]),

@@ -81,10 +81,10 @@ def cells(draw, kind=None, count=1):
             out.append(
                 PanelCell(
                     (),
-                    sample(draw, n0, spread, resolution),
-                    sample(draw, n0, spread, resolution),
-                    sample(draw, n1, spread, resolution, shift),
-                    sample(draw, n1, spread, resolution),
+                    control_pre=sample(draw, n0, spread, resolution),
+                    control_post=sample(draw, n0, spread, resolution),
+                    treated_pre=sample(draw, n1, spread, resolution, shift),
+                    treated_post=sample(draw, n1, spread, resolution),
                 )
             )
         else:
@@ -92,10 +92,10 @@ def cells(draw, kind=None, count=1):
             out.append(
                 RcsCell(
                     (),
-                    sample(draw, n[0], spread, resolution),
-                    sample(draw, n[1], spread, resolution),
-                    sample(draw, n[2], spread, resolution, shift),
-                    sample(draw, n[3], spread, resolution),
+                    control_pre=sample(draw, n[0], spread, resolution),
+                    control_post=sample(draw, n[1], spread, resolution),
+                    treated_pre=sample(draw, n[2], spread, resolution, shift),
+                    treated_post=sample(draw, n[3], spread, resolution),
                 )
             )
     return out
@@ -219,8 +219,9 @@ def test_a_zero_reports_the_sign_of_its_first_occurrence():
     zeros are represented by 0.0, and the effect below the median is
     0.0 - 0.0. (``np.unique``'s unstable sort kept -0.0 here, and the
     report read -0.0.)"""
-    cell = PanelCell((), np.array([-0.0]), np.array([0.0]),
-                     np.array([-0.5, -0.0, -1.0, -0.0]), np.array([0.5, 0.5, 0.0, -0.0]))
+    cell = PanelCell((), control_pre=np.array([-0.0]), control_post=np.array([0.0]),
+                     treated_pre=np.array([-0.5, -0.0, -1.0, -0.0]),
+                     treated_post=np.array([0.5, 0.5, 0.0, -0.0]))
     assert not np.signbit(cell.samples[3].support[0])
     for est, process in estimate_process(cell, GRID, ("ddid", "cic")).items():
         assert process.values.tolist() == [0.0] * 10 + [0.5] * 9
@@ -465,11 +466,12 @@ def edge_cells():
     c = np.array([-1.0, 0.5, 1.0, 1.5, 2.0, 2.0, 5.0])
     t = np.array([0.5, 0.5, 1.0, 2.0, 3.0])
     return [
-        PanelCell((), a, b - a, b + 10.0, b),
-        RcsCell((), a, b, b + 10.0, a + b),
-        PanelCell((), c, np.linspace(1.0, -1.0, c.size), t, t * 2.0 - 0.25),
-        RcsCell((), c, c[::-1] * 0.5 + 1.0, t, b),
-        RcsCell((), t + 1.5, b, t, a),
+        PanelCell((), control_pre=a, control_post=b, treated_pre=b + 10.0, treated_post=b),
+        RcsCell((), control_pre=a, control_post=b, treated_pre=b + 10.0, treated_post=a + b),
+        PanelCell((), control_pre=c, control_post=c + np.linspace(1.0, -1.0, c.size),
+                  treated_pre=t, treated_post=t * 2.0 - 0.25),
+        RcsCell((), control_pre=c, control_post=c[::-1] * 0.5 + 1.0, treated_pre=t, treated_post=b),
+        RcsCell((), control_pre=t + 1.5, control_post=b, treated_pre=t, treated_post=a),
     ]
 
 

@@ -65,9 +65,11 @@ def expected_report_rows(report):
                 )
             taus = block["taus"]
             stats = []
-            for t in SUMMARY_TAUS:
-                j = min(range(len(taus)), key=lambda i: abs(taus[i] - t))
-                stats += [fnum(block["estimate"][j]), fnum(block["pointwise_se"][j])]
+            for t in SUMMARY_TAUS:  # a level off the grid has no value
+                j = taus.index(t) if t in taus else None
+                stats += ["", ""] if j is None else [
+                    fnum(block["estimate"][j]), fnum(block["pointwise_se"][j])
+                ]
             summary.append(
                 cell
                 + [est, str(block["n_control"]), str(block["n_treated"]), "true", ""]

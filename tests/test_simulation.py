@@ -19,6 +19,10 @@ class TestDgpSpec:
         with pytest.raises(ValueError, match="variant 2 only"):
             DgpSpec(variant=1, n_per_arm=10, rho_bar=0.7)  # DGP 1 has no copula deviation
 
+    def test_n_per_arm_must_be_a_whole_number(self):
+        with pytest.raises(ValueError, match=r"^n_per_arm must be a whole number, not 2\.5$"):
+            DgpSpec(1, 2.5)
+
     def test_rho_zero_arms_identical(self):
         spec = DgpSpec(variant=2, n_per_arm=10, rho_bar=0.0)
         np.testing.assert_array_equal(spec.covariance(0), spec.covariance(1))
@@ -142,8 +146,8 @@ class TestRunMc:
                      bootstrap_iterations=iters, seed=seed)
         data = simulate(spec, substream(seed, 0))
         t = data.treated
-        cell = PanelCell((), data.y_pre[~t], data.y_post[~t] - data.y_pre[~t],
-                         data.y_pre[t], data.y_post[t])
+        cell = PanelCell((), control_pre=data.y_pre[~t], control_post=data.y_post[~t],
+                         treated_pre=data.y_pre[t], treated_post=data.y_post[t])
         grid = np.asarray(taus)
         point = estimate_process(cell, grid, "ddid", None, data.n_total).values
         draws = bootstrap_process(
@@ -179,3 +183,10 @@ def test_run_mc_checks_its_settings_before_running_reps(monkeypatch, settings):
     kwargs = {"reps": 2, "bootstrap_iterations": 10, **settings}
     with pytest.raises(ValueError):
         run_mc(DgpSpec(variant=1, n_per_arm=10), **kwargs)
+
+
+@pytest.mark.parametrize("field, value", [("reps", 2.5), ("seed", 1.5)])
+def test_run_mc_refuses_a_count_or_seed_that_is_not_whole(monkeypatch, field, value):
+    monkeypatch.setattr(simulation, "_parallel", lambda run, n: pytest.fail("started its reps"))
+    with pytest.raises(ValueError, match=rf"^{field} must be a whole number, not {value}$"):
+        run_mc(DgpSpec(variant=1, n_per_arm=10), **{"reps": 2, field: value})
