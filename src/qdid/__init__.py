@@ -12,17 +12,12 @@ from .data_model import (
     build_cells,
     validate,
 )
-from .empirical import SortedSample, StepDistribution, StepRows, rank_transform
+from .empirical import SortedSample, StepRows
 from .estimators import (
     Cell,
-    CounterfactualResult,
     CqttProcess,
     PanelCell,
     RcsCell,
-    cic_qtt,
-    counterfactual_cdf,
-    counterfactual_cdf_panel,
-    counterfactual_cdf_rcs,
     counterfactual_rows,
     estimate_process,
     estimate_rows,
@@ -36,7 +31,6 @@ from .inference import (
     analyze_unconditional,
     bootstrap_process,
     bootstrap_unconditional,
-    draw_weights,
     ks_test,
     pointwise_se,
     substream,
@@ -50,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BootstrapConfig",
     "Cell",
-    "CounterfactualResult",
     "CqttProcess",
     "DgpSpec",
     "InferenceReport",
@@ -61,7 +54,6 @@ __all__ = [
     "RcsCell",
     "RcsData",
     "SortedSample",
-    "StepDistribution",
     "StepRows",
     "ValidationReport",
     "analyze_cell",
@@ -69,17 +61,11 @@ __all__ = [
     "bootstrap_process",
     "bootstrap_unconditional",
     "build_cells",
-    "cic_qtt",
-    "counterfactual_cdf",
-    "counterfactual_cdf_panel",
-    "counterfactual_cdf_rcs",
     "counterfactual_rows",
-    "draw_weights",
     "estimate_process",
     "estimate_rows",
     "ks_test",
     "pointwise_se",
-    "rank_transform",
     "run_mc",
     "simulate",
     "simulate_dgp1",

@@ -7,10 +7,9 @@ fitted to a weighted sample, and its left-continuous generalized inverse
 
 ``StepRows`` stacks many such CDFs, one per bootstrap draw, and evaluates
 them together; the estimators run on it alone, the point estimate being the
-row whose weights are all 1. ``StepDistribution`` is the same CDF for one
-weight vector: its fits are the one-row case of ``StepRows.fit`` and
-``SortedSample.fit_rows``, and ``rank_transform`` clamps rank 0 as
-``rank_rows`` does.
+row whose weights are all 1. ``SortedSample`` refits one sample's rows
+without sorting it again, and ``rank_rows`` maps a sample's values to the
+points of another CDF at the same rank.
 
 Every fit sorts through ``_sort_layout``: numpy's default (SIMD) argsort,
 then, where a row has ties, one sort of the integer keys ``group * n +
@@ -25,23 +24,15 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "StepDistribution",
     "StepRows",
     "SortedSample",
-    "rank_transform",
     "rank_rows",
     "searchsorted_rows",
 ]
 
 
 class StepDistribution:
-    """Step CDF over a finite, strictly increasing support.
-
-    ``masses`` are unnormalized point masses; individual masses may be zero
-    (a bootstrap draw can assign weight zero to an observation), and all
-    evaluation routines treat zero-mass points as carrying no probability.
-    The total mass must be positive.
-    """
+    """One row of ``StepRows``, for one weight vector; kept while bench/tracer.py wraps it."""
 
     __slots__ = ("support", "masses", "total", "cum_probs")
 
@@ -70,12 +61,7 @@ class StepDistribution:
 
     @classmethod
     def fit(cls, values, weights=None) -> "StepDistribution":
-        """Weighted ECDF: F(y) = sum_i w_i 1{v_i <= y} / sum_i w_i.
-
-        Ties are merged by summing weights; points whose merged weight is
-        zero are dropped. With ``weights=None`` every value has weight 1.
-        The one-row case of ``StepRows.fit``.
-        """
+        """Row 0 of ``StepRows.fit`` under one checked weight vector (None: all ones)."""
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("need at least one value")
@@ -211,15 +197,15 @@ def _mixture_probs(components, shares) -> np.ndarray:
 
 
 class StepRows:
-    """A stack of step CDFs, one per row: the batched ``StepDistribution``.
+    """A stack of right-continuous step CDFs, one per row.
 
     ``masses`` is (C, S); ``support`` is a nondecreasing (S,) array shared by
     every row or a (C, S) array of nondecreasing rows. A repeated support
     point carries its mass on its first occurrence and zero after it, and
     zero-mass points carry no probability, so rows are never compacted:
     cumulative sums over zero masses are unchanged, and every generalized
-    inverse below lands on a positive-mass point, as the per-row
-    ``StepDistribution`` (which drops zero-mass points) would.
+    inverse below lands on a positive-mass point, as it would on the row
+    with its zero-mass points dropped.
     """
 
     __slots__ = ("support", "masses", "total", "cum_probs")
@@ -234,13 +220,14 @@ class StepRows:
 
     @classmethod
     def fit(cls, values, weights) -> "StepRows":
-        """Row-wise weighted ECDF of (C, n) values under (C, n) weights.
+        """Row-wise weighted ECDF of (C, n) values under (C, n) weights: row r
+        is F(y) = sum_i w_ri 1{v_ri <= y} / sum_i w_ri.
 
         Without ties the masses are the weights in sorted order. With ties,
-        each tie group's mass sits on its first point: ``_sort_layout`` keeps
-        tied values in index order, so one bincount sums each group in the
-        order ``np.bincount`` of the row alone sums it, and row r without its
-        zero-mass points is ``StepDistribution.fit(values[r], weights[r])``.
+        each tie group's summed weight sits on its first point:
+        ``_sort_layout`` keeps tied values in index order, so one bincount
+        sums each group in the order ``np.bincount`` of the row alone sums
+        it, and a row's masses do not depend on the rows beside it.
         (``reduceat`` would not: it adds segments of eight or more pairwise.)
         """
         order, support, head, tied = _sort_layout(values)
@@ -311,8 +298,7 @@ class SortedSample:
         return self.values.size
 
     def fit(self, weights=None) -> StepDistribution:
-        """Refit under one checked weight vector (None: all ones), zero-mass
-        points kept: the one-row case of ``fit_rows``."""
+        """Row 0 of ``fit_rows`` under one checked weight vector (None: all ones)."""
         weights = np.ones((1, len(self))) if weights is None else _weight_row(weights, len(self))
         return _first_row(self.fit_rows(weights), compact=False)
 
@@ -326,23 +312,21 @@ class SortedSample:
 
 
 def rank_transform(source: StepDistribution, target: StepDistribution, y):
-    """Map y to the target point at the same rank: quantile_target(cdf_source(y)).
-
-    A rank of 0 is clamped as in ``rank_rows``, to the smallest positive-mass
-    target point, so the output stays on the target support.
-    """
+    """One row of ``rank_rows`` at any points; kept while bench/tracer.py rebinds it."""
     return target.quantile(np.maximum(source.cdf(y), np.nextafter(0.0, 1.0)))
 
 
 def rank_rows(source: StepRows, inverse, target: StepRows) -> np.ndarray:
-    """``rank_transform`` of a sample's own values, row by row.
+    """Map a sample's own values to the target points at the same rank, row
+    by row: quantile_target(cdf_source(y)).
 
     ``source`` is the sample refit by ``SortedSample.fit_rows`` and
     ``inverse`` its tie layout, so each value's source rank is the
     cumulative probability of its support point. A rank of 0 is raised to
     the smallest positive double, whose generalized inverse is the
-    smallest positive-mass target point. A value's rank is 0 only when its
-    own weight in that row is 0, so the clamp never moves an estimate.
+    smallest positive-mass target point, so every value lands on the target
+    support. A value's rank is 0 only when its own weight in that row is 0,
+    so the clamp never moves an estimate.
     """
     ranks = np.maximum(source.cum_probs, np.nextafter(0.0, 1.0))
     return target.quantile(ranks)[:, inverse]

@@ -14,8 +14,6 @@ chunk of bootstrap draws at once, from one weight matrix per arm; it and
 ``counterfactual_rows`` are cases of ``_cell_rows``, the kernel's stages in
 order. The bootstrap is linear in its weights, so the point estimate is the
 draw whose weights are all 1: ``estimate_process`` is the one-row case.
-``counterfactual_cdf`` is the one-row case of the counterfactual construction;
-the pipeline does not call it.
 """
 
 from __future__ import annotations
@@ -42,12 +40,7 @@ __all__ = [
     "Cell",
     "PanelCell",
     "RcsCell",
-    "CounterfactualResult",
     "CqttProcess",
-    "counterfactual_cdf",
-    "counterfactual_cdf_panel",
-    "counterfactual_cdf_rcs",
-    "cic_qtt",
     "estimate_process",
     "estimate_rows",
     "counterfactual_rows",
@@ -154,7 +147,7 @@ class RcsCell(Cell):
 
 @dataclass(frozen=True)
 class CounterfactualResult:
-    """Estimated CDF pair for one cell: observed treated vs counterfactual."""
+    """The result of ``counterfactual_cdf``: row 0 of ``counterfactual_rows``."""
 
     code: tuple[int, ...]
     treated: StepDistribution
@@ -203,19 +196,8 @@ def counterfactual_cdf(
     cell: Cell,
     weights: Mapping[str, np.ndarray] | None = None,
 ) -> CounterfactualResult:
-    """Counterfactual CDF for the treated from the cell's control units: the
-    one-row case of ``counterfactual_rows``.
-
-    Each control unit contributes its change plus the treated-group
-    pre-period value at its control-group pre-period rank. The change is
-    ``cell.observed_dy`` where the data observe it; otherwise it is
-    recovered under rank invariance, by mapping each control pre-period
-    outcome to the control post-period value at the same rank. When
-    bootstrap weights are supplied (one checked vector per arm in
-    ``cell.SAMPLE_ARMS``), each arm's vector enters every ECDF of its
-    samples, inner rank maps included. The treated CDF keeps zero-mass
-    points; the counterfactual CDF drops them.
-    """
+    """Row 0 of ``counterfactual_rows`` under one checked weight vector per
+    arm (None: all ones); kept while bench/tracer.py rebinds its aliases."""
     rows = _checked_rows(cell, weights)
     fitted = [s.fit_rows(w) for s, w in zip(cell.samples, cell.sample_weights(rows))]
     treated, counterfactual, transformed = _counterfactual_rows(cell, fitted, rows)
@@ -229,7 +211,7 @@ def counterfactual_cdf(
     )
 
 
-# aliases for callers of the per-design names
+# the per-design names that bench/tracer.py rebinds
 counterfactual_cdf_panel = counterfactual_cdf_rcs = counterfactual_cdf
 
 
@@ -248,21 +230,9 @@ def cic_qtt(
     code: tuple[int, ...] = (),
     n_total: int | None = None,
 ) -> CqttProcess:
-    """Changes-in-changes benchmark.
-
-    The counterfactual distribution of treated post-period outcomes absent
-    treatment is the treated pre-period CDF pulled through the control
-    group's period map: each control post-period point y is sent back to the
-    control pre-period value at its rank, and the counterfactual CDF at y is
-    the treated pre-period CDF there. The effect at tau is the treated
-    post-period quantile minus the generalized inverse of that composed CDF;
-    quantile levels beyond its reach (support imbalance between groups) clip
-    to the extreme control post-period points.
-
-    The four samples are arrays or ``SortedSample``s, and ``weights`` one
-    vector (or None, for all ones) per sample: ``estimate_process`` on the
-    repeated cross-section cell of the four samples.
-    """
+    """``estimate_process`` of cic on the repeated cross-section cell of four
+    samples (arrays or ``SortedSample``s), under one weight vector or None
+    per sample; kept while bench/tracer.py rebinds it."""
     samples = (control_pre, control_post, treated_pre, treated_post)
     cell = RcsCell(code, **{  # an RcsCell's arms are its sample names
         name: np.asarray(s.values if isinstance(s, SortedSample) else s, dtype=float)
@@ -335,16 +305,32 @@ def counterfactual_rows(
 ) -> tuple[StepRows, StepRows]:
     """Treated and counterfactual CDFs for a chunk of bootstrap draws.
 
-    ``weights`` maps each arm to a (C, n_arm) matrix whose row r is one
-    draw's weight vector. Row r of each result is that draw's treated and
-    counterfactual CDF; ``counterfactual_cdf`` is the one-row case.
+    Each control unit contributes its change plus the treated-group
+    pre-period value at its control-group pre-period rank, and the
+    counterfactual CDF is the weighted ECDF of those outcomes, under the
+    control weights. The change is ``cell.observed_dy`` where the data
+    observe it; otherwise it is recovered under rank invariance, by mapping
+    each control pre-period outcome to the control post-period value at the
+    same rank. ``weights`` maps each arm to a (C, n_arm) matrix whose row r
+    is one draw's weight vector, and each arm's row enters every ECDF of its
+    samples, inner rank maps included. Row r of each result is that draw's
+    treated and counterfactual CDF.
     """
     return _cell_rows(cell, None, weights, counterfactual=True)[0]
 
 
 def _cic_rows(fitted, taus, treated) -> np.ndarray:
-    """Changes in changes (see ``cic_qtt``), row by row; ``treated`` is the
-    treated post-period quantile at ``taus``. Zero-mass control post-period
+    """Changes in changes, row by row; ``treated`` is the treated post-period
+    quantile at ``taus``.
+
+    The counterfactual distribution of treated post-period outcomes absent
+    treatment is the treated pre-period CDF pulled through the control
+    group's period map: each control post-period point y is sent back to the
+    control pre-period value at its rank, and the counterfactual CDF at y is
+    the treated pre-period CDF there. The effect at tau is the treated
+    post-period quantile minus the generalized inverse of that composed CDF;
+    quantile levels beyond its reach (support imbalance between groups) clip
+    to the extreme control post-period points. Zero-mass control post-period
     points are kept: one with rank 0 gets composed probability 0, one after
     a positive-mass point repeats that point's composed value, so the first
     point reaching tau has positive mass; a search past the end clips to the

@@ -26,7 +26,7 @@ under every row at once (``estimators._cell_rows``); the cell's estimators
 and the mixture share that fit. The loop keeps the last block it drew for
 the next chunk, so chunks that start inside a block or span blocks draw each
 block once; a draw range that starts inside a block draws that block and
-drops its head. ``draw_weights`` is the one-row block.
+drops its head.
 
 A run's bootstrap is split by ``_parallel`` into one contiguous range of
 draw indices (``qdid estimate``) or rep indices (``qdid mc``) per worker
@@ -74,7 +74,6 @@ __all__ = [
     "KsTestResult",
     "InferenceReport",
     "substream",
-    "draw_weights",
     "bootstrap_process",
     "bootstrap_unconditional",
     "unconditional_process",
@@ -139,15 +138,20 @@ class BootstrapConfig:
 
     def __post_init__(self):
         check_whole("iterations", self.iterations)
-        check_whole("seed", self.seed)
         if not 1 <= self.iterations <= MAX_ITERATIONS:
             raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}]")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        check_test_settings(self.alpha, self.seed, self.scheme)
+
+
+def check_test_settings(alpha: float, seed: int, scheme: str) -> None:
+    """Refuse a test level, seed or weight scheme out of range, naming it."""
+    check_whole("seed", seed)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -162,10 +166,11 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 def _draw_block(
     arm_sizes: dict[str, int], scheme: str, rng: np.random.Generator, rows: int
 ) -> dict[str, np.ndarray]:
-    """``rows`` weight vectors per arm, one generator call per arm in sorted-name
-    order, each row finished on its own: the counts of (rows, n) category indices
-    (multinomial), or (rows, n) standard exponentials (a flat Dirichlet's gamma(1)
-    variates) over their sequential total, as numpy's ``dirichlet`` divides, times n."""
+    """``rows`` exchangeable weight vectors per arm, one generator call per arm in
+    sorted-name order, each row finished on its own: the counts of (rows, n)
+    category indices (multinomial), which sum to n, or (rows, n) standard
+    exponentials (a flat Dirichlet's gamma(1) variates) over their sequential
+    total, as numpy's ``dirichlet`` divides, times n, so the mean weight is 1."""
 
     def draw(n: int) -> np.ndarray:
         if scheme == "multinomial":
@@ -181,10 +186,7 @@ def _draw_block(
 def draw_weights(
     arm_sizes: dict[str, int], scheme: str, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
-    """One exchangeable nonnegative weight vector per arm, in sorted-name
-    order: the one-row case of a block of draws (``_weight_rows``).
-    multinomial: resample counts, summing to n exactly; dirichlet: flat
-    Dirichlet scaled by n, mean weight 1."""
+    """A block of one row from ``_draw_block``; kept while bench/tracer.py rebinds it."""
     if any(n < 1 for n in arm_sizes.values()):
         raise ValueError("arm size must be >= 1")
     return {arm: rows[0] for arm, rows in _draw_block(arm_sizes, scheme, rng, 1).items()}

@@ -32,6 +32,7 @@ from .inference import (
     BootstrapConfig,
     _parallel,
     bootstrap_process,
+    check_test_settings,
     check_whole,
     draw_weights,  # noqa: F401
     empirical_quantile,
@@ -211,16 +212,17 @@ def run_mc(
     worker process (see ``qdid.inference``).
     """
     check_whole("reps", reps)
-    check_whole("seed", seed)
+    check_whole("bootstrap_iterations", bootstrap_iterations)
+    check_test_settings(alpha, seed, scheme)  # whatever bootstrap_iterations is
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if bootstrap_iterations == 1:
+    if bootstrap_iterations < 0 or bootstrap_iterations == 1:
         raise ValueError("bootstrap_iterations must be 0 (no test) or at least 2")
     grid = checked_grid(taus)
     taus = tuple(map(float, grid))
     estimators = tuple(estimators)
-    if not estimators or not set(estimators) <= set(ESTIMATORS):
-        raise ValueError(f"estimators must name one or more of {ESTIMATORS}")
+    if not 0 < len(estimators) == len(set(estimators) & set(ESTIMATORS)):  # known, each once
+        raise ValueError(f"estimators must name one or more of {ESTIMATORS}, each once")
     config = (
         BootstrapConfig(iterations=bootstrap_iterations, alpha=alpha, seed=seed, scheme=scheme)
         if bootstrap_iterations != 0

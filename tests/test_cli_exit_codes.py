@@ -58,6 +58,8 @@ def no_simulation(monkeypatch):
         (["--n", "1e15", "--bootstrap", "0"], "--n"),
         # dgp 1 has no copula deviation
         (["--rho", "0.7"], "--rho"),
+        # a dgp 2 table varies rho_bar, so it takes one --n (the later --dgp wins)
+        (["--dgp", "2", "--n", "10,20"], "--n: dgp 2 tables vary rho_bar; pass a single --n"),
     ],
 )
 def test_mc_rejects_bad_flags_before_simulating(tmp_path, capsys, no_simulation, flags, name):
@@ -107,7 +109,8 @@ def test_simulate_rejects_bad_flags(tmp_path, capsys, flags, name):
     [("seed", -1, "--seed"), ("min_cell_size", 0, "--min-cell-size"),
      ("estimators", ("ddid", "qr"), "--estimators"), ("estimators", (), "--estimators"),
      ("scheme", "bogus", "--scheme"), ("estimators", ("ddid", "ddid"), "--estimators"),
-     ("covariate_cols", ("x1", "x1"), "--covariates")],
+     ("covariate_cols", ("x1", "x1"), "--covariates"), ("mode", "x", "--mode"),
+     ("output_format", "x", "--format")],
 )
 def test_run_config_names_the_flag(field, value, name):
     with pytest.raises(FlagError, match=f"^{name}"):
@@ -314,6 +317,23 @@ def test_non_utf8_input_is_an_input_error(tmp_path, capsys, where, source):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {tmp_path / 'data.csv'}: not UTF-8 text")
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [(b"period,y,d\n0,1.0,0\n1,2.0,0\n", "missing columns: unit"), (b"", "empty file"),
+     (None, "cannot open {path}: ")],
+    ids=["panel without a unit column", "empty file", "no file"],
+)
+def test_an_input_without_a_table_is_an_input_error(tmp_path, capsys, data, message):
+    path = tmp_path / "data.csv"
+    if data is not None:
+        path.write_bytes(data)
+    code = main(["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=path))
     assert "internal error" not in err
 
 

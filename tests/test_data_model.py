@@ -212,6 +212,13 @@ class TestConstruction:
         )
         assert rcs.n_total == 6
 
+    @pytest.mark.parametrize("column", ["unit_ids", "period"])
+    def test_an_rcs_column_of_the_wrong_length_is_named(self, column):
+        columns = {"unit_ids": np.arange(4), "period": np.array([0, 0, 1, 1]), column: np.zeros(3)}
+        with pytest.raises(ValueError, match=f"^{column} must have one entry per row$"):
+            RcsData(y=np.arange(4.0), treated=np.array([False, True, False, True]),
+                    covariates=np.empty((4, 0), dtype=int), **columns)
+
     @pytest.mark.parametrize("period", [0.6, 1.7, np.nan])
     def test_a_period_the_cast_would_change_is_refused(self, period):
         with pytest.raises(ValueError, match="period must hold integer codes"):

@@ -429,6 +429,12 @@ def test_block_draw_ranges_are_checked():
                 bootstrap_block([(0, cell)], GRID, config, ("ddid",), stores, kept, draws)
 
 
+def test_a_block_needs_a_cell():
+    config = BootstrapConfig(iterations=4)
+    with pytest.raises(ValueError, match="^need at least one viable cell$"):
+        bootstrap_block([], GRID, config, ("ddid",), [], np.zeros((4, GRID.size)), range(4))
+
+
 def test_run_mc_equals_per_draw_loop():
     spec = DgpSpec(variant=1, n_per_arm=12, te=0.5)
     for scheme in ("multinomial", "dirichlet"):

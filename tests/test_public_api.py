@@ -132,6 +132,13 @@ def test_importing_qdid_leaves_mmap_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_the_package_runs_as_a_module():
+    out = subprocess.run([sys.executable, "-m", "qdid", "--help"], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert out.returncode == EXIT_OK
+    assert out.stdout.startswith("usage: qdid")
+
+
 def test_starting_the_cli_loads_no_process_pool():
     """Workers are plain forked processes, so no process pool module is
     loaded, and the CLI's start-up (the benchmark's setup_s) pays for none."""

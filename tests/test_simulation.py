@@ -172,6 +172,11 @@ class TestRunMc:
         {"reps": 0},
         {"estimators": ("ddid", "qr")},
         {"estimators": ()},
+        {"estimators": ("ddid", "ddid")},
+        {"alpha": 5.0, "bootstrap_iterations": 0},
+        {"scheme": "bogus", "bootstrap_iterations": 0},
+        {"seed": -1, "bootstrap_iterations": 0},
+        {"bootstrap_iterations": 0.0},
     ],
     ids=str,
 )
@@ -181,7 +186,8 @@ def test_run_mc_checks_its_settings_before_running_reps(monkeypatch, settings):
 
     monkeypatch.setattr(simulation, "_parallel", refuse)
     kwargs = {"reps": 2, "bootstrap_iterations": 10, **settings}
-    with pytest.raises(ValueError):
+    field = next(iter(settings))
+    with pytest.raises(ValueError, match={"taus": "tau grid"}.get(field, field)):
         run_mc(DgpSpec(variant=1, n_per_arm=10), **kwargs)
 
 
