@@ -12,8 +12,6 @@ bands, and the unconditional aggregate. Outputs land next to --out.
 import argparse
 import csv
 
-import numpy as np
-
 from qdid.cli import main as qdid_main
 from qdid.inference import substream
 

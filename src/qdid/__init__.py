@@ -5,13 +5,7 @@ the treated from two-period panel data or repeated cross sections, with
 exchangeable-bootstrap uniform inference and a Monte Carlo harness.
 """
 
-from .data_model import (
-    PanelData,
-    RcsData,
-    ValidationReport,
-    build_cells,
-    validate,
-)
+from .data_model import PanelData, RcsData, build_cells
 from .empirical import SortedSample, StepRows
 from .estimators import (
     Cell,
@@ -55,7 +49,6 @@ __all__ = [
     "RcsData",
     "SortedSample",
     "StepRows",
-    "ValidationReport",
     "analyze_cell",
     "analyze_unconditional",
     "bootstrap_process",
@@ -74,5 +67,4 @@ __all__ = [
     "treated_shares",
     "unconditional_process",
     "uniform_band",
-    "validate",
 ]

@@ -25,13 +25,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data_model import (
-    DEFAULT_MIN_CELL_SIZE,
-    PanelData,
-    RcsData,
-    build_cells,
-    validate,
-)
+from .data_model import DEFAULT_MIN_CELL_SIZE, PanelData, RcsData, _repeated_rows, build_cells
+# bench/tracer.py rebinds validate by this module path; the constructors make
+# every check it stood for, so it is never called
+from .data_model import _refuse as validate  # noqa: F401
 from .estimators import ESTIMATORS, Cell, checked_grid
 from .inference import (
     MAX_ITERATIONS,
@@ -43,6 +40,7 @@ from .inference import (
     analyze_cell,
     analyze_unconditional,
     bootstrap_block,
+    check_whole,
 )
 from .simulation import DEFAULT_MC_TAUS, DgpSpec, McResult, run_mc, simulate, substream
 
@@ -120,6 +118,7 @@ class RunConfig:
             raise FlagError(f"--scheme must be one of {', '.join(SCHEMES)}")
         _check_draw_flags(self.estimators, self.bootstrap, self.alpha, self.seed)
         _check_distinct("--covariates", self.covariate_cols)
+        _flag_value("--min-cell-size", lambda: check_whole("min_cell_size", self.min_cell_size))
         if self.min_cell_size < 1:
             raise FlagError(f"--min-cell-size {self.min_cell_size}: must be at least 1")
         grid = _flag_value(
@@ -396,17 +395,20 @@ def _row_columns(reader, width: int, used: list[int], names: list[str], has_unit
 
 
 def _dataset(config: RunConfig, y, period, d, covariates, units, line_of):
-    """The dataset of the parsed columns, checked by ``validate`` as one long
-    table, or None when an error must name a file line and ``line_of`` is None
-    (a bulk read, which skips blank lines without counting them)."""
+    """The dataset of the parsed columns, checked as one long table by the
+    ``RcsData`` constructor, or None when it refuses a row and ``line_of`` is
+    None (a bulk read, which skips blank lines without counting them)."""
     n = len(y)
-    table = RcsData(y, period, d.astype(bool), covariates, unit_ids=units)
-    issues = validate(table).issues
-    if issues:
+    try:
+        table = RcsData(y, period, d.astype(bool), covariates, unit_ids=units)
+    except ValueError:
         if line_of is None:
             return None
-        k = issues[0].rows[0]  # a row read refused every other issue as it parsed
-        raise LoadError(f"line {line_of(k)}: duplicate (unit={units[k]}, period={period[k]}) row")
+        # a row read refused every other rule as it parsed
+        k = _repeated_rows(units, period).argmax()
+        raise LoadError(
+            f"line {line_of(k)}: duplicate (unit={units[k]}, period={period[k]}) row"
+        ) from None
     if config.mode == "rcs":
         return table
 

@@ -477,8 +477,8 @@ def bootstrap_block(
     if mixture is None and len(cells) > 1:
         # One walk per stored cell: a chunk's rows are shared by the cells of a
         # walk, and a cell of 250 units per arm runs at 65 rows per chunk alone
-        # but 8 in a walk over 8 cells: 82 against 121 us per draw on one CPU
-        # (ROADMAP.md, Baseline).
+        # but 8 in a walk over 8 cells: 58-60 against 68-74 us per draw on one
+        # CPU, without and with ties (ROADMAP.md, Baseline, rows per chunk).
         for cell, store in zip(cells, stores):
             bootstrap_block([cell], tau_grid, config, estimators, [store], None, draws, key_prefix)
         return

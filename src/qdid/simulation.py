@@ -60,8 +60,8 @@ class DgpSpec:
         check_whole("n_per_arm", self.n_per_arm)
         if self.n_per_arm < 1:
             raise ValueError("n_per_arm must be >= 1")
-        if not np.isfinite([self.te, self.rho_bar]).all():
-            raise ValueError("te and rho_bar must be finite")
+        if not np.isfinite([self.te, self.rho_bar, self.theta]).all():
+            raise ValueError("te, rho_bar and theta must be finite")
         if self.variant == 1 and self.rho_bar != 0:
             raise ValueError("rho_bar applies to variant 2 only")
         if self.variant == 2:

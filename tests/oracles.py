@@ -5,9 +5,10 @@ linear scans, no shared code with the package. Floating-point results
 coincide bit-for-bit with the engine on integer-valued inputs because both
 reduce to ratios of small integer counts.
 
-The ingest references are the row-by-row reader, validator and cell
-partition the package ran before its columnar ingest. The columnar code must
-give the same arrays, dtypes and row order, and the same errors.
+The ingest references are the row-by-row reader and cell partition the
+package ran before its columnar ingest, and the dataset constructors' row
+rules as plain loops. The columnar code must give the same arrays, dtypes and
+row order, and the same errors.
 
 The scalar estimators are the one-weight-vector code the package ran for
 every point estimate before each reported number became a row of the
@@ -40,14 +41,7 @@ import numpy as np
 
 from qdid import inference
 from qdid.cli import LoadError, _parse_binary, _parse_code, _parse_float, _parse_unit
-from qdid.data_model import (
-    DEFAULT_MIN_CELL_SIZE,
-    PanelData,
-    RcsData,
-    ValidationIssue,
-    ValidationReport,
-    _rows_msg,
-)
+from qdid.data_model import DEFAULT_MIN_CELL_SIZE, PanelData, RcsData
 from qdid.empirical import SortedSample, StepDistribution
 from qdid.estimators import CounterfactualResult, CqttProcess, PanelCell, RcsCell, treated_shares
 from qdid.inference import empirical_quantile, substream
@@ -518,56 +512,48 @@ def row_by_row_load_csv(config):
     )
 
 
-def row_by_row_validate(dataset):
-    """``validate`` with the (unit, period) duplicate check as a dict loop."""
-    issues: list[ValidationIssue] = []
+def row_by_row_refusal(dataset_type, **columns):
+    """The message with which ``dataset_type(**columns)`` refuses its rows, or
+    None: the first row rule broken, in the constructors' order (covariate
+    codes, finite outcomes, then for ``RcsData`` periods in {0, 1}, and a
+    repeated unit or (unit, period) pair, found with a set)."""
 
-    if isinstance(dataset, PanelData):
-        bad = np.flatnonzero(~np.isfinite(dataset.y_pre) | ~np.isfinite(dataset.y_post))
-        if bad.size:
-            issues.append(_rows_msg(bad, "non-finite outcome"))
-        ids, counts = np.unique(dataset.unit_ids, return_counts=True)
-        dup = ids[counts > 1]
-        if dup.size:
-            issues.append(
-                ValidationIssue(
-                    "duplicate unit",
-                    (),
-                    f"duplicate unit ids: {', '.join(map(str, dup[:10]))}",
-                )
-            )
+    def column(name):
+        return None if columns.get(name) is None else np.asarray(columns[name]).tolist()
+
+    def repeated(keys):
+        seen, rows = set(), []
+        for i, key in enumerate(keys):
+            if key in seen:
+                rows.append(i)
+            seen.add(key)
+        return rows
+
+    def code(v):
+        return math.isfinite(v) and v == math.floor(v) and -(2**63) <= v < 2**63
+
+    checks = [("covariates must hold integer codes",
+               [i for i, row in enumerate(column("covariates")) if not all(map(code, row))])]
+    if dataset_type is RcsData:
+        y, period, units = column("y"), column("period"), column("unit_ids")
+        checks += [
+            ("non-finite outcome", [i for i, v in enumerate(y) if not math.isfinite(v)]),
+            ("period not in {0, 1}", [i for i, p in enumerate(period) if p not in (0, 1)]),
+        ]
+        if units is not None:
+            checks.append(("duplicate (unit, period) row", repeated(zip(units, period))))
     else:
-        bad = np.flatnonzero(~np.isfinite(dataset.y))
-        if bad.size:
-            issues.append(_rows_msg(bad, "non-finite outcome"))
-        bad = np.flatnonzero(~np.isin(dataset.period, (0, 1)))
-        if bad.size:
-            issues.append(_rows_msg(bad, "period not in {0, 1}"))
-        if dataset.unit_ids is not None:
-            pairs = list(zip(dataset.unit_ids.tolist(), dataset.period.tolist()))
-            seen: dict[tuple, int] = {}
-            dup_rows = []
-            for i, key in enumerate(pairs):
-                if key in seen:
-                    dup_rows.append(i)
-                else:
-                    seen[key] = i
-            if dup_rows:
-                issues.append(_rows_msg(np.asarray(dup_rows), "duplicate (unit, period) row"))
-
-    x = dataset.covariates
-    if x.size:
-        if not np.issubdtype(x.dtype, np.integer):
-            as_float = x.astype(float)
-            frac = np.flatnonzero(np.any(as_float != np.floor(as_float), axis=1))
-            if frac.size or not np.all(np.isfinite(as_float)):
-                issues.append(
-                    _rows_msg(
-                        frac if frac.size else np.arange(len(as_float)),
-                        "non-integer covariate value (covariates must be discrete codes)",
-                    )
-                )
-    return ValidationReport(tuple(issues))
+        outcomes = zip(column("y_pre"), column("y_post"))
+        checks += [
+            ("non-finite outcome",
+             [i for i, pair in enumerate(outcomes) if not all(map(math.isfinite, pair))]),
+            ("duplicate unit id", repeated(column("unit_ids"))),
+        ]
+    for rule, rows in checks:
+        if rows:
+            shown = ", ".join(map(str, rows[:10])) + (", ..." if len(rows) > 10 else "")
+            return f"{rule} at rows [{shown}]"
+    return None
 
 
 def dict_build_cells(dataset, min_cell_size=DEFAULT_MIN_CELL_SIZE):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from qdid.cli import main as cli_main
-from qdid.data_model import PanelData, build_cells, validate
 from qdid.empirical import SortedSample, StepDistribution
 from qdid.estimators import PanelCell, RcsCell, counterfactual_cdf, counterfactual_rows
 from qdid.inference import BootstrapConfig, analyze_cell, substream

@@ -110,7 +110,7 @@ def test_simulate_rejects_bad_flags(tmp_path, capsys, flags, name):
      ("estimators", ("ddid", "qr"), "--estimators"), ("estimators", (), "--estimators"),
      ("scheme", "bogus", "--scheme"), ("estimators", ("ddid", "ddid"), "--estimators"),
      ("covariate_cols", ("x1", "x1"), "--covariates"), ("mode", "x", "--mode"),
-     ("output_format", "x", "--format")],
+     ("output_format", "x", "--format"), ("min_cell_size", 2.5, "--min-cell-size")],
 )
 def test_run_config_names_the_flag(field, value, name):
     with pytest.raises(FlagError, match=f"^{name}"):

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from qdid.data_model import (
-    PanelData,
-    RcsData,
-    build_cells,
-    validate,
-)
+from qdid.data_model import PanelData, RcsData, build_cells
 from qdid.estimators import PanelCell
 
 
@@ -104,7 +99,9 @@ class TestBuildCells:
         treated = rng.integers(0, 2, 60).astype(bool)
         rows = np.arange(60.0)
         expect = build_cells(make_panel(rows, -rows, treated, covariates=covs))
-        cells = build_cells(make_panel(rows, -rows, treated, covariates=covs.astype(dtype)))
+        data = make_panel(rows, -rows, treated, covariates=covs.astype(dtype))
+        assert data.covariates.dtype == int
+        cells = build_cells(data)
         assert [c.code for c in cells] == [c.code for c in expect]
         assert all(type(v) is int for c in cells for v in c.code)
         for a, b in zip(cells, expect):
@@ -123,37 +120,61 @@ class TestBuildCells:
         assert not short[0].viable
         assert "treated post" in short[0].reason
 
+    def test_a_min_cell_size_that_is_not_whole_is_refused(self):
+        data = make_panel([0.0, 1.0], [0.0, 1.0], [True, False])
+        with pytest.raises(ValueError, match=r"^min_cell_size must be a whole number, not 2\.5$"):
+            build_cells(data, 2.5)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_panel(np.arange(6.0), np.arange(6.0), [1, 0] * 3,
+                            unit_ids=[1, 1, 2, 2, 3, 3]),
+         r"duplicate unit id at rows \[1, 3, 5\]"),
+        (lambda: make_rcs(period=[0, 0, 1, 2]), r"period not in \{0, 1\} at rows \[3\]"),
+        (lambda: make_panel([0.0, np.nan], [0.0, 1.0], [True, False]),
+         r"non-finite outcome at rows \[1\]"),
+        (lambda: make_panel([0.0, 1.0], [0.0, 1.0], [True, False], covariates=[[0.5], [0.0]]),
+         r"covariates must hold integer codes at rows \[0\]"),
+    ],
+    ids=["repeated unit", "period 2", "NaN outcome", "fractional code"],
+)
+def test_a_row_that_would_land_in_the_wrong_cell_or_none_is_refused(build, message):
+    """Each of these once gave cells: the repeated units one viable cell, the
+    period-2 row no sample, the NaN outcome a viable cell, and the 0.5 code
+    the cell (0,)."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
 
 class TestValidate:
+    """The row rules the constructors check: a dataset that breaks one is
+    refused with the rule and its first rows."""
+
     def test_clean_panel_accepted(self):
         data = make_panel(np.arange(10.0), np.arange(10.0), [True] * 5 + [False] * 5)
-        assert validate(data).ok
+        assert data.n_units == 10
 
     def test_nan_outcome_rejected_with_row(self):
         y = np.arange(10.0)
         y[3] = np.nan
-        data = make_panel(y, np.arange(10.0), [True] * 5 + [False] * 5)
-        report = validate(data)
-        assert not report.ok
-        assert 3 in report.issues[0].rows
+        with pytest.raises(ValueError, match=r"^non-finite outcome at rows \[3\]$"):
+            make_panel(y, np.arange(10.0), [True] * 5 + [False] * 5)
 
     def test_duplicate_unit_rejected(self):
-        data = make_panel(
-            [0.0, 1.0], [0.0, 1.0], [True, False], unit_ids=np.array(["a", "a"])
-        )
-        assert not validate(data).ok
+        with pytest.raises(ValueError, match=r"^duplicate unit id at rows \[1\]$"):
+            make_panel([0.0, 1.0], [0.0, 1.0], [True, False], unit_ids=np.array(["a", "a"]))
 
     def test_rcs_duplicate_unit_period_rejected(self):
-        data = RcsData(
-            y=np.zeros(3),
-            period=np.array([0, 0, 1]),
-            treated=np.array([True, True, False]),
-            covariates=np.empty((3, 0), dtype=int),
-            unit_ids=np.array(["u1", "u1", "u1"]),
-        )
-        report = validate(data)
-        assert not report.ok
-        assert "duplicate (unit, period)" in str(report)
+        with pytest.raises(ValueError, match=r"^duplicate \(unit, period\) row at rows \[1\]$"):
+            RcsData(
+                y=np.zeros(3),
+                period=np.array([0, 0, 1]),
+                treated=np.array([True, True, False]),
+                covariates=np.empty((3, 0), dtype=int),
+                unit_ids=np.array(["u1", "u1", "u1"]),
+            )
 
     def test_rcs_without_unit_ids_accepted(self):
         data = RcsData(
@@ -162,36 +183,27 @@ class TestValidate:
             treated=np.array([True, False, True, False]),
             covariates=np.empty((4, 0), dtype=int),
         )
-        assert validate(data).ok
+        assert data.unit_ids is None and data.n_rows == 4
 
     def test_rcs_bad_period_rejected(self):
-        data = RcsData(
-            y=np.zeros(2),
-            period=np.array([0, 2]),
-            treated=np.array([True, False]),
-            covariates=np.empty((2, 0), dtype=int),
-        )
-        assert not validate(data).ok
+        with pytest.raises(ValueError, match=r"^period not in \{0, 1\} at rows \[1\]$"):
+            RcsData(
+                y=np.zeros(2),
+                period=np.array([0, 2]),
+                treated=np.array([True, False]),
+                covariates=np.empty((2, 0), dtype=int),
+            )
 
     def test_fractional_covariates_rejected(self):
-        data = make_panel(
-            [0.0, 1.0],
-            [0.0, 1.0],
-            [True, False],
-            covariates=np.array([[0.5], [1.0]]),
-        )
-        report = validate(data)
-        assert not report.ok
-        assert "discrete" in str(report)
+        covariates = np.array([[0.5], [1.0]])
+        with pytest.raises(ValueError,
+                           match=r"^covariates must hold integer codes at rows \[0\]$"):
+            make_panel([0.0, 1.0], [0.0, 1.0], [True, False], covariates=covariates)
 
     def test_integer_valued_float_covariates_accepted(self):
-        data = make_panel(
-            [0.0, 1.0],
-            [0.0, 1.0],
-            [True, False],
-            covariates=np.array([[2.0], [1.0]]),
-        )
-        assert validate(data).ok
+        covariates = np.array([[2.0], [1.0]])
+        data = make_panel([0.0, 1.0], [0.0, 1.0], [True, False], covariates=covariates)
+        assert data.covariates.dtype == int and data.covariates.tolist() == [[2], [1]]
 
 
 class TestConstruction:
@@ -200,6 +212,11 @@ class TestConstruction:
             make_panel([0.0, 1.0], [0.0], [True, False])
         with pytest.raises(ValueError):
             make_panel([0.0, 1.0], [0.0, 1.0], [True, False], covariates=np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="^unit_ids must have one entry per unit$"):
+            make_panel(np.zeros(4), np.zeros(4), [0, 1, 0, 1], unit_ids=np.arange(8).reshape(4, 2))
+        with pytest.raises(ValueError, match="^y must have one entry per row$"):
+            RcsData(y=np.zeros((4, 2)), period=[0, 0, 1, 1], treated=[0, 1, 0, 1],
+                    covariates=np.empty((4, 0), dtype=int))
 
     def test_n_total(self):
         panel = make_panel(np.zeros(4), np.zeros(4), [True, False, True, False])
@@ -236,10 +253,9 @@ class TestConstruction:
     def test_codes_the_cast_keeps_are_taken(self):
         """Integral floats and 0/1 integers are cast; arrays of the target
         dtype are taken as they are, without a copy."""
-        rcs = make_rcs(period=[0.0, 0.0, 1.0, 2.0], treated=[0, 1, 0, 1])
-        assert rcs.period.dtype == int and rcs.period.tolist() == [0, 0, 1, 2]
+        rcs = make_rcs(period=[0.0, 0.0, 1.0, 1.0], treated=[0, 1, 0, 1])
+        assert rcs.period.dtype == int and rcs.period.tolist() == [0, 0, 1, 1]
         assert rcs.treated.tolist() == [False, True, False, True]
-        assert not validate(rcs).ok  # period 2 is reported, not refused
         period, treated = np.array([0, 0, 1, 1]), np.array([False, True, False, True])
         rcs = make_rcs(period=period, treated=treated)
         assert rcs.period is period and rcs.treated is treated

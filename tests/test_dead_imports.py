@@ -1,6 +1,8 @@
-"""No module of ``qdid`` imports a name it does not use, except the names that
-the benchmark tracer (bench/tracer.py) rebinds in that module: a traced run
-reaches them through that module, so they stay until the tracer lets go."""
+"""No module of ``qdid``, test or script imports a name it does not use.
+
+A ``qdid`` module may keep the names that the benchmark tracer
+(bench/tracer.py) rebinds in it: a traced run reaches them through that
+module, so they stay until the tracer lets go. ``bench/`` is not scanned."""
 
 import ast
 import importlib.util
@@ -8,11 +10,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qdid"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qdid"
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-)
+_spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
@@ -41,6 +42,15 @@ def test_a_module_imports_only_what_it_uses_or_the_tracer_rebinds(path):
     traced = {name for owner, name, _ in tracer.FUNCTIONS if owner == module}
     dead = dead_imports(path.read_text(encoding="utf-8"))
     assert not dead - traced, f"unused imports in {module}: {sorted(dead - traced)}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py")),
+    ids=lambda p: p.relative_to(ROOT).as_posix(),
+)
+def test_a_test_or_script_imports_only_what_it_uses(path):
+    dead = dead_imports(path.read_text(encoding="utf-8"))
+    assert not dead, f"unused imports in {path.relative_to(ROOT)}: {sorted(dead)}"
 
 
 def test_an_unused_import_is_found():

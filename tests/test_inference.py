@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdid import inference
-from qdid.estimators import PanelCell, RcsCell, counterfactual_cdf_panel, estimate_process
+from qdid.estimators import PanelCell, RcsCell, estimate_process
 from qdid.inference import (
     BootstrapConfig,
     analyze_cell,

@@ -7,8 +7,10 @@ missing periods and shuffled units, plus the tokens on which a bulk
 ``np.loadtxt`` read and the row reader could part: ``#``, long and non-ASCII
 unit ids, ``1_0`` and non-ASCII digits, ``\x1f`` padding, inner quotes and
 CRLF line ends. Both loaders must return the same arrays with the same dtypes
-and unit order, or raise the same ``LoadError`` text; ``validate`` and
-``build_cells`` must match their references on the result.
+and unit order, or raise the same ``LoadError`` text. The dataset
+constructors must refuse exactly the rows ``row_by_row_refusal`` refuses,
+with its message, and ``build_cells`` must match its reference on what they
+accept.
 """
 
 import csv
@@ -23,9 +25,9 @@ from hypothesis import strategies as st
 
 import qdid.cli
 import qdid.data_model
-from oracles import dict_build_cells, row_by_row_load_csv, row_by_row_validate
+from oracles import dict_build_cells, row_by_row_load_csv, row_by_row_refusal
 from qdid.cli import EXIT_OK, LoadError, RunConfig, load_csv, main
-from qdid.data_model import RcsData, build_cells, validate
+from qdid.data_model import RcsData, build_cells
 
 # Valid tokens; a file draws from the ODD_ pools only sometimes, so that many
 # files are plain enough for the bulk read and the rest must fall back exactly.
@@ -173,8 +175,7 @@ def test_columnar_ingest_matches_row_by_row(tmp_path, case):
     assert_same_dataset(dataset, _load(row_by_row_load_csv, config))
     if isinstance(dataset, str):
         return
-    assert validate(dataset) == row_by_row_validate(dataset)
-    assert str(validate(dataset)) == str(row_by_row_validate(dataset))
+    assert row_by_row_refusal(type(dataset), **vars(dataset)) is None
     dataset = with_row_outcomes(dataset)
     for size in (0, 1, 2):
         assert_same_cells(build_cells(dataset, size), dict_build_cells(dataset, size))
@@ -195,23 +196,35 @@ def test_columnar_ingest_matches_row_by_row(tmp_path, case):
     has_units=st.booleans(),
     float_codes=st.booleans(),
     arity=st.integers(0, 2),
+    broken=st.sampled_from([None, "period", "y", "code"]),
 )
 def test_validate_and_cells_match_references_on_built_rcs(
-    rows, has_units, float_codes, arity
+    rows, has_units, float_codes, arity, broken
 ):
-    """Arbitrary periods (not only 0/1), repeated (unit, period) pairs and
-    integer-valued float codes, as a caller building ``RcsData`` may pass."""
+    """Repeated (unit, period) pairs, integer-valued float codes and, when
+    ``broken`` names it, arbitrary periods (not only 0/1), a NaN outcome or a
+    fractional code on the last row, as a caller building ``RcsData`` may
+    pass."""
     n = len(rows)
     codes = np.array([r[3:3 + arity] for r in rows], dtype=float if float_codes else int)
-    data = RcsData(
+    columns = dict(
         y=np.arange(n, dtype=float),
-        period=np.array([r[1] for r in rows], dtype=int),
+        period=np.array([r[1] if broken == "period" else r[1] % 2 for r in rows], dtype=int),
         treated=np.array([r[2] for r in rows], dtype=bool),
         covariates=codes.reshape(n, arity),
         unit_ids=np.array([r[0] for r in rows]) if has_units else None,
     )
-    assert validate(data) == row_by_row_validate(data)
-    assert str(validate(data)) == str(row_by_row_validate(data))
+    if n and broken == "y":
+        columns["y"][-1] = np.nan
+    if n and arity and float_codes and broken == "code":
+        columns["covariates"][-1, 0] = 0.5
+    refusal = row_by_row_refusal(RcsData, **columns)
+    if refusal is not None:
+        with pytest.raises(ValueError) as refused:
+            RcsData(**columns)
+        assert str(refused.value) == refusal
+        return
+    data = RcsData(**columns)
     for size in (0, 1, 3):
         assert_same_cells(build_cells(data, size), dict_build_cells(data, size))
 
@@ -270,21 +283,6 @@ def test_code_outside_64_bits_names_its_line(tmp_path):
     config = RunConfig(input_path=str(path), covariate_cols=("x",))
     with pytest.raises(LoadError, match=r"^line 3: covariate x='9223372036854775808'"):
         load_csv(config)
-
-
-@settings(
-    max_examples=300,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
-)
-@given(case=csv_files())
-def test_whatever_the_loader_accepts_passes_validate(tmp_path, case):
-    text, mode, covariates = case
-    path = tmp_path / "input.csv"
-    path.write_text(text, encoding="utf-8")
-    dataset = _load(load_csv, RunConfig(input_path=str(path), mode=mode, covariate_cols=covariates))
-    if not isinstance(dataset, str):
-        assert validate(dataset).ok
 
 
 def _row_reader_calls(monkeypatch):

@@ -18,6 +18,8 @@ class TestDgpSpec:
             DgpSpec(variant=2, n_per_arm=10, rho_bar=0.9)  # non-PD covariance
         with pytest.raises(ValueError, match="variant 2 only"):
             DgpSpec(variant=1, n_per_arm=10, rho_bar=0.7)  # DGP 1 has no copula deviation
+        with pytest.raises(ValueError, match="theta must be finite"):
+            DgpSpec(variant=1, n_per_arm=5, theta=float("nan"))  # all-NaN outcomes
 
     def test_n_per_arm_must_be_a_whole_number(self):
         with pytest.raises(ValueError, match=r"^n_per_arm must be a whole number, not 2\.5$"):
@@ -43,7 +45,7 @@ class TestDgp1:
         assert isinstance(data, PanelData)
         assert data.n_units == 50
         assert data.treated.sum() == 25
-        assert data.covariate_arity == 0
+        assert data.covariates.shape == (50, 0) and data.covariates.dtype == int
 
     def test_moments(self):
         data = simulate_dgp1(DgpSpec(variant=1, n_per_arm=100_000, te=0.0), substream(0, 1))
