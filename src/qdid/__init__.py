@@ -22,9 +22,9 @@ from .inference import (
     InferenceReport,
     KsTestResult,
     analyze_cell,
+    analyze_cells,
     analyze_unconditional,
     bootstrap_process,
-    bootstrap_unconditional,
     ks_test,
     pointwise_se,
     substream,
@@ -50,9 +50,9 @@ __all__ = [
     "SortedSample",
     "StepRows",
     "analyze_cell",
+    "analyze_cells",
     "analyze_unconditional",
     "bootstrap_process",
-    "bootstrap_unconditional",
     "build_cells",
     "counterfactual_rows",
     "estimate_process",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
@@ -34,14 +33,14 @@ from .inference import (
     MAX_ITERATIONS,
     SCHEMES,
     BootstrapConfig,
+    DrawStoreError,
     InferenceReport,
-    _draw_stores,
-    _parallel,
-    analyze_cell,
-    analyze_unconditional,
-    bootstrap_block,
+    analyze_cells,
     check_whole,
 )
+# bench/tracer.py rebinds analyze_cell and analyze_unconditional by this module
+# path; every run reaches them through analyze_cells, so they are never called
+from .inference import analyze_cell, analyze_unconditional  # noqa: F401
 from .simulation import DEFAULT_MC_TAUS, DgpSpec, McResult, run_mc, simulate, substream
 
 __all__ = [
@@ -481,44 +480,15 @@ def run_estimation(config: RunConfig) -> RunResult:
         scheme=config.scheme,
     )
     viable = [(index, cell) for index, cell in enumerate(cells) if cell.viable]
-    names, n_total = config.estimators, dataset.n_total
-    for _, cell in viable:  # sorted here, once, for the workers to inherit
-        cell.samples
-    reports, mixture = [], None
-    while len(reports) < len(viable):
-        # a round: the draws of the next cells that fit, and in the first
-        # round of an --unconditional run the mixture's, are taken in one
-        # pass (bootstrap_block) over each worker's draw range and kept in
-        # shared memory
-        rest = viable[len(reports) :]
-        try:
-            mixed, stores = _draw_stores(
-                len(rest), len(names), boot, grid.size, config.unconditional and not reports
-            )
-        except (MemoryError, OSError, OverflowError) as exc:
-            raise FlagError(
-                f"--bootstrap {boot.iterations}: cannot hold the bootstrap draws ({exc})"
-            ) from None
-        if not reports:
-            mixture = mixed
-        _parallel(
-            functools.partial(bootstrap_block, rest, grid, boot, names, stores, mixed),
-            boot.iterations,
+    try:
+        reports, unconditional = analyze_cells(
+            viable, grid, boot, config.estimators, dataset.n_total, config.unconditional
         )
-        for index, cell in rest[: len(stores)]:  # each store is unmapped once read
-            reports.append(analyze_cell(cell, grid, boot, names, n_total, index, stores.pop(0)))
+    except DrawStoreError as exc:
+        raise FlagError(f"--bootstrap {boot.iterations}: {exc}") from None
     reports = iter(reports)
     analyses = [CellAnalysis(cell, next(reports) if cell.viable else None) for cell in cells]
-    unconditional = None
-    if config.unconditional:
-        unconditional = analyze_unconditional(viable, grid, boot, n_total, mixture)
-    return RunResult(
-        config=config,
-        taus=grid,
-        n_total=n_total,
-        cells=analyses,
-        unconditional=unconditional,
-    )
+    return RunResult(config, grid, dataset.n_total, analyses, unconditional)
 
 
 def _report_block(report: InferenceReport) -> dict:

@@ -58,12 +58,13 @@ def _as_covariates(covariates, n_rows: int) -> np.ndarray:
 
 
 def _as_codes(values, dtype, name: str) -> np.ndarray:
-    """``values`` as ``dtype`` codes, refused at the rows whose cast would change a value."""
+    """``values`` as ``dtype`` codes, refused at the rows whose cast changes a value
+    (compared with the cast: a uint64 of 2**63 or more wraps in int64 and back)."""
     x = np.asarray(values)
     with np.errstate(invalid="ignore"):
         codes = x.astype(dtype, copy=False)
     if codes is not x:
-        changed = np.atleast_1d(codes.astype(x.dtype) != x)
+        changed = np.atleast_1d(codes != x)
         _refuse(changed.any(axis=tuple(range(1, changed.ndim))),
                 f"{name} must hold {'integer codes' if dtype is int else '0/1 flags'}")
     return codes

@@ -16,7 +16,7 @@ cell index, j), or (seed, rep, cell index, j) in an mc run: one numpy
 gives its K weight vectors, and draw b is row b mod K of block b // K. So
 results are reproducible and do not depend on evaluation order. Every
 bootstrap, of a cell, of an mc rep, of the unconditional mixture or of a
-round of ``qdid estimate``, runs one draw loop, ``bootstrap_block``, the one
+round of ``analyze_cells``, runs one draw loop, ``bootstrap_block``, the one
 function that takes a range of draw indices and builds the draw keys: it
 checks that the range is contiguous and below B, and writes draw b to row b
 of its arrays. It takes its draws in chunks: the weight vectors of a run of
@@ -32,8 +32,10 @@ A run's bootstrap is split by ``_parallel`` into one contiguous range of
 draw indices (``qdid estimate``) or rep indices (``qdid mc``) per worker
 process, forked with ``os.fork``, one per CPU the process may run on. Each
 worker runs one callable over its range and sends its result back over a
-pipe of its own, and no process pool module is loaded. ``qdid estimate``
-runs in rounds. In each, every range is one pass (``bootstrap_block``) that
+pipe of its own, and no process pool module is loaded. The cells'
+analysis, ``analyze_cells``, is the one run path of ``qdid estimate`` and of
+the library's ``analyze_cell`` and ``analyze_unconditional``; it runs in
+rounds. In each, every range is one pass (``bootstrap_block``) that
 writes the draws of as many viable cells as fit ``STORE_ELEMENTS``, at
 least one, into arrays of shared memory (``_draw_stores``) that the parent
 makes before it forks; the parent then builds those cells' reports from the
@@ -45,6 +47,7 @@ process cannot fork or read its CPU set, the one range runs in process.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -75,7 +78,6 @@ __all__ = [
     "InferenceReport",
     "substream",
     "bootstrap_process",
-    "bootstrap_unconditional",
     "unconditional_process",
     "ks_test",
     "uniform_band",
@@ -83,6 +85,8 @@ __all__ = [
     "empirical_quantile",
     "analyze_cell",
     "analyze_unconditional",
+    "analyze_cells",
+    "DrawStoreError",
 ]
 
 SCHEMES = ("multinomial", "dirichlet")
@@ -355,22 +359,16 @@ def analyze_cell(
     estimator: str | tuple[str, ...] = "ddid",
     n_total: int | None = None,
     cell_index: int = 0,
-    draws=None,
 ) -> InferenceReport | dict[str, InferenceReport]:
-    """Point process, bootstrap, sup test, band, and pointwise SEs for one cell.
+    """Point process, bootstrap, sup test, band, and pointwise SEs for one
+    cell: the one-cell case of ``analyze_cells``, its draws keyed by
+    ``cell_index``.
 
     Given a tuple of estimators, returns a dict of reports per estimator,
-    whose bootstraps share each draw's weights. ``draws`` holds the cell's
-    replicates, one (B, grid) array per estimator in order, as
-    ``bootstrap_process`` gives them; they are drawn here when not given.
+    whose bootstraps share each draw's weights.
     """
-    _check_draw_count(config.iterations)
     names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
-    points = estimate_process(cell, tau_grid, names, None, n_total)
-    if draws is None:
-        replicates = bootstrap_process(cell, tau_grid, config, names, cell_index=cell_index)
-        draws = [replicates[est] for est in names]
-    reports = {est: _assemble_report(points[est], d, config) for est, d in zip(names, draws)}
+    (reports,), _ = analyze_cells([(cell_index, cell)], tau_grid, config, names, n_total)
     return reports[estimator] if isinstance(estimator, str) else reports
 
 
@@ -411,30 +409,15 @@ def unconditional_process(
     return CqttProcess(taus, values, (), n_control, n_treated, n_total)
 
 
-def bootstrap_unconditional(
-    cells: list[tuple[int, Cell]], tau_grid, config: BootstrapConfig
-) -> np.ndarray:
-    """Bootstrap replicates of the unconditional process; shape (B, len(grid)).
-
-    Draw b takes, for the cell at index i, the weights of draw b of that
-    cell's own bootstrap (its blocks are keyed (i, j)), and mixes the
-    cells' treated and counterfactual CDFs by their treated shares.
-    """
-    taus = checked_grid(tau_grid)
-    out = np.empty((config.iterations, taus.size))
-    bootstrap_block(cells, taus, config, (), (), out, range(config.iterations))
-    return out
-
-
 def _draw_stores(cells: int, estimators: int, config: BootstrapConfig, grid_size: int,
                  mixture: bool):
     """Arrays of shared anonymous memory for a round's passes to write: with
     ``mixture``, one for the mixture's draws, (B, grid), else None; and one
     for each of the first cells, (estimators, B, grid), as many of the
-    ``cells`` as fit STORE_ELEMENTS with the mixture's, and at least one.
-    Made before a fork, they hold what the forked workers write for the
-    parent to read; an array's memory is unmapped when its last view is
-    dropped. Raises MemoryError or OSError when the memory cannot be had.
+    ``cells`` as fit STORE_ELEMENTS with the mixture's, and at least one
+    unless ``cells`` is 0. Made before a fork, they hold what the forked
+    workers write for the parent to read; an array's memory is unmapped when
+    its last view is dropped. Raises MemoryError or OSError when the memory cannot be had.
     """
     import mmap  # here: importing qdid does not load it
 
@@ -442,7 +425,7 @@ def _draw_stores(cells: int, estimators: int, config: BootstrapConfig, grid_size
         return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
 
     size = config.iterations * grid_size
-    kept = min(cells, max(1, (STORE_ELEMENTS - mixture * size) // (estimators * size)))
+    kept = cells and min(cells, max(1, (STORE_ELEMENTS - mixture * size) // (estimators * size)))
     return shared(config.iterations, grid_size) if mixture else None, [
         shared(estimators, config.iterations, grid_size) for _ in range(kept)
     ]
@@ -466,9 +449,11 @@ def bootstrap_block(
     draws and refits each cell's weights once, and from that fit writes the
     rows of ``estimators`` of the k-th cell into ``stores[k]`` (len(estimators),
     B, grid), for the first len(stores) cells, as ``bootstrap_process`` gives
-    them, and, given ``mixture`` (B, grid), the rows of the cells' mixture, as
-    ``bootstrap_unconditional`` gives them. Row b is draw b, so parts whose
-    ranges cover range(B) fill the arrays in any order and any process.
+    them, and, given ``mixture`` (B, grid), the rows of the cells'
+    treated-share mixture, whose row of unit weights is
+    ``unconditional_process``. Row b is draw b, so parts whose ranges cover
+    range(B) fill the arrays in any order and any process: ``analyze_cells``
+    runs a run's rounds as one such pass per worker.
     """
     if draws.step != 1 or not 0 <= draws.start <= draws.stop <= config.iterations:
         raise ValueError("draws must be a contiguous range of draw indices below B")
@@ -506,25 +491,69 @@ def bootstrap_block(
 
 
 def analyze_unconditional(
-    cells: list[tuple[int, Cell]],
-    tau_grid,
-    config: BootstrapConfig,
-    n_total: int,
-    draws: np.ndarray | None = None,
+    cells: list[tuple[int, Cell]], tau_grid, config: BootstrapConfig, n_total: int
 ) -> InferenceReport:
-    """Uniform inference for the treated-share mixture across cells.
+    """Uniform inference for the treated-share mixture across cells: the
+    mixture-only case of ``analyze_cells``, which stores no cell's draws.
 
     ``cells`` pairs each cell with its index in the full deterministic cell
     list; per-cell weights reuse the same (seed, cell index, block) keying
     as the per-cell analyses. Every draw mixes the cells at the sample's
     treated shares, under either scheme, so the band leaves out the
-    shares' estimation error. ``draws`` are the replicates of
-    ``bootstrap_unconditional``, drawn here when not given.
+    shares' estimation error.
+    """
+    return analyze_cells(cells, tau_grid, config, (), n_total, unconditional=True)[1]
+
+
+class DrawStoreError(MemoryError):
+    """The shared arrays of a round's draws cannot be allocated (``_draw_stores``)."""
+
+
+def analyze_cells(
+    cells: list[tuple[int, Cell]],
+    tau_grid,
+    config: BootstrapConfig,
+    estimators: tuple[str, ...],
+    n_total: int | None = None,
+    unconditional: bool = False,
+) -> tuple[list[dict[str, InferenceReport]], InferenceReport | None]:
+    """Uniform inference for a run's cells and, with ``unconditional``, their
+    treated-share mixture: one dict of reports per ``(index, cell)`` pair,
+    keyed by estimator, and the mixture's report or None.
+
+    The draw count, the samples and the point processes are checked before
+    any draw. Then, in rounds, one ``bootstrap_block`` pass per worker's draw
+    range (``_parallel``) writes into shared arrays (``_draw_stores``) the
+    draws of the next cells that fit STORE_ELEMENTS and, in the first round,
+    the mixture's, which walks every cell; the reports are built here from
+    those arrays. Raises DrawStoreError when they cannot be allocated.
     """
     _check_draw_count(config.iterations)
-    if draws is None:
-        draws = bootstrap_unconditional(cells, tau_grid, config)
-    return _assemble_report(unconditional_process(cells, tau_grid, n_total), draws, config)
+    taus = checked_grid(tau_grid)
+    # this sorts each cell's samples, once, for the workers to inherit
+    points = [estimate_process(cell, taus, estimators, None, n_total) for _, cell in cells]
+    mixed = unconditional_process(cells, taus, n_total) if unconditional else None
+    reports = [] if estimators else [{} for _ in cells]  # the mixture alone stores none
+    walk = unconditional
+    while walk or len(reports) < len(cells):
+        try:
+            mixture, stores = _draw_stores(
+                len(cells) - len(reports), len(estimators), config, taus.size, walk
+            )
+        except (MemoryError, OSError, OverflowError) as exc:
+            raise DrawStoreError(f"cannot hold the bootstrap draws ({exc})") from None
+        _parallel(
+            functools.partial(bootstrap_block, cells if walk else cells[len(reports) :], taus,
+                              config, estimators, stores, mixture),
+            config.iterations,
+        )
+        if walk:
+            mixed, walk = _assemble_report(mixed, mixture, config), False
+        for point in points[len(reports) : len(reports) + len(stores)]:
+            # each store is unmapped once read
+            reports.append({est: _assemble_report(point[est], d, config)
+                            for est, d in zip(estimators, stores.pop(0))})
+    return reports, mixed
 
 
 def _workers() -> int:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from qdid import inference
 from qdid.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -11,14 +12,21 @@ from qdid.cli import (
     SUMMARY_TAUS,
     LoadError,
     RunConfig,
+    _report_block,
     load_csv,
     main,
     report_dict,
     run_estimation,
     tau_grid,
 )
-from qdid.data_model import PanelData, RcsData
-from qdid.inference import substream
+from qdid.data_model import PanelData, RcsData, build_cells
+from qdid.inference import (
+    BootstrapConfig,
+    analyze_cell,
+    analyze_cells,
+    analyze_unconditional,
+    substream,
+)
 
 
 def write_rows(path, header, rows):
@@ -480,3 +488,39 @@ def test_report_dict_round_trip(tmp_path):
     decoded = json.loads(encoded)
     assert decoded["config"]["input_path"] == str(path)
     assert decoded["cells"][0]["estimators"]["ddid"]["taus"] == [0.25, 0.5, 0.75]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_the_cli_and_the_library_run_one_path(tmp_path, monkeypatch, count):
+    """``qdid estimate`` reports what ``analyze_cells`` gives on the viable
+    cells of the loaded data, block for block, and so do ``analyze_cell``
+    and ``analyze_unconditional``, in process or over two workers."""
+    monkeypatch.setattr(inference, "_workers", lambda: count)
+    path = tmp_path / "cells.csv"
+    null_panel_csv(path, n_arm=40, seed=8, covariates=True)
+    with open(path, "a", encoding="utf-8") as handle:  # a cell with no treated unit
+        handle.write("900,0,0.5,0,2\n900,1,0.75,0,2\n")
+    config = RunConfig(input_path=str(path), covariate_cols=("x1",), tau_step=0.05,
+                       bootstrap=30, seed=9, estimators=("ddid", "cic"), unconditional=True)
+    argv = ["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "--covariates", "x1",
+            "--tau-step", "0.05", "-b", "30", "--seed", "9", "--estimators", "ddid,cic",
+            "--unconditional"]
+    assert main(argv) == EXIT_OK
+    written = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    dataset = load_csv(config)
+    cells = build_cells(dataset)
+    viable = [(index, cell) for index, cell in enumerate(cells) if cell.viable]
+    assert 0 < len(viable) < len(cells)
+    grid = tau_grid(config.tau_min, config.tau_max, config.tau_step)
+    boot = BootstrapConfig(iterations=30, seed=9)
+    reports, mixture = analyze_cells(viable, grid, boot, config.estimators, dataset.n_total,
+                                     unconditional=True)
+    assert written["unconditional"] == _report_block(mixture)
+    assert _report_block(analyze_unconditional(viable, grid, boot, dataset.n_total)) == (
+        written["unconditional"]
+    )
+    for (index, cell), cell_reports in zip(viable, reports):
+        blocks = written["cells"][index]["estimators"]
+        alone = analyze_cell(cell, grid, boot, config.estimators, dataset.n_total, index)
+        for est in config.estimators:
+            assert blocks[est] == _report_block(cell_reports[est]) == _report_block(alone[est])

@@ -124,7 +124,7 @@ def test_unexpected_value_error_is_an_internal_error(tmp_path, capsys, monkeypat
     def broken(*args, **kwargs):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(qdid.cli, "analyze_cell", broken)
+    monkeypatch.setattr(inference, "_assemble_report", broken)
     code = main(["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20"])
     assert code == EXIT_INTERNAL
     assert code not in (EXIT_OK, EXIT_VALIDATION, qdid.cli.EXIT_INFEASIBLE)
@@ -153,8 +153,8 @@ def test_draw_stores_that_cannot_be_held_are_a_bootstrap_error(
         return allocate(*args, **kwargs)
 
     monkeypatch.setattr(mmap, "mmap", failing)
-    monkeypatch.setattr(qdid.cli, "bootstrap_block", lambda *args: ran.append("task"))
-    monkeypatch.setattr(qdid.cli, "analyze_cell", lambda *args, **kw: ran.append("task"))
+    monkeypatch.setattr(inference, "bootstrap_block", lambda *args: ran.append("task"))
+    monkeypatch.setattr(inference, "_assemble_report", lambda *args, **kw: ran.append("task"))
     monkeypatch.setattr(inference, "_weight_rows", lambda *args: ran.append("draw"))
     argv = ["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20", "--unconditional"]
     assert main(argv) == EXIT_VALIDATION
@@ -177,6 +177,25 @@ def test_a_cell_store_that_cannot_be_held_is_a_bootstrap_error(tmp_path, capsys,
     monkeypatch.setattr(mmap, "mmap", failing)
     assert main(["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20"]) == 2
     assert capsys.readouterr().err.startswith("error: --bootstrap 20: cannot hold the bootstrap")
+
+
+def test_a_memory_error_while_drawing_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    """Only draw stores that cannot be allocated are a --bootstrap error: a
+    MemoryError raised inside the bootstrap pass is the program's own, and
+    exits 4."""
+    path = tmp_path / "data.csv"
+    assert main(["simulate", "--dgp", "1", "--n", "20", "-o", str(path)]) == EXIT_OK
+    monkeypatch.setattr(inference, "_workers", lambda: 1)  # the pass runs in process
+
+    def failing(*args):
+        raise MemoryError("no room for the weights")
+
+    monkeypatch.setattr(inference, "_weight_rows", failing)
+    argv = ["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "-b", "20", "--unconditional"]
+    assert main(argv) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "no room for the weights" in err and "internal error" in err
+    assert "cannot hold the bootstrap draws" not in err
 
 
 @pytest.mark.parametrize("call", ["fork", "pipe"])

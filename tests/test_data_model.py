@@ -200,6 +200,17 @@ class TestValidate:
                            match=r"^covariates must hold integer codes at rows \[0\]$"):
             make_panel([0.0, 1.0], [0.0, 1.0], [True, False], covariates=covariates)
 
+    def test_a_uint64_code_that_int64_cannot_hold_is_refused(self):
+        """2**63 wraps to -2**63 in int64 and back to 2**63: the cell must not
+        be labelled (-9223372036854775808,)."""
+        covariates = np.array([[2**63], [2**63], [1], [1]], dtype=np.uint64)
+        with pytest.raises(ValueError,
+                           match=r"^covariates must hold integer codes at rows \[0, 1\]$"):
+            make_panel(np.zeros(4), np.zeros(4), [True, False, True, False], covariates=covariates)
+        largest = np.array([[2**63 - 1], [1]], dtype=np.uint64)
+        data = make_panel([0.0, 1.0], [0.0, 1.0], [True, False], covariates=largest)
+        assert data.covariates.dtype == int and data.covariates.tolist() == [[2**63 - 1], [1]]
+
     def test_integer_valued_float_covariates_accepted(self):
         covariates = np.array([[2.0], [1.0]])
         data = make_panel([0.0, 1.0], [0.0, 1.0], [True, False], covariates=covariates)

@@ -11,6 +11,7 @@ from qdid.estimators import PanelCell, RcsCell, estimate_process
 from qdid.inference import (
     BootstrapConfig,
     analyze_cell,
+    analyze_cells,
     analyze_unconditional,
     bootstrap_process,
     draw_weights,
@@ -286,7 +287,7 @@ class TestAnalyze:
             raise AssertionError("the bootstrap ran")
 
         monkeypatch.setattr(inference, "bootstrap_process", refuse)
-        monkeypatch.setattr(inference, "bootstrap_unconditional", refuse)
+        monkeypatch.setattr(inference, "bootstrap_block", refuse)
         cell, config = random_cell(substream(8, 0)), BootstrapConfig(iterations=1)
         with pytest.raises(ValueError, match="^need at least two bootstrap draws$"):
             analyze_cell(cell, [0.25, 0.5, 0.75], config)
@@ -376,8 +377,12 @@ EMPTY_SAMPLE_CELLS = {
 ENTRIES = {
     "estimate_process": lambda cell, config: estimate_process(cell, [0.5]),
     "bootstrap_process": lambda cell, config: bootstrap_process(cell, [0.5], config),
-    "bootstrap_unconditional": lambda cell, config: inference.bootstrap_unconditional(
-        [(0, cell)], [0.5], config
+    "bootstrap_block": lambda cell, config: inference.bootstrap_block(
+        [(0, cell)], [0.5], config, (), [], np.empty((config.iterations, 1)),
+        range(config.iterations),
+    ),
+    "analyze_cells": lambda cell, config: analyze_cells(
+        [(0, cell)], [0.5], config, ("ddid", "cic"), unconditional=True
     ),
 }
 

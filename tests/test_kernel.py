@@ -51,12 +51,19 @@ from qdid.inference import (
     BootstrapConfig,
     bootstrap_block,
     bootstrap_process,
-    bootstrap_unconditional,
     unconditional_process,
 )
 from qdid.simulation import DgpSpec, run_mc
 
 GRID = np.round(np.arange(0.05, 0.96, 0.05), 12)
+
+
+def mixture_draws(indexed, config):
+    """The unconditional mixture's B rows: one ``bootstrap_block`` over
+    range(B) that stores no cell's draws."""
+    mixture = np.empty((config.iterations, GRID.size))
+    bootstrap_block(indexed, GRID, config, (), [], mixture, range(config.iterations))
+    return mixture
 
 
 def sample(draw, size, spread, resolution, shift=0.0):
@@ -330,7 +337,7 @@ def test_estimators_share_each_draw(cell_list, config, budget):
 def test_unconditional_equals_per_draw_loop(cell_list, config, budget):
     indexed = list(zip((0, 2, 5), cell_list))
     with sized(budget):
-        draws = bootstrap_unconditional(indexed, GRID, config)
+        draws = mixture_draws(indexed, config)
         np.testing.assert_array_equal(draws, per_draw_unconditional(indexed, GRID, config, 50))
 
 
@@ -360,7 +367,7 @@ def test_draw_blocks_fill_each_cells_and_the_mixtures_draws(cell_list, config, b
             for e, est in enumerate(names):
                 np.testing.assert_array_equal(store[e], draws[est])
         if mixture is not None:
-            np.testing.assert_array_equal(mixture, bootstrap_unconditional(indexed, GRID, config))
+            np.testing.assert_array_equal(mixture, mixture_draws(indexed, config))
 
 
 @pytest.mark.parametrize(
@@ -551,7 +558,7 @@ def test_single_cell_unconditional_equals_cell_draws():
     cell = edge_cells()[0]
     config = BootstrapConfig(iterations=5, seed=3)
     np.testing.assert_array_equal(
-        bootstrap_unconditional([(4, cell)], GRID, config),
+        mixture_draws([(4, cell)], config),
         bootstrap_process(cell, GRID, config, cell_index=4),
     )
 
@@ -592,7 +599,7 @@ def test_ddid_alone_on_a_panel_never_refits_the_control_post_period(monkeypatch)
     stores = [np.zeros((1, 6, GRID.size)) for _ in indexed]
     bootstrap_block(indexed, GRID, config, ("ddid",), stores, np.zeros((6, GRID.size)), range(6))
     bootstrap_block(indexed, GRID, config, ("ddid",), stores, None, range(6))
-    bootstrap_unconditional(indexed, GRID, config)
+    mixture_draws(indexed, config)
     for i, cell in indexed:
         bootstrap_process(cell, GRID, config, "ddid", cell_index=i)
 
@@ -615,7 +622,7 @@ def test_every_bootstrap_runs_the_one_walk(monkeypatch):
 
     runs = {
         "bootstrap_process": lambda: bootstrap_process(indexed[0][1], GRID, config, names),
-        "bootstrap_unconditional": lambda: bootstrap_unconditional(indexed, GRID, config),
+        "bootstrap_block, mixture alone": lambda: mixture_draws(indexed, config),
         "bootstrap_block, mixture": lambda: block(True),
         "bootstrap_block, no mixture": lambda: block(False),
         "run_mc": lambda: run_mc(DgpSpec(variant=1, n_per_arm=12), 2, bootstrap_iterations=6)

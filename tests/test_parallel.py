@@ -193,7 +193,7 @@ def test_each_parallel_run_forks_one_worker_per_part(tmp_path, monkeypatch, comm
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    for module in (qdid.cli, simulation):
+    for module in (inference, simulation):
         def recording(run, n, parallel=module._parallel):
             before = len(forks)
             results = parallel(run, n)
@@ -208,19 +208,19 @@ def test_each_parallel_run_forks_one_worker_per_part(tmp_path, monkeypatch, comm
 
 
 def test_a_delegating_closure_runs_in_the_workers(tmp_path, monkeypatch):
-    """A closure rebound on the name the CLI runs in its workers, as the
-    benchmark tracer rebinds names, runs in the workers without being
-    pickled."""
+    """A closure rebound on the name a run executes in its workers
+    (``inference.bootstrap_block``), as the benchmark tracer rebinds names,
+    runs in the workers without being pickled."""
     workers(monkeypatch, 2)
     plain = run(tmp_path, "panel", 20, name="plain")
-    original = qdid.cli.bootstrap_block
+    original = inference.bootstrap_block
     calls = []
 
     def delegating(*args, **kwargs):
         calls.append(args[-1])  # in a worker: lost with it
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qdid.cli, "bootstrap_block", delegating)
+    monkeypatch.setattr(inference, "bootstrap_block", delegating)
     code, files = run(tmp_path, "panel", 20, name="plain")
     assert (code, files) == plain and code == EXIT_OK
     assert calls == []  # every task ran in a worker
@@ -232,7 +232,7 @@ def test_an_error_in_a_worker_is_an_internal_error(tmp_path, capsys, monkeypatch
     def broken(*args, **kwargs):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(qdid.cli, "bootstrap_block", broken)
+    monkeypatch.setattr(inference, "bootstrap_block", broken)
     code, _ = run(tmp_path, "panel", 20)
     assert code == EXIT_INTERNAL
     err = capsys.readouterr().err
@@ -249,7 +249,7 @@ def test_a_worker_killed_mid_task_is_an_internal_error(tmp_path, capsys, monkeyp
     def killed(*args, **kwargs):
         os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(qdid.cli, "bootstrap_block", killed)
+    monkeypatch.setattr(inference, "bootstrap_block", killed)
     code, _ = run(tmp_path, "panel", 20)
     assert code == EXIT_INTERNAL
     err = capsys.readouterr().err
@@ -349,7 +349,7 @@ def test_a_run_with_two_workers_loads_no_process_pool(tmp_path):
             calls.append(len(results))
             return results
 
-        qdid.cli._parallel = counted
+        inference._parallel = counted
         argv = ["estimate", "-i", "input.csv", "-o", "out", "-b", "4", *sys.argv[1:]]
         assert qdid.cli.main(argv) == 0
         print("tasks:", calls)
