@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -221,15 +223,19 @@ def _coded(tokens: list[str], convert) -> np.ndarray:
 
 _UNIT_BYTES = 16  # bytes a unit id may take in the bulk read; a longer one falls back
 _PLAIN_BYTES = bytes([9, 10, 11, 12, 13, *range(32, 127)])
+_BLOCK_ROWS = 65536  # file lines per np.loadtxt call of the bulk read
 
 
 def load_csv(config: RunConfig) -> PanelData | RcsData:
     """Read a long-format CSV into a dataset; errors carry file line numbers.
 
-    A well-formed file is read in bulk, by one C-parsed ``np.loadtxt`` call.
-    A file on which that read could part from the row reader, and any error
-    that names a file line, goes to the row reader, which accepts the file or
-    raises the error of its first bad row. The result is the same either way.
+    A well-formed file, a leading byte-order mark allowed, is read in bulk:
+    one C-parsed ``np.loadtxt`` call per block of ``_BLOCK_ROWS`` lines,
+    written into columns allocated once, so the read holds one block's table
+    at a time. A file on which any block could part from the row reader, and
+    any error that names a file line, goes to the row reader, which accepts
+    the file or raises the error of its first bad row. The result is the
+    same either way.
     """
     try:
         handle = open(config.input_path, newline="", encoding="utf-8-sig")
@@ -272,72 +278,115 @@ def load_csv(config: RunConfig) -> PanelData | RcsData:
     return _dataset(config, *columns, line_of=line_of)
 
 
-def _plain_ascii(path: str) -> bool:
-    """Every byte of the file after a leading UTF-8 byte-order mark, which
-    the text handle drops, is printable ASCII or ASCII whitespace.
+def _plain_ascii(path: str) -> tuple[int, bool] | None:
+    """(an upper bound on the file's lines, whether it holds a quote) when
+    every byte of the file after a leading UTF-8 byte-order mark, which the
+    text handle drops, is printable ASCII or ASCII whitespace; else None.
 
     Only then do the C parser's fields agree with the row reader's: a bytes
     field drops trailing NULs, and the C number parser also skips \\x1c-\\x1f
-    and non-ASCII spaces, which ``float`` rejects."""
+    and non-ASCII spaces, which ``float`` rejects. The bound counts every
+    line end the text handle splits at: \\n, \\r and \\r\\n (twice when a
+    read splits it)."""
+    lines, quoted = 1, False
     with open(path, "rb") as raw:
         if raw.read(3) != b"\xef\xbb\xbf":
             raw.seek(0)
-        chunks = iter(lambda: raw.read(1 << 20), b"")
-        return not any(chunk.translate(None, _PLAIN_BYTES) for chunk in chunks)
+        for chunk in iter(lambda: raw.read(1 << 20), b""):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+            lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)  # \n
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            quoted = quoted or b'"' in chunk
+    return lines, quoted
 
 
 def _bulk_columns(handle, path: str, width: int, used: list[int], has_unit: bool):
     """(y, period, d, covariates, units) of every data row after the header,
-    from one ``np.loadtxt`` call with a field per header column; None when a
-    field might read differently from the row reader.
+    from ``np.loadtxt`` calls over blocks of ``_BLOCK_ROWS`` lines with a
+    field per header column; None when a field of any block might read
+    differently from the row reader.
 
     ``used`` gives the positions of y, period, d, the covariates and, with
     ``has_unit``, the unit. Flags are read as text and taken only as the
     exact tokens 0 and 1, since an integer read would accept +1 and 01; an
     integer covariate read is exact on what it accepts (``int`` of the
-    stripped token)."""
-    import warnings
-
-    if len(set(used)) < len(used) or not _plain_ascii(path):
+    stripped token). Each block is written into columns sized by the line
+    count and trimmed at the end, ``d`` as the bool flags the dataset keeps;
+    its unit ids are kept at the block's own width until all are widened
+    into one str array. A block must not end inside a quoted field, so a
+    file that holds a quote is read as one block."""
+    scan = None if len(set(used)) < len(used) else _plain_ascii(path)
+    if scan is None:
         return None  # one column in two roles, or bytes the C parser reads otherwise
+    lines, quoted = scan
     n_codes = len(used) - 3 - has_unit
     roles = ["y", "period", "d"] + [f"x{j}" for j in range(n_codes)] + ["unit"] * has_unit
     kinds = {"y": "f8", "period": "S2", "d": "S2", "unit": f"S{_UNIT_BYTES}"}
     fields = [(f"_{at}", "S1") for at in range(width)]  # unused, but read: a ragged row fails
     for role, at in zip(roles, used):
         fields[at] = (role, kinds.get(role, int))
-    try:
-        with warnings.catch_warnings():
-            # "input contained no data", and an int read of "1.0" before numpy 2
-            warnings.simplefilter("error")
-            table = np.loadtxt(
-                handle, dtype=fields, delimiter=",", comments=None, quotechar='"', ndmin=1
-            )
-    except (ValueError, OverflowError, Warning):
-        return None
 
-    units = None
-    if has_unit:
-        if np.any(np.char.str_len(table["unit"]) == _UNIT_BYTES):
-            return None  # may have been cut to the field width
-        units = np.char.strip(table["unit"])
-    y = np.ascontiguousarray(table["y"])
-    flags = []
-    for role in ("period", "d"):
-        one = table[role] == b"1"
-        if not np.all(one | (table[role] == b"0")):
-            return None
-        flags.append(one.astype(int))
-    covariates = np.empty((len(table), n_codes), dtype=int)
-    for j in range(n_codes):
-        covariates[:, j] = table[f"x{j}"]
-    del table  # before the unit ids widen to str
-    if has_unit:
-        # plain ASCII: each byte is its own code point, so widen by a view
-        w = np.char.str_len(units).max(initial=1)
-        codes = units.view(np.uint8).reshape(-1, units.itemsize)[:, :w].astype(np.uint32)
-        units = codes.view(f"U{w}")[:, 0]
-    return y, *flags, covariates, units
+    size = lines - 1  # the header takes a line
+    y, period, d = np.empty(size), np.empty(size, dtype=int), np.empty(size, dtype=bool)
+    covariates = np.empty((size, n_codes), dtype=int)
+    unit_blocks = []
+    block_lines = lines if quoted else _BLOCK_ROWS
+    n = 0
+    with warnings.catch_warnings():
+        # an int read of "1.0" before numpy 2; a block of blank lines holds no data
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        while (first := next(handle, None)) is not None:
+            block = itertools.chain((first,), itertools.islice(handle, block_lines - 1))
+            try:
+                table = np.loadtxt(
+                    block, dtype=fields, delimiter=",", comments=None, quotechar='"', ndmin=1
+                )
+            except (ValueError, OverflowError, Warning):
+                return None
+            rows = slice(n, n + len(table))
+            y[rows] = table["y"]
+            for column, role in ((period, "period"), (d, "d")):
+                one = table[role] == b"1"
+                if not np.all(one | (table[role] == b"0")):
+                    return None
+                column[rows] = one
+            for j in range(n_codes):
+                covariates[rows, j] = table[f"x{j}"]
+            if has_unit:
+                if np.any(np.char.str_len(table["unit"]) == _UNIT_BYTES):
+                    return None  # may have been cut to the field width
+                unit_blocks.append(_stripped(table["unit"]))
+            n = rows.stop
+            del table  # before the next block is read, or the ids widen
+    if not n:
+        return None  # the row reader names the missing rows
+    units = _widened(unit_blocks, n) if has_unit else None
+    return y[:n], period[:n], d[:n], covariates[:n], units
+
+
+def _stripped(ids: np.ndarray) -> np.ndarray:
+    """Bytes ``ids`` stripped of surrounding whitespace, at the byte width of
+    the longest."""
+    ids = np.char.strip(ids)
+    return ids.astype(f"S{np.char.str_len(ids).max(initial=1)}")
+
+
+def _widened(blocks: list[np.ndarray], n: int) -> np.ndarray:
+    """The ``n`` plain ASCII ids of ``blocks``, bytes arrays each at its own
+    width, as one str array as wide as the widest. Each byte is its own code
+    point, so a block is widened through a view of the str array's codes."""
+    w = max(block.itemsize for block in blocks)
+    units = np.zeros(n, dtype=f"U{w}")
+    codes, at = units.view(np.uint32).reshape(n, w), 0
+    for block in blocks:
+        codes[at : at + len(block), : block.itemsize] = block.view(np.uint8).reshape(
+            len(block), block.itemsize
+        )
+        at += len(block)
+    return units
 
 
 def _row_columns(reader, width: int, used: list[int], names: list[str], has_unit: bool):
@@ -396,10 +445,10 @@ def _row_columns(reader, width: int, used: list[int], names: list[str], has_unit
 def _dataset(config: RunConfig, y, period, d, covariates, units, line_of):
     """The dataset of the parsed columns, checked as one long table by the
     ``RcsData`` constructor, or None when it refuses a row and ``line_of`` is
-    None (a bulk read, which skips blank lines without counting them)."""
+    None (a bulk read, whose blocks skip blank lines without counting them)."""
     n = len(y)
     try:
-        table = RcsData(y, period, d.astype(bool), covariates, unit_ids=units)
+        table = RcsData(y, period, d.astype(bool, copy=False), covariates, unit_ids=units)
     except ValueError:
         if line_of is None:
             return None
@@ -435,8 +484,8 @@ def _dataset(config: RunConfig, y, period, d, covariates, units, line_of):
                 f"(lines {line_of(pre[j])} and {line_of(post[j])})"
             )
         raise LoadError(
-            f"unit {ids[j]}: pre-period treatment flag {d[pre[j]]} inconsistent with "
-            f"post-period {d[post[j]]} (no one is treated before the policy)"
+            f"unit {ids[j]}: pre-period treatment flag {int(d[pre[j]])} inconsistent with "
+            f"post-period {int(d[post[j]])} (no one is treated before the policy)"
         )
     return PanelData(
         unit_ids=ids,
@@ -464,9 +513,14 @@ class RunResult:
 
 def run_estimation(config: RunConfig) -> RunResult:
     """Full pipeline: load (which checks every input rule once, naming the
-    file line), partition into cells, analyze each."""
+    file line), partition into cells, analyze each.
+
+    The cells hold copies of their samples, so the dataset is dropped before
+    the analysis: the bootstrap workers fork with the cells, not the rows."""
     dataset = load_csv(config)
+    n_total = dataset.n_total
     cells = build_cells(dataset, config.min_cell_size)
+    del dataset
     if not any(c.viable for c in cells):
         raise InfeasibleError(
             "no viable covariate cells: "
@@ -482,13 +536,13 @@ def run_estimation(config: RunConfig) -> RunResult:
     viable = [(index, cell) for index, cell in enumerate(cells) if cell.viable]
     try:
         reports, unconditional = analyze_cells(
-            viable, grid, boot, config.estimators, dataset.n_total, config.unconditional
+            viable, grid, boot, config.estimators, n_total, config.unconditional
         )
     except DrawStoreError as exc:
         raise FlagError(f"--bootstrap {boot.iterations}: {exc}") from None
     reports = iter(reports)
     analyses = [CellAnalysis(cell, next(reports) if cell.viable else None) for cell in cells]
-    return RunResult(config, grid, dataset.n_total, analyses, unconditional)
+    return RunResult(config, grid, n_total, analyses, unconditional)
 
 
 def _report_block(report: InferenceReport) -> dict:

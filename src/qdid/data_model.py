@@ -24,6 +24,7 @@ from .inference import check_whole
 __all__ = ["PanelData", "RcsData", "build_cells", "DEFAULT_MIN_CELL_SIZE"]
 
 DEFAULT_MIN_CELL_SIZE = 2
+_CHUNK_ROWS = 65536  # sorted rows whose keys _changes gathers at a time
 
 
 def _refuse(bad: np.ndarray, rule: str) -> None:
@@ -38,13 +39,22 @@ def _repeated_rows(*keys: np.ndarray) -> np.ndarray:
     """A mask of the rows whose key, one value of each of ``keys``, occurred on
     an earlier row."""
     order = np.lexsort(keys[::-1])  # stable: a key's first row leads its run
-    same = np.ones(max(len(order) - 1, 0), dtype=bool)
-    for key in keys:
-        ranked = key[order]
-        same &= ranked[1:] == ranked[:-1]  # NaN ids never equal
     repeat = np.zeros(len(order), dtype=bool)
-    repeat[order[1:]] = same
+    repeat[order[1:]] = ~_changes(keys, order)
     return repeat
+
+
+def _changes(keys, order: np.ndarray) -> np.ndarray:
+    """Whether any of ``keys`` differs between each row of ``order`` and the
+    next (a NaN differs from itself). The keys are gathered ``_CHUNK_ROWS``
+    rows of ``order`` at a time, so no sorted copy of a whole key is made."""
+    step = np.zeros(max(len(order) - 1, 0), dtype=bool)
+    for start in range(0, len(step), _CHUNK_ROWS):
+        rows = order[start : start + _CHUNK_ROWS + 1]  # one row past: the next chunk's first
+        for key in keys:
+            ranked = key[rows]
+            step[start : start + len(rows) - 1] |= ranked[1:] != ranked[:-1]
+    return step
 
 
 def _as_covariates(covariates, n_rows: int) -> np.ndarray:
@@ -184,9 +194,7 @@ def build_cells(
         groups = [np.arange(n)]
     else:
         order = np.lexsort(codes.T[::-1])  # stable: rows stay ascending in a cell
-        ranked = codes[order]
-        starts = np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1
-        groups = np.split(order, starts) if n else []
+        groups = np.split(order, np.flatnonzero(_changes(codes.T, order)) + 1) if n else []
 
     cells = []
     for rows in groups:

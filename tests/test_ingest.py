@@ -543,3 +543,86 @@ def test_a_loaded_file_is_scanned_for_repeated_rows_once(tmp_path, monkeypatch):
     argv = ["estimate", "-i", str(path), "-o", str(tmp_path / "out"), "--mode", "rcs"]
     assert main(argv + ["-b", "10", "--format", "json"]) == EXIT_OK
     assert len(calls) == 1
+
+
+def _small_blocks(monkeypatch, rows=7):
+    """Bulk reads in blocks of ``rows`` lines, and duplicate scans over
+    chunks of as many sorted rows."""
+    monkeypatch.setattr(qdid.cli, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(qdid.data_model, "_CHUNK_ROWS", rows)
+
+
+def _read_in_bulk(path, monkeypatch, mode):
+    """The dataset ``load_csv`` reads from ``path`` without the row reader,
+    checked against ``row_by_row_load_csv``."""
+    config = RunConfig(input_path=str(path), mode=mode, covariate_cols=("x1", "x2"))
+    want = row_by_row_load_csv(config)
+    calls = _row_reader_calls(monkeypatch)
+    assert_same_dataset(load_csv(config), want)
+    assert not calls
+    return want
+
+
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+@pytest.mark.parametrize("ends", [("\r",), ("\r", "\r\n", "\n")], ids=["cr", "mixed"])
+def test_bare_and_mixed_carriage_returns_stay_in_the_bulk_read(tmp_path, monkeypatch, ends, mode):
+    """The text handle splits lines at a bare \\r too, so the row bound that
+    sizes the columns counts it; 81 lines make 12 blocks."""
+    _small_blocks(monkeypatch)
+    lines = _clean_lines()
+    path = tmp_path / "eol.csv"
+    path.write_bytes("".join(f"{line}{ends[i % len(ends)]}" for i, line in enumerate(lines)).encode())
+    _read_in_bulk(path, monkeypatch, mode)
+
+
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+def test_blank_lines_at_block_edges_stay_in_the_bulk_read(tmp_path, monkeypatch, mode):
+    _small_blocks(monkeypatch)  # block b holds data[7 * b : 7 * b + 7]
+    header, *data = _clean_lines()
+    data[14:14] = ["", ""]  # the first lines of block 2
+    data[27:27] = [""]  # the last line of block 3
+    data[35:35] = [""] * 7  # block 5: blank lines only
+    path = tmp_path / "blanks.csv"
+    path.write_text("\n".join([header, *data, "", ""]) + "\n", encoding="utf-8")
+    _read_in_bulk(path, monkeypatch, mode)
+
+
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+def test_the_widest_unit_id_in_the_last_block_sets_the_width(tmp_path, monkeypatch, mode):
+    _small_blocks(monkeypatch)
+    path = tmp_path / "wide.csv"
+    lines = _clean_lines(lambda u: WIDE if u == 39 else f"u{u}")  # the last two rows
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _read_in_bulk(path, monkeypatch, mode).unit_ids.dtype == np.dtype("<U15")
+
+
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+def test_a_bad_flag_in_a_later_block_sends_the_file_to_the_row_reader(tmp_path, monkeypatch, mode):
+    _small_blocks(monkeypatch)
+    lines = _clean_lines()
+    fields = lines[75].split(",")
+    fields[3] = "01"  # d of file line 76, in block 10 of 12
+    lines[75] = ",".join(fields)
+    path = tmp_path / "flag.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = RunConfig(input_path=str(path), mode=mode, covariate_cols=("x1", "x2"))
+    calls = _row_reader_calls(monkeypatch)
+    for loader in (load_csv, row_by_row_load_csv):
+        with pytest.raises(LoadError, match=r"^line 76: d='01' must be 0 or 1$"):
+            loader(config)
+    assert calls
+
+
+@pytest.mark.parametrize("mode", ["panel", "rcs"])
+def test_a_quoted_line_break_across_a_block_edge_loads_as_the_row_reader_does(
+    tmp_path, monkeypatch, mode
+):
+    """The first row of unit 3 starts on the last line of block 0 and ends
+    on the first of block 1. ``np.loadtxt`` reads a quote still open at the
+    end of its input as closed, so a file that holds a quote is read as one
+    block."""
+    _small_blocks(monkeypatch)
+    path = tmp_path / "quoted.csv"
+    lines = _clean_lines(lambda u: '"unit\n3"' if u == 3 else f"unit{u}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert "unit\n3" in _read_in_bulk(path, monkeypatch, mode).unit_ids
