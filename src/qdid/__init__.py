@@ -29,7 +29,6 @@ from .inference import (
     pointwise_se,
     substream,
     unconditional_process,
-    uniform_band,
 )
 from .simulation import DgpSpec, McResult, run_mc, simulate, simulate_dgp1, simulate_dgp2
 
@@ -66,5 +65,4 @@ __all__ = [
     "substream",
     "treated_shares",
     "unconditional_process",
-    "uniform_band",
 ]

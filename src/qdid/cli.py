@@ -43,7 +43,7 @@ from .inference import (
 # bench/tracer.py rebinds analyze_cell and analyze_unconditional by this module
 # path; every run reaches them through analyze_cells, so they are never called
 from .inference import analyze_cell, analyze_unconditional  # noqa: F401
-from .simulation import DEFAULT_MC_TAUS, DgpSpec, McResult, run_mc, simulate, substream
+from .simulation import DEFAULT_MC_TAUS, THETA, DgpSpec, McResult, run_mc, simulate, substream
 
 __all__ = [
     "RunConfig",
@@ -330,7 +330,7 @@ def _bulk_columns(handle, path: str, width: int, used: list[int], has_unit: bool
 
     size = lines - 1  # the header takes a line
     y, period, d = np.empty(size), np.empty(size, dtype=int), np.empty(size, dtype=bool)
-    covariates = np.empty((size, n_codes), dtype=int)
+    covariates = np.empty((size, n_codes), dtype=int, order="F")  # contiguous sort keys
     unit_blocks = []
     block_lines = lines if quoted else _BLOCK_ROWS
     n = 0
@@ -422,7 +422,7 @@ def _row_columns(reader, width: int, used: list[int], names: list[str], has_unit
         if not np.all(np.isfinite(y)):
             raise ValueError
         period, d = (_coded(tokens, ("0", "1").index) for tokens in columns[1:3])
-        covariates = np.empty((n, n_codes), dtype=int)
+        covariates = np.empty((n, n_codes), dtype=int, order="F")
         for j, tokens in enumerate(columns[3 : 3 + n_codes]):
             covariates[:, j] = _coded(tokens, int)
         if has_unit and any("\x00" in unit for unit in columns[-1]):
@@ -674,7 +674,7 @@ def write_mc_outputs(
         "spec": {
             "variant": first.spec.variant,
             "te": first.spec.te,
-            "theta": first.spec.theta,
+            "theta": THETA,
         },
         "reps": first.reps,
         "taus": list(first.taus),

@@ -80,7 +80,6 @@ __all__ = [
     "bootstrap_process",
     "unconditional_process",
     "ks_test",
-    "uniform_band",
     "pointwise_se",
     "empirical_quantile",
     "analyze_cell",
@@ -277,9 +276,9 @@ def ks_test(
 
     statistic = sqrt(n) * max_tau |effect(tau)|; the critical value is the
     empirical (1-alpha) quantile of sqrt(n) * max_tau |draw - effect| over
-    bootstrap draws. The reject decision is evaluated against the band
-    half-width (critical value / sqrt(n)) so that rejecting is exactly
-    equivalent to zero escaping the uniform band at some grid point.
+    bootstrap draws. band_half_width (critical value / sqrt(n)) is the one
+    definition of the uniform band, effect -/+ it in every report, and it
+    decides reject, so rejecting is exactly zero leaving the band somewhere.
     """
     values = np.asarray(values, dtype=float)
     root_n = math.sqrt(n_total)
@@ -294,15 +293,6 @@ def ks_test(
         reject=stat_raw > half_width,
         band_half_width=half_width,
     )
-
-
-def uniform_band(values, critical_value: float, n_total: int):
-    """Simultaneous band: constant half-width critical_value/sqrt(n) around the process."""
-    if critical_value < 0:
-        raise ValueError("critical value must be non-negative")
-    values = np.asarray(values, dtype=float)
-    half = critical_value / math.sqrt(n_total)
-    return values - half, values + half
 
 
 def _check_draw_count(count: int) -> None:
@@ -328,27 +318,18 @@ class InferenceReport:
     lower: np.ndarray
     upper: np.ndarray
     pointwise_se: np.ndarray
-    iterations: int
-    alpha: float
-    seed: int
-    scheme: str
 
 
 def _assemble_report(process, draws, config) -> InferenceReport:
     ks = ks_test(process.values, draws, process.n_total, config.alpha)
-    lower, upper = uniform_band(process.values, ks.critical_value, process.n_total)
     return InferenceReport(
         process=process,
         ks_statistic=ks.statistic,
         critical_value=ks.critical_value,
         reject=ks.reject,
-        lower=lower,
-        upper=upper,
+        lower=process.values - ks.band_half_width,
+        upper=process.values + ks.band_half_width,
         pointwise_se=pointwise_se(draws),
-        iterations=config.iterations,
-        alpha=config.alpha,
-        seed=config.seed,
-        scheme=config.scheme,
     )
 
 

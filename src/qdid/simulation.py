@@ -42,6 +42,7 @@ from .inference import (
 __all__ = ["DgpSpec", "McResult", "simulate_dgp1", "simulate_dgp2", "simulate", "run_mc"]
 
 DEFAULT_MC_TAUS = (0.1, 0.5, 0.9)
+THETA = 1.0  # theta_t, the level common to both periods: no estimate depends on it
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,6 @@ class DgpSpec:
     n_per_arm: int
     te: float = 0.0
     rho_bar: float = 0.0
-    theta: float = 1.0
 
     def __post_init__(self):
         if self.variant not in (1, 2):
@@ -60,8 +60,8 @@ class DgpSpec:
         check_whole("n_per_arm", self.n_per_arm)
         if self.n_per_arm < 1:
             raise ValueError("n_per_arm must be >= 1")
-        if not np.isfinite([self.te, self.rho_bar, self.theta]).all():
-            raise ValueError("te, rho_bar and theta must be finite")
+        if not np.isfinite([self.te, self.rho_bar]).all():
+            raise ValueError("te and rho_bar must be finite")
         if self.variant == 1 and self.rho_bar != 0:
             raise ValueError("rho_bar applies to variant 2 only")
         if self.variant == 2:
@@ -93,8 +93,8 @@ class DgpSpec:
 
 
 def _assemble_panel(spec: DgpSpec, v, e_pre, e_post, treated) -> PanelData:
-    y_pre = spec.theta + v + e_pre
-    y_post = spec.te * treated + spec.theta + v + e_post
+    y_pre = THETA + v + e_pre
+    y_post = spec.te * treated + THETA + v + e_post
     n = len(v)
     return PanelData(
         unit_ids=np.arange(n),

@@ -71,3 +71,25 @@ def test_build_cells_gathers_one_covariate_at_a_time():
     cells, peak = _traced_peak(lambda: build_cells(dataset))
     assert sum(cell.n_control + cell.n_treated for cell in cells) == ROWS
     assert peak < 32 * ROWS
+
+
+@pytest.mark.parametrize("note", ["", "nöte"], ids=["bulk-read", "row-read"])
+def test_loaded_covariates_give_build_cells_contiguous_keys(tmp_path, monkeypatch, note):
+    """Both readers store the covariates column-major, so the partition sorts
+    and compares contiguous keys: beyond its cells it holds the sort order
+    and one chunk's keys, within 12 bytes a row. Row-major covariates make
+    ``np.lexsort`` copy each strided key into a buffer, about 16. A
+    non-ASCII column name sends the file to the row reader."""
+    monkeypatch.setattr(qdid.data_model, "_CHUNK_ROWS", ROWS // 100)
+    rng = np.random.default_rng(3)
+    lines = ["period,y,d,x1,x2,x3" + f",{note}" * bool(note)]
+    for i, y in enumerate(rng.standard_normal(ROWS).tolist()):
+        lines.append(f"{i % 2},{y!r},{i // 2 % 2},{i % 3},{i % 5},{i % 7}" + "," * bool(note))
+    path = tmp_path / "rcs.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = RunConfig(input_path=str(path), mode="rcs", covariate_cols=("x1", "x2", "x3"))
+    dataset = load_csv(config)
+    cells, peak = _traced_peak(lambda: build_cells(dataset))
+    held = sum(sample.nbytes for cell in cells for sample in cell.sample_values)
+    assert held == 8 * ROWS
+    assert peak - held < 12 * ROWS

@@ -18,8 +18,8 @@ class TestDgpSpec:
             DgpSpec(variant=2, n_per_arm=10, rho_bar=0.9)  # non-PD covariance
         with pytest.raises(ValueError, match="variant 2 only"):
             DgpSpec(variant=1, n_per_arm=10, rho_bar=0.7)  # DGP 1 has no copula deviation
-        with pytest.raises(ValueError, match="theta must be finite"):
-            DgpSpec(variant=1, n_per_arm=5, theta=float("nan"))  # all-NaN outcomes
+        with pytest.raises(ValueError, match="^te and rho_bar must be finite$"):
+            DgpSpec(variant=1, n_per_arm=5, te=float("nan"))  # all-NaN treated posts
 
     def test_n_per_arm_must_be_a_whole_number(self):
         with pytest.raises(ValueError, match=r"^n_per_arm must be a whole number, not 2\.5$"):
