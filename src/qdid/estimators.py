@@ -30,6 +30,7 @@ from .empirical import (
     StepDistribution,
     StepRows,
     _first_row,
+    _take_rows,
     _weight_row,
     rank_rows,
     rank_transform,  # noqa: F401
@@ -116,6 +117,13 @@ class Cell:
     def samples(self) -> tuple[SortedSample, ...]:
         """The four samples, in ``SAMPLE_ARMS`` order."""
         return tuple(SortedSample(v) for v in self.sample_values)
+
+    @cached_property
+    def cic_at(self) -> np.ndarray:
+        """For each control pre-period support point, the number of treated
+        pre-period support points at or below it: ``_cic_rows``' one search
+        that no weight changes."""
+        return np.searchsorted(self.samples[2].support, self.samples[0].support, side="right")
 
 
 @dataclass(frozen=True)
@@ -319,7 +327,7 @@ def counterfactual_rows(
     return _cell_rows(cell, None, weights, counterfactual=True)[0]
 
 
-def _cic_rows(fitted, taus, treated) -> np.ndarray:
+def _cic_rows(cell, fitted, taus, treated) -> np.ndarray:
     """Changes in changes, row by row; ``treated`` is the treated post-period
     quantile at ``taus``.
 
@@ -330,22 +338,31 @@ def _cic_rows(fitted, taus, treated) -> np.ndarray:
     the treated pre-period CDF there. The effect at tau is the treated
     post-period quantile minus the generalized inverse of that composed CDF;
     quantile levels beyond its reach (support imbalance between groups) clip
-    to the extreme control post-period points. Zero-mass control post-period
-    points are kept: one with rank 0 gets composed probability 0, one after
-    a positive-mass point repeats that point's composed value, so the first
-    point reaching tau has positive mass; a search past the end clips to the
-    last positive-mass point.
+    to the last positive-mass control post-period point. Zero-mass control
+    post-period points are kept: one with rank 0 gets composed probability
+    0, and one after a positive-mass point repeats that point's composed
+    value, so the first point reaching tau has positive mass.
 
-    Each point is sent back to a control pre-period support point, and the
-    supports are fixed, so the treated pre-period CDF there is a gather of
-    one search of that support."""
+    The composed CDF is never built; the kernel searches at the tau levels.
+    With P, S and T the cumulative probabilities of the control pre, control
+    post and treated pre-period rows, and ``at = cell.cic_at``, the composed
+    CDF at control post-period point j lies below tau exactly when S[j] is
+    at most ``bound = P[reach - 1]`` (0.0 where ``reach`` is 0), with
+    ``reach`` the number of control pre-period points whose ``at`` is at most
+    the count of T below tau; P, S and T are nonnegative, so a point of
+    rank 0 is at most every bound, as its composed value 0 is below every
+    tau. The test compares the same stored doubles and does no arithmetic,
+    so the right-side search of ``bound`` in S is the same integer as the
+    left-side search of tau in the composed CDF
+    (``tests/oracles.py::composed_cic_rows``).
+    """
     pre_c, post_c, pre_t, _ = fitted
-    back = searchsorted_rows(pre_c.cum_probs, post_c.cum_probs)
-    at = np.searchsorted(pre_t.support, pre_c.support, side="right")[back]
-    composed = np.where(post_c.cum_probs > 0, pre_t.cdf_through(at), 0.0)
+    reach = np.searchsorted(cell.cic_at, searchsorted_rows(pre_t.cum_probs, taus), side="right")
+    below = _take_rows(pre_c.cum_probs, np.maximum(reach - 1, 0))
+    bound = np.where(reach > 0, below, 0.0)
     width = post_c.support.size
     last = width - 1 - np.argmax(post_c.masses[:, ::-1] > 0, axis=1)
-    idx = np.minimum(searchsorted_rows(composed, taus), last[:, None])
+    idx = np.minimum(searchsorted_rows(post_c.cum_probs, bound, "right"), last[:, None])
     return treated - post_c.support[idx]
 
 
@@ -386,7 +403,7 @@ def _cell_rows(cell, taus, weights, estimators=(), counterfactual=False):
         if est == "ddid":
             out[est] = treated - cdfs[1].quantile(taus)
         elif est == "cic":
-            out[est] = _cic_rows(fitted, taus, treated)
+            out[est] = _cic_rows(cell, fitted, taus, treated)
         else:
             raise ValueError(f"unknown estimator {est!r} (expected 'ddid' or 'cic')")
     return cdfs if counterfactual else None, out

@@ -22,6 +22,9 @@ support and masses, and represent each tie group by its first value in
 sample order, so a group of 0.0 and -0.0 takes the sign that comes first.
 ``stable_sort_layout`` is the package's sort layout before it used numpy's
 default sort: the reference for ``empirical._sort_layout``, bit for bit.
+``composed_cic_rows`` is the changes-in-changes kernel before it searched at
+the tau levels: it builds the composed CDF at every control post-period
+point and searches it, the reference for ``estimators._cic_rows``.
 
 The per-draw references at the end are the draw loops the package ran
 before its batched bootstrap kernel: one weight vector per arm and one full
@@ -288,6 +291,30 @@ def scalar_cic_qtt(control_pre, control_post, treated_pre, treated_post, tau_gri
         n_treated=n_treated,
         n_total=n_control + n_treated if n_total is None else n_total,
     )
+
+
+def composed_cic_rows(fitted, taus, treated):
+    """Changes in changes on fitted (control pre, control post, treated pre,
+    treated post) rows by the composed CDF, row by row: each control
+    post-period point is sent back to the control pre-period support point
+    at its rank, the treated pre-period CDF there is the composed CDF (0 at
+    a point of rank 0), and the effect is ``treated`` minus the control
+    post-period point at the left-side search of each tau in the composed
+    CDF, clipped to the last positive-mass point."""
+    pre_c, post_c, pre_t, _ = fitted
+    at = np.searchsorted(pre_t.support, pre_c.support, side="right")
+    out = np.empty(treated.shape)
+    for r in range(treated.shape[0]):
+        ranks = post_c.cum_probs[r]
+        back = np.searchsorted(pre_c.cum_probs[r], ranks, side="left")
+        count = at[back]
+        composed = np.zeros(ranks.size)
+        reached = (ranks > 0) & (count > 0)
+        composed[reached] = pre_t.cum_probs[r][count[reached] - 1]
+        last = np.flatnonzero(post_c.masses[r] > 0)[-1]
+        idx = np.minimum(np.searchsorted(composed, taus, side="left"), last)
+        out[r] = treated[r] - post_c.support[idx]
+    return out
 
 
 def scalar_estimate_process(cell, tau_grid, estimator="ddid", weights=None, n_total=None):

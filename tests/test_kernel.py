@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    composed_cic_rows,
     mixture,
     per_draw_bootstrap,
     per_draw_mc_rejections,
@@ -31,10 +32,12 @@ from qdid.empirical import (
     SortedSample,
     StepDistribution,
     StepRows,
+    _merge_rows,
     _mixture_probs,
     _sort_layout,
     rank_rows,
     rank_transform,
+    searchsorted_rows,
 )
 from qdid.estimators import (
     PanelCell,
@@ -203,6 +206,51 @@ def test_sort_layout_is_the_stable_sort(values):
     np.testing.assert_array_equal(head, want_head)
     assert_same_bits(support, want_support)
     assert tied == bool((want_head != np.arange(values.shape[1])).any())
+
+
+@st.composite
+def search_rows(draw):
+    """(C, n) rows and (C, m) levels, each row nondecreasing, of nonnegative
+    doubles (m and n differ at will, C may be 1). Values come from a small
+    pool, so a level ties with row values and with other levels, or are
+    spread continuously; zeros take either sign, and a row may end at 1.0."""
+    rows, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pool = np.concatenate([[0.0, 1.0, np.nextafter(0.0, 1.0)],
+                               rng.integers(1, 8, size=4) / 8.0])
+        values = rng.choice(pool, size=(rows, n + m))
+    else:
+        values = rng.random((rows, n + m))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[(values == 0.0) & (rng.random(values.shape) < 0.5)] = -0.0
+    target, levels = np.sort(values[:, :n], axis=1), np.sort(values[:, n:], axis=1)
+    target[rng.random(rows) < 0.5, -1] = 1.0
+    return target, levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_rows())
+def test_merge_rows_is_the_left_search_of_each_row(case):
+    """The integer-key sort gives the left-side count of the per-row search
+    (held to ``np.searchsorted`` below): a level sorts before an equal row
+    value, and -0.0 as 0.0."""
+    target, levels = case
+    got = _merge_rows(target, levels)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, searchsorted_rows(target, levels))
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_rows(), st.sampled_from(["left", "right"]))
+def test_searchsorted_rows_searches_each_row_on_either_side(case, side):
+    """Per-row levels and one shared 1-d array of levels."""
+    target, levels = case
+    per_row = searchsorted_rows(target, levels, side)
+    shared = searchsorted_rows(target, levels[0], side)
+    for r in range(target.shape[0]):
+        np.testing.assert_array_equal(per_row[r], np.searchsorted(target[r], levels[r], side))
+        np.testing.assert_array_equal(shared[r], np.searchsorted(target[r], levels[0], side))
 
 
 @settings(max_examples=50, deadline=None)
@@ -525,23 +573,77 @@ def test_kernel_rows_equal_estimate_process_at_rank_zero_and_zero_mass():
         assert 0.0 in scalar_refit(cell.samples[3], weights[cell.SAMPLE_ARMS[3]][1]).masses
 
 
+def cic_cases(cell, weights):
+    """The fitted rows of ``weights``, and the treated post-period quantile
+    at ``GRID`` that both estimators take."""
+    fits = zip(cell.samples, cell.sample_weights(weights))
+    fitted = [s.fit_rows(w) for s, w in fits]
+    return fitted, fitted[3].quantile(GRID)
+
+
+def assert_cic_equals_composed_cdf(cell, weights):
+    fitted, treated = cic_cases(cell, weights)
+    got = estimators._cic_rows(cell, fitted, GRID, treated)
+    want = composed_cic_rows(fitted, GRID, treated)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_cic_rows_equal_the_composed_cdf_on_edge_cells():
+    for cell in edge_cells():
+        assert_cic_equals_composed_cdf(cell, edge_weights(cell))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells(), st.integers(1, 5), st.integers(0, 2**16),
+       st.sampled_from(["multinomial", "dirichlet"]))
+def test_cic_rows_equal_the_composed_cdf_on_tied_cells(cell_list, rows, seed, scheme):
+    """Tied samples under draws of either scheme (multinomial draws leave
+    units at weight 0), with the row of ones first."""
+    (cell,) = cell_list
+    rng = inference.substream(seed, 0)
+    draws = [per_draw_weights(cell.arm_sizes(), scheme, rng) for _ in range(rows)]
+    weights = {arm: np.vstack([np.ones(n)] + [w[arm] for w in draws])
+               for arm, n in cell.arm_sizes().items()}
+    assert_cic_equals_composed_cdf(cell, weights)
+
+
 def test_cic_edge_cells_reach_every_branch_of_the_composed_cdf():
     """The edge cells send control pre-period points below the treated
     pre-period support (CDF 0), between its points and above it (CDF 1),
     and their uneven rows leave control post-period points at zero mass,
     the first of them with rank 0 even where the smallest control
-    pre-period point has a positive treated CDF."""
+    pre-period point has a positive treated CDF.
+
+    The kernel searches at the tau levels, and the cells reach its three
+    branches: a tau that no control pre-period point reaches (bound 0.0), a
+    positive bound equal to a control post-period cumulative probability,
+    where the side of that search decides the point, and a search past the
+    last positive-mass control post-period point, clipped to it."""
     reached = set()
     for cell in edge_cells():
         pre_control, pre_treated = cell.samples[0].support, cell.samples[2].support
         at = np.searchsorted(pre_treated, pre_control, side="right")
+        np.testing.assert_array_equal(cell.cic_at, at)
         between = ~np.isin(pre_control, pre_treated) & (at > 0) & (at < pre_treated.size)
         reached |= {"below"} if at[0] == 0 else {"starts inside"}
         reached |= {"between"} if between.any() else set()
         reached |= {"above"} if at[-1] == pre_treated.size else set()
         post = scalar_refit(cell.samples[1], edge_weights(cell)[cell.SAMPLE_ARMS[1]][1])
         assert post.masses[0] == 0.0
-    assert reached == {"below", "between", "above", "starts inside"}
+
+        (pre_c, post_c, pre_t, _), _ = cic_cases(cell, edge_weights(cell))
+        for r in range(2):
+            count = np.searchsorted(pre_t.cum_probs[r], GRID)
+            reach = np.searchsorted(at, count, side="right")
+            bound = np.where(reach > 0, pre_c.cum_probs[r][reach - 1], 0.0)
+            last = np.flatnonzero(post_c.masses[r] > 0)[-1]
+            reached |= {"reach 0"} if (reach == 0).any() else set()
+            on_s = (bound > 0) & np.isin(bound, post_c.cum_probs[r])
+            reached |= {"bound on S"} if on_s.any() else set()
+            clipped = np.searchsorted(post_c.cum_probs[r], bound, side="right") > last
+            reached |= {"clip"} if clipped.any() else set()
+    assert reached == {"below", "between", "above", "starts inside",
+                       "reach 0", "bound on S", "clip"}
 
 
 def test_estimators_together_equal_each_alone():
