@@ -27,23 +27,24 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data_model import DEFAULT_MIN_CELL_SIZE, PanelData, RcsData, _repeated_rows, build_cells
+from .data_model import check_min_cell_size
 # bench/tracer.py rebinds validate by this module path; the constructors make
 # every check it stood for, so it is never called
 from .data_model import _refuse as validate  # noqa: F401
-from .estimators import ESTIMATORS, Cell, checked_grid
+from .estimators import ESTIMATORS, Cell, checked_estimators, checked_grid
 from .inference import (
-    MAX_ITERATIONS,
-    SCHEMES,
     BootstrapConfig,
     DrawStoreError,
     InferenceReport,
+    _check_draw_count,
     analyze_cells,
-    check_whole,
+    check_test_settings,
 )
 # bench/tracer.py rebinds analyze_cell and analyze_unconditional by this module
 # path; every run reaches them through analyze_cells, so they are never called
 from .inference import analyze_cell, analyze_unconditional  # noqa: F401
 from .simulation import DEFAULT_MC_TAUS, THETA, DgpSpec, McResult, run_mc, simulate, substream
+from .simulation import check_mc_counts
 
 __all__ = [
     "RunConfig",
@@ -115,13 +116,11 @@ class RunConfig:
             raise FlagError("--mode must be 'panel' or 'rcs'")
         if self.output_format not in ("json", "csv", "both"):
             raise FlagError("--format must be json, csv, or both")
-        if self.scheme not in SCHEMES:
-            raise FlagError(f"--scheme must be one of {', '.join(SCHEMES)}")
-        _check_draw_flags(self.estimators, self.bootstrap, self.alpha, self.seed)
-        _check_distinct("--covariates", self.covariate_cols)
-        _flag_value("--min-cell-size", lambda: check_whole("min_cell_size", self.min_cell_size))
-        if self.min_cell_size < 1:
-            raise FlagError(f"--min-cell-size {self.min_cell_size}: must be at least 1")
+        _check_draw_flags(self.estimators, self.bootstrap, self.alpha, self.seed, self.scheme)
+        for name in self.covariate_cols:
+            if self.covariate_cols.count(name) > 1:
+                raise FlagError(f"--covariates: {name!r} is named more than once")
+        _flag_value("--min-cell-size", lambda: check_min_cell_size(self.min_cell_size))
         grid = _flag_value(
             "--tau-min/--tau-max/--tau-step",
             lambda: tau_grid(self.tau_min, self.tau_max, self.tau_step),
@@ -139,24 +138,16 @@ def _flag_value(flags: str, build, errors=(ValueError, OverflowError, MemoryErro
         raise FlagError(f"{flags}: {exc}") from None
 
 
-def _check_draw_flags(estimators, bootstrap: int, alpha: float, seed: int, no_test_ok=False):
-    """Reject bad draw settings before any work; ``no_test_ok`` admits the
-    --bootstrap 0 with which ``qdid mc`` skips the test."""
-    if not estimators:
-        raise FlagError("--estimators: name at least one of ddid, cic")
-    for est in estimators:
-        if est not in ESTIMATORS:
-            raise FlagError(f"--estimators: unknown estimator {est!r}")
-    _check_distinct("--estimators", estimators)
-    if bootstrap < 2 and not (no_test_ok and bootstrap == 0):
-        need = "0 (no test) or " if no_test_ok else ""
-        raise FlagError(f"--bootstrap {bootstrap}: need {need}at least two bootstrap draws")
-    if bootstrap > MAX_ITERATIONS:
-        raise FlagError(f"--bootstrap {bootstrap}: at most {MAX_ITERATIONS} draws")
-    if not 0.0 < alpha < 1.0:
-        raise FlagError(f"--alpha {alpha}: must lie strictly inside (0, 1)")
-    if seed < 0:
-        raise FlagError(f"--seed {seed}: must be a non-negative integer")
+def _check_draw_flags(estimators, bootstrap: int, alpha: float, seed: int, scheme: str, mc=False):
+    """Each draw flag checked alone, before any work, by the library rule that
+    owns it, its error headed by the flag; --bootstrap is ``run_mc``'s count with
+    ``mc``, else a test's (``BootstrapConfig``'s, and ``_check_draw_count``)."""
+    _flag_value("--estimators", lambda: checked_estimators(estimators))
+    _flag_value("--bootstrap", lambda: check_mc_counts(bootstrap_iterations=bootstrap) if mc
+                else _check_draw_count(BootstrapConfig(iterations=bootstrap).iterations))
+    _flag_value("--alpha", lambda: check_test_settings(alpha=alpha))
+    _flag_value("--seed", lambda: check_test_settings(seed=seed))
+    _flag_value("--scheme", lambda: check_test_settings(scheme=scheme))
 
 
 def _check_draws_fit(estimators, bootstrap: int, n_taus: int) -> None:
@@ -172,12 +163,6 @@ def _per_arm_size(n: float) -> int:
         raise ValueError(f"{n:g} is not a whole number of units per arm of at least 1")
     np.empty((3, 2 * int(n)))
     return int(n)
-
-
-def _check_distinct(flag: str, names) -> None:
-    for name in names:
-        if names.count(name) > 1:
-            raise FlagError(f"{flag}: {name!r} is named more than once")
 
 
 def _parse_float(token: str, line: int, col: str) -> float:
@@ -768,7 +753,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--bootstrap", "-b", type=int)
     est.add_argument("--alpha", type=float)
     est.add_argument("--seed", type=int)
-    est.add_argument("--scheme", choices=SCHEMES)
+    est.add_argument("--scheme", help="bootstrap weights: multinomial or dirichlet")
     est.add_argument("--estimators", type=_names, help="comma-separated: ddid,cic")
     est.add_argument("--unconditional", action="store_true")
     est.add_argument("--min-cell-size", type=int)
@@ -785,7 +770,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--bootstrap", "-b", type=int, default=1000)
     mc.add_argument("--alpha", type=float, default=0.05)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--scheme", choices=SCHEMES, default="multinomial")
+    mc.add_argument("--scheme", default="multinomial", help="multinomial or dirichlet")
     mc.add_argument("--estimators", type=_names, default=",".join(ESTIMATORS))
     mc.add_argument("--out", "-o", required=True, help="output path prefix")
 
@@ -824,11 +809,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    _check_draw_flags(args.estimators, args.bootstrap, args.alpha, args.seed, no_test_ok=True)
-    if args.reps < 1:
-        raise FlagError(f"--reps {args.reps}: must be at least 1")
-    taus = _flag_value("--taus", lambda: _float_list(args.taus))
-    _flag_value("--taus", lambda: checked_grid(taus))
+    _check_draw_flags(args.estimators, args.bootstrap, args.alpha, args.seed, args.scheme, mc=True)
+    _flag_value("--reps", lambda: check_mc_counts(reps=args.reps))
+    taus = _flag_value("--taus", lambda: checked_grid(_float_list(args.taus)))
     _check_draws_fit(args.estimators, args.bootstrap, len(taus))
     ns = _flag_value("--n", lambda: [_per_arm_size(n) for n in _float_list(args.n)])
     if args.dgp == 1:
@@ -870,8 +853,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.seed < 0:
-        raise FlagError(f"--seed {args.seed}: must be a non-negative integer")
+    _flag_value("--seed", lambda: check_test_settings(seed=args.seed))
     n = _flag_value("--n", lambda: _per_arm_size(args.n))
     spec = _flag_value("--n/--te/--rho", lambda: DgpSpec(args.dgp, n, args.te, args.rho))
     data = simulate(spec, substream(args.seed, 0))

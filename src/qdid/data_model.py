@@ -175,6 +175,11 @@ class RcsData:
         )
 
 
+def check_min_cell_size(min_cell_size) -> None:
+    """``build_cells``' rule: a whole number of at least 1 (an empty arm has no estimate)."""
+    check_whole("min_cell_size", min_cell_size, 1)
+
+
 def build_cells(
     dataset: PanelData | RcsData,
     min_cell_size: int = DEFAULT_MIN_CELL_SIZE,
@@ -183,11 +188,11 @@ def build_cells(
     ordered lexicographically.
 
     Every row lands in exactly one cell, whose samples keep row order. A
-    cell with a weight arm (``cell.arm_sizes()``) smaller than the whole
-    number ``min_cell_size`` is returned with a ``reason`` rather than
-    dropped, so callers can report it.
+    cell with a weight arm (``cell.arm_sizes()``) smaller than
+    ``min_cell_size`` (``check_min_cell_size``) is returned with a
+    ``reason`` rather than dropped, so callers can report it.
     """
-    check_whole("min_cell_size", min_cell_size)
+    check_min_cell_size(min_cell_size)
     codes = dataset.covariates
     n, k = codes.shape
     if k == 0:

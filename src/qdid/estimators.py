@@ -178,6 +178,20 @@ def checked_grid(tau_grid) -> np.ndarray:
     return taus
 
 
+def checked_estimators(estimators: str | Sequence[str]) -> tuple[str, ...]:
+    """The one rule of an estimator list: the names (one name alone as a
+    1-tuple), at least one, each in ``ESTIMATORS`` and named once."""
+    names = (estimators,) if isinstance(estimators, str) else tuple(estimators)
+    if not names:
+        raise ValueError(f"estimators must name at least one of {', '.join(ESTIMATORS)}")
+    for name in names:
+        if name not in ESTIMATORS:
+            raise ValueError(f"estimators must be among {', '.join(ESTIMATORS)}, not {name!r}")
+        if names.count(name) > 1:
+            raise ValueError(f"estimators must name {name!r} once, not {names.count(name)} times")
+    return names
+
+
 @dataclass(frozen=True)
 class CqttProcess:
     """Quantile treatment effect on the treated, evaluated on a tau grid."""
@@ -282,7 +296,7 @@ def estimate_process(
     it is one draw's weight vector per arm. Given a tuple of estimators,
     returns a dict of processes per estimator, from one kernel call.
     """
-    names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
+    names = checked_estimators(estimator)
     taus = checked_grid(tau_grid)
     values = estimate_rows(cell, taus, _checked_rows(cell, weights), names)
     if n_total is None:
@@ -322,8 +336,9 @@ def counterfactual_rows(
     same rank. ``weights`` maps each arm to a (C, n_arm) matrix whose row r
     is one draw's weight vector, and each arm's row enters every ECDF of its
     samples, inner rank maps included. Row r of each result is that draw's
-    treated and counterfactual CDF.
+    treated and counterfactual CDF. A cell with an empty sample is refused.
     """
+    check_nonempty(cell)
     return _cell_rows(cell, None, weights, counterfactual=True)[0]
 
 
@@ -379,7 +394,7 @@ def estimate_rows(
     Returns one (C, len(grid)) array per estimator, whose row r is the
     estimate under row r's weights; a row of ones gives the point estimate.
     """
-    return _cell_rows(cell, checked_grid(tau_grid), weights, estimators)[1]
+    return _cell_rows(cell, checked_grid(tau_grid), weights, checked_estimators(estimators))[1]
 
 
 def _cell_rows(cell, taus, weights, estimators=(), counterfactual=False):
@@ -399,11 +414,9 @@ def _cell_rows(cell, taus, weights, estimators=(), counterfactual=False):
     out = {}
     if estimators:  # both estimators take the treated post-period quantile, searched once
         treated = fitted[3].quantile(taus)
-    for est in estimators:
+    for est in estimators:  # checked by the callers (``checked_estimators``)
         if est == "ddid":
             out[est] = treated - cdfs[1].quantile(taus)
-        elif est == "cic":
-            out[est] = _cic_rows(cell, fitted, taus, treated)
         else:
-            raise ValueError(f"unknown estimator {est!r} (expected 'ddid' or 'cic')")
+            out[est] = _cic_rows(cell, fitted, taus, treated)
     return cdfs if counterfactual else None, out

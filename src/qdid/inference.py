@@ -63,6 +63,7 @@ from .estimators import (
     Cell,
     CqttProcess,
     check_nonempty,
+    checked_estimators,
     checked_grid,
     counterfactual_cdf_panel,  # noqa: F401
     counterfactual_cdf_rcs,  # noqa: F401
@@ -124,12 +125,16 @@ CHUNK_ELEMENTS = 16384
 STORE_ELEMENTS = 2**20
 
 
-def check_whole(name: str, value) -> None:
-    """Refuse a count or seed that ``operator.index`` does not take, such as 2.5 or 2.0."""
+def check_whole(name: str, value, least: int, most: int | None = None) -> None:
+    """The one rule of every whole-number setting: refuse, naming ``name``, a
+    value ``operator.index`` does not take (2.5, 2.0), or below ``least`` or above ``most``."""
     try:
-        operator.index(value)
+        whole = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be a whole number, not {value!r}") from None
+    if whole < least or (most is not None and whole > most):
+        span = f"at least {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be {span}, not {whole}")
 
 
 @dataclass(frozen=True)
@@ -140,21 +145,18 @@ class BootstrapConfig:
     scheme: str = "multinomial"
 
     def __post_init__(self):
-        check_whole("iterations", self.iterations)
-        if not 1 <= self.iterations <= MAX_ITERATIONS:
-            raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}]")
+        check_whole("iterations", self.iterations, 1, MAX_ITERATIONS)
         check_test_settings(self.alpha, self.seed, self.scheme)
 
 
-def check_test_settings(alpha: float, seed: int, scheme: str) -> None:
-    """Refuse a test level, seed or weight scheme out of range, naming it."""
-    check_whole("seed", seed)
+def check_test_settings(alpha: float = 0.05, seed: int = 0, scheme: str = "multinomial") -> None:
+    """Refuse a test level, seed or weight scheme out of range, naming it.
+    Each defaults to a valid value, so that one can be checked alone."""
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise ValueError(f"alpha must lie in (0, 1), not {alpha}")
+    check_whole("seed", seed, 0)
     if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}")
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+        raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}, not {scheme!r}")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -234,11 +236,10 @@ def bootstrap_process(
     Draw b is row b mod K of the block of draws keyed (*key_prefix,
     cell_index, b // K) under config.seed (see ``bootstrap_block``), so
     replicates are reproducible regardless of evaluation order and distinct
-    cells never share draws. Given a tuple of
-    estimators, returns a dict of replicates per estimator, all computed
-    from the same draws.
+    cells never share draws. Given a tuple of estimators, returns a dict of
+    replicates per estimator, all computed from the same draws.
     """
-    names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
+    names = checked_estimators(estimator)
     taus = checked_grid(tau_grid)
     draws = np.empty((len(names), config.iterations, taus.size))
     bootstrap_block([(cell_index, cell)], taus, config, names, [draws], None,
@@ -348,7 +349,7 @@ def analyze_cell(
     Given a tuple of estimators, returns a dict of reports per estimator,
     whose bootstraps share each draw's weights.
     """
-    names = (estimator,) if isinstance(estimator, str) else tuple(estimator)
+    names = checked_estimators(estimator)
     (reports,), _ = analyze_cells([(cell_index, cell)], tau_grid, config, names, n_total)
     return reports[estimator] if isinstance(estimator, str) else reports
 
@@ -512,7 +513,8 @@ def analyze_cells(
     _check_draw_count(config.iterations)
     taus = checked_grid(tau_grid)
     # this sorts each cell's samples, once, for the workers to inherit
-    points = [estimate_process(cell, taus, estimators, None, n_total) for _, cell in cells]
+    points = [estimate_process(cell, taus, estimators, None, n_total)
+              for _, cell in cells] if estimators else []
     mixed = unconditional_process(cells, taus, n_total) if unconditional else None
     reports = [] if estimators else [{} for _ in cells]  # the mixture alone stores none
     walk = unconditional

@@ -26,9 +26,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data_model import PanelData, build_cells
-from .estimators import ESTIMATORS, checked_grid, estimate_process
+from .estimators import ESTIMATORS, checked_estimators, checked_grid, estimate_process
 # draw_weights is not called here; bench/tracer.py rebinds it by this module path
 from .inference import (
+    MAX_ITERATIONS,
     BootstrapConfig,
     _parallel,
     bootstrap_process,
@@ -57,9 +58,7 @@ class DgpSpec:
     def __post_init__(self):
         if self.variant not in (1, 2):
             raise ValueError("variant must be 1 or 2")
-        check_whole("n_per_arm", self.n_per_arm)
-        if self.n_per_arm < 1:
-            raise ValueError("n_per_arm must be >= 1")
+        check_whole("n_per_arm", self.n_per_arm, 1)
         if not np.isfinite([self.te, self.rho_bar]).all():
             raise ValueError("te and rho_bar must be finite")
         if self.variant == 1 and self.rho_bar != 0:
@@ -189,6 +188,15 @@ def _mc_block(
     return errors, rejections
 
 
+def check_mc_counts(reps: int = 1, bootstrap_iterations: int = 0) -> None:
+    """``run_mc``'s counts: at least one rep, and 0 draws (no test) or at
+    least 2. Each defaults to a valid value, so that one can be checked alone."""
+    check_whole("reps", reps, 1)
+    check_whole("bootstrap_iterations", bootstrap_iterations, 0, MAX_ITERATIONS)
+    if bootstrap_iterations == 1:
+        raise ValueError("bootstrap_iterations must be 0 (no test) or at least 2")
+
+
 def run_mc(
     spec: DgpSpec,
     reps: int,
@@ -211,23 +219,13 @@ def run_mc(
     settings are checked here; reps then run in contiguous ranges, one per
     worker process (see ``qdid.inference``).
     """
-    check_whole("reps", reps)
-    check_whole("bootstrap_iterations", bootstrap_iterations)
+    check_mc_counts(reps, bootstrap_iterations)
     check_test_settings(alpha, seed, scheme)  # whatever bootstrap_iterations is
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if bootstrap_iterations < 0 or bootstrap_iterations == 1:
-        raise ValueError("bootstrap_iterations must be 0 (no test) or at least 2")
     grid = checked_grid(taus)
     taus = tuple(map(float, grid))
-    estimators = tuple(estimators)
-    if not 0 < len(estimators) == len(set(estimators) & set(ESTIMATORS)):  # known, each once
-        raise ValueError(f"estimators must name one or more of {ESTIMATORS}, each once")
-    config = (
-        BootstrapConfig(iterations=bootstrap_iterations, alpha=alpha, seed=seed, scheme=scheme)
-        if bootstrap_iterations != 0
-        else None
-    )
+    estimators = checked_estimators(estimators)
+    test = bootstrap_iterations != 0
+    config = BootstrapConfig(bootstrap_iterations, alpha, seed, scheme) if test else None
     blocks = _parallel(functools.partial(_mc_block, spec, grid, estimators, seed, config), reps)
     errors = {est: np.concatenate([e[est] for e, _ in blocks]) for est in estimators}
     bias = {est: errors[est].mean(axis=0) for est in estimators}

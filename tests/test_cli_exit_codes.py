@@ -8,11 +8,16 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import qdid.cli
-from qdid import inference
+from qdid import inference, simulation
 from qdid.cli import EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, FlagError, RunConfig, main
+from qdid.data_model import PanelData, build_cells
+from qdid.estimators import PanelCell, estimate_process
+from qdid.inference import BootstrapConfig, analyze_cells
+from qdid.simulation import DgpSpec, run_mc
 
 
 @pytest.fixture
@@ -110,11 +115,80 @@ def test_simulate_rejects_bad_flags(tmp_path, capsys, flags, name):
      ("estimators", ("ddid", "qr"), "--estimators"), ("estimators", (), "--estimators"),
      ("scheme", "bogus", "--scheme"), ("estimators", ("ddid", "ddid"), "--estimators"),
      ("covariate_cols", ("x1", "x1"), "--covariates"), ("mode", "x", "--mode"),
-     ("output_format", "x", "--format"), ("min_cell_size", 2.5, "--min-cell-size")],
+     ("output_format", "x", "--format"), ("min_cell_size", 2.5, "--min-cell-size"),
+     ("bootstrap", 2.5, "--bootstrap"), ("seed", 2.5, "--seed")],
 )
 def test_run_config_names_the_flag(field, value, name):
     with pytest.raises(FlagError, match=f"^{name}"):
         RunConfig(input_path="unused.csv", **{field: value})
+
+
+SPEC = DgpSpec(variant=1, n_per_arm=10)
+CELL = PanelCell((), control_pre=np.arange(3.0), control_post=np.arange(1.0, 4.0),
+                 treated_pre=np.arange(2.0), treated_post=np.arange(2.0, 4.0))
+DATA = PanelData(unit_ids=np.arange(4), y_pre=np.zeros(4), y_post=np.ones(4),
+                 treated=[0, 0, 1, 1], covariates=np.empty((4, 0), dtype=int))
+
+
+def _run_mc(**settings):
+    return lambda: run_mc(SPEC, **{"reps": 2, "bootstrap_iterations": 10, **settings})
+
+
+def _analyze(iterations=2, estimators=("ddid",)):
+    config = BootstrapConfig(iterations=iterations)
+    return lambda: analyze_cells([(0, CELL)], [0.5], config, estimators)
+
+
+# (command, flag, value, the library call whose rule refuses that value)
+LIBRARY_RULES = [
+    ("estimate", "--bootstrap", "1", _analyze(iterations=1)),
+    ("estimate", "--bootstrap", "-3", lambda: BootstrapConfig(iterations=-3)),
+    ("estimate", "--bootstrap", "5000000000", lambda: BootstrapConfig(iterations=5000000000)),
+    ("estimate", "--alpha", "0", lambda: BootstrapConfig(alpha=0.0)),
+    ("estimate", "--alpha", "1.5", lambda: BootstrapConfig(alpha=1.5)),
+    ("estimate", "--seed", "-1", lambda: BootstrapConfig(seed=-1)),
+    ("estimate", "--scheme", "bogus", lambda: BootstrapConfig(scheme="bogus")),
+    ("estimate", "--estimators", "ddid,ddid", _analyze(estimators=("ddid", "ddid"))),
+    ("estimate", "--estimators", "cic,qr", _analyze(estimators=("cic", "qr"))),
+    ("estimate", "--estimators", "", lambda: estimate_process(CELL, [0.5], ())),
+    ("estimate", "--min-cell-size", "0", lambda: build_cells(DATA, 0)),
+    ("mc", "--bootstrap", "1", _run_mc(bootstrap_iterations=1)),
+    ("mc", "--bootstrap", "-1", _run_mc(bootstrap_iterations=-1)),
+    ("mc", "--bootstrap", "5000000000", _run_mc(bootstrap_iterations=5000000000)),
+    ("mc", "--alpha", "1.5", _run_mc(alpha=1.5)),
+    ("mc", "--seed", "-1", _run_mc(seed=-1)),
+    ("mc", "--scheme", "bogus", _run_mc(scheme="bogus")),
+    ("mc", "--estimators", "ddid,ddid", _run_mc(estimators=("ddid", "ddid"))),
+    ("mc", "--estimators", "qr", _run_mc(estimators=("qr",))),
+    ("mc", "--estimators", "", _run_mc(estimators=())),
+    ("mc", "--reps", "0", _run_mc(reps=0)),
+    ("simulate", "--seed", "-1", _run_mc(seed=-1)),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, library", LIBRARY_RULES,
+                         ids=[" ".join(case[:3]) for case in LIBRARY_RULES])
+def test_a_flag_is_refused_with_the_library_rule_s_own_message(
+    tmp_path, capsys, monkeypatch, no_simulation, command, flag, value, library
+):
+    """A drift guard: the CLI writes no rule of its own for these flags. It
+    refuses each bad value with the error of the library check that owns
+    the rule, headed by the flag, so a second copy of a rule in the CLI
+    shows here."""
+    monkeypatch.setattr(simulation, "_parallel", lambda *args: pytest.fail("started its reps"))
+    monkeypatch.setattr(inference, "_parallel", lambda *args: pytest.fail("started its draws"))
+    with pytest.raises(ValueError) as refused:
+        library()
+    argv = {
+        "estimate": ["estimate", "-i", str(tmp_path / "missing.csv")],
+        "mc": ["mc", "--dgp", "1", "--reps", "2"],
+        "simulate": ["simulate", "--dgp", "1"],
+    }[command]
+    assert main(argv + ["-o", str(tmp_path / "out"), flag, value]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert err.endswith(f": {refused.value}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unexpected_value_error_is_an_internal_error(tmp_path, capsys, monkeypatch):

@@ -75,7 +75,7 @@ class TestBuildCells:
             rng.integers(0, 2, n).astype(bool),
             covariates=rng.integers(0, 3, size=(n, 2)),
         )
-        cells = build_cells(data, min_cell_size=0)
+        cells = build_cells(data, min_cell_size=1)
         seen = np.concatenate([np.concatenate([c.treated_pre, c.control_pre]) for c in cells])
         assert sorted(seen.tolist()) == list(range(n))
 
@@ -84,8 +84,8 @@ class TestBuildCells:
         data = make_panel(
             np.arange(5.0), np.zeros(5), [True, False, True, False, True], covariates=covs
         )
-        first = build_cells(data, min_cell_size=0)
-        second = build_cells(data, min_cell_size=0)
+        first = build_cells(data, min_cell_size=1)
+        second = build_cells(data, min_cell_size=1)
         assert [c.code for c in first] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert [c.treated_pre.tolist() for c in first] == [[2.0], [4.0], [0.0], []]
         assert [c.control_pre.tolist() for c in first] == [[], [1.0], [], [3.0]]

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdid import inference
-from qdid.estimators import PanelCell, RcsCell, estimate_process
+from qdid import estimators, inference
+from qdid.estimators import PanelCell, RcsCell, estimate_process, estimate_rows
 from qdid.inference import (
     BootstrapConfig,
     analyze_cell,
@@ -403,3 +404,47 @@ def test_a_cell_with_an_empty_sample_is_refused_before_any_draw(
     config = BootstrapConfig(iterations=3, scheme=scheme)
     with pytest.raises(ValueError, match=r"^cell \(1,\): every sample must be nonempty$"):
         ENTRIES[entry](EMPTY_SAMPLE_CELLS[design], config)
+
+
+def test_the_mixture_alone_refuses_a_cell_with_an_empty_sample_before_any_draw(monkeypatch):
+    monkeypatch.setattr(inference, "_draw_block", lambda *args: pytest.fail("drew weights"))
+    config = BootstrapConfig(iterations=3)
+    for cell in EMPTY_SAMPLE_CELLS.values():
+        with pytest.raises(ValueError, match=r"^cell \(1,\): every sample must be nonempty$"):
+            analyze_unconditional([(0, cell)], [0.5], config, 10)
+
+
+ESTIMATOR_ENTRIES = {
+    "estimate_process": lambda cell, names: estimate_process(cell, [0.5], names),
+    "estimate_rows": lambda cell, names: estimate_rows(cell, [0.5], cell.unit_weights(), names),
+    "bootstrap_process": lambda cell, names: bootstrap_process(
+        cell, [0.5], BootstrapConfig(iterations=3), names
+    ),
+    "analyze_cell": lambda cell, names: analyze_cell(cell, [0.5], BootstrapConfig(iterations=3),
+                                                     names),
+    "analyze_cells": lambda cell, names: analyze_cells(
+        [(0, cell)], [0.5], BootstrapConfig(iterations=3), names, unconditional=True
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ESTIMATOR_ENTRIES))
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (("ddid", "ddid"), "estimators must name 'ddid' once, not 2 times"),
+        (("cic", "ddid", "cic"), "estimators must name 'cic' once, not 2 times"),
+        (("ddid", "qr"), "estimators must be among ddid, cic, not 'qr'"),
+    ],
+    ids=["repeated", "repeated-apart", "unknown"],
+)
+def test_a_repeated_or_unknown_estimator_is_refused_before_any_draw(
+    monkeypatch, entry, names, message
+):
+    """Every entry checks its estimator list by the one rule
+    (``estimators.checked_estimators``) before it fits or draws anything."""
+    monkeypatch.setattr(inference, "_draw_block", lambda *args: pytest.fail("drew weights"))
+    monkeypatch.setattr(estimators, "_cell_rows", lambda *args: pytest.fail("fitted a cell"))
+    cell = panel_cell([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [0.5, 1.5], [2.0, 3.0])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ESTIMATOR_ENTRIES[entry](cell, names)

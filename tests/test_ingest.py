@@ -177,7 +177,9 @@ def test_columnar_ingest_matches_row_by_row(tmp_path, case):
         return
     assert row_by_row_refusal(type(dataset), **vars(dataset)) is None
     dataset = with_row_outcomes(dataset)
-    for size in (0, 1, 2):
+    with pytest.raises(ValueError, match=r"^min_cell_size must be at least 1, not 0$"):
+        build_cells(dataset, 0)
+    for size in (1, 2):
         assert_same_cells(build_cells(dataset, size), dict_build_cells(dataset, size))
 
 
@@ -225,7 +227,9 @@ def test_validate_and_cells_match_references_on_built_rcs(
         assert str(refused.value) == refusal
         return
     data = RcsData(**columns)
-    for size in (0, 1, 3):
+    with pytest.raises(ValueError, match=r"^min_cell_size must be at least 1, not 0$"):
+        build_cells(data, 0)
+    for size in (1, 3):
         assert_same_cells(build_cells(data, size), dict_build_cells(data, size))
 
 
