@@ -113,9 +113,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.mode not in ("panel", "rcs"):
-            raise FlagError("--mode must be 'panel' or 'rcs'")
+            raise FlagError(f"--mode: must be panel or rcs, not {self.mode!r}")
         if self.output_format not in ("json", "csv", "both"):
-            raise FlagError("--format must be json, csv, or both")
+            raise FlagError(f"--format: must be json, csv or both, not {self.output_format!r}")
         _check_draw_flags(self.estimators, self.bootstrap, self.alpha, self.seed, self.scheme)
         for name in self.covariate_cols:
             if self.covariate_cols.count(name) > 1:
@@ -156,13 +156,16 @@ def _check_draws_fit(estimators, bootstrap: int, n_taus: int) -> None:
     _flag_value("--bootstrap", lambda: np.empty((len(estimators), bootstrap, n_taus)))
 
 
-def _per_arm_size(n: float) -> int:
-    """One --n value as a whole number of units per arm, at least 1, whose
-    simulated panel's unit ids and outcomes (3 x 2n floats) can be allocated."""
-    if not (float(n).is_integer() and n >= 1):
-        raise ValueError(f"{n:g} is not a whole number of units per arm of at least 1")
-    np.empty((3, 2 * int(n)))
-    return int(n)
+def _design(dgp: int, n: float, te: float, rho: float) -> DgpSpec:
+    """The design of one --dgp, --n, --te and --rho value. Each flag is
+    checked alone, by the ``DgpSpec`` of its value and valid values for the
+    rest, so that an error names the one flag at fault; --n must also leave
+    room for its simulated panel's unit ids and outcomes (3 x 2n floats)."""
+    _flag_value("--dgp", lambda: DgpSpec(dgp, 1))
+    n = int(n) if float(n).is_integer() else n  # a count read as a number
+    _flag_value("--n", lambda: np.empty((3, 2 * DgpSpec(dgp, n).n_per_arm)))
+    _flag_value("--te", lambda: DgpSpec(dgp, 1, te))
+    return _flag_value("--rho", lambda: DgpSpec(dgp, n, te, rho))
 
 
 def _parse_float(token: str, line: int, col: str) -> float:
@@ -736,7 +739,7 @@ def _build_parser() -> argparse.ArgumentParser:
         argument_default=argparse.SUPPRESS,  # an absent flag takes the RunConfig default
     )
     est.add_argument("--input", "-i", dest="input_path", required=True)
-    est.add_argument("--mode", choices=("panel", "rcs"))
+    est.add_argument("--mode", help="panel or rcs")
     est.add_argument("--unit", dest="unit_col", help="unit id column")
     est.add_argument("--period", dest="period_col", help="period column (0=pre, 1=post)")
     est.add_argument("--outcome", dest="outcome_col", help="outcome column")
@@ -757,11 +760,11 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--estimators", type=_names, help="comma-separated: ddid,cic")
     est.add_argument("--unconditional", action="store_true")
     est.add_argument("--min-cell-size", type=int)
-    est.add_argument("--format", dest="output_format", choices=("json", "csv", "both"))
+    est.add_argument("--format", dest="output_format", help="json, csv or both")
     est.add_argument("--out", "-o", required=True, help="output path prefix")
 
     mc = sub.add_parser("mc", help="Monte Carlo performance tables")
-    mc.add_argument("--dgp", type=int, choices=(1, 2), required=True)
+    mc.add_argument("--dgp", type=int, required=True, help="1 or 2")
     mc.add_argument("--n", default="200", help="comma-separated whole per-arm sizes")
     mc.add_argument("--te", type=float, default=0.0)
     mc.add_argument("--rho", default="0", help="comma-separated rho_bar values (dgp 2)")
@@ -775,8 +778,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--out", "-o", required=True, help="output path prefix")
 
     sim = sub.add_parser("simulate", help="write one simulated draw as a long CSV")
-    sim.add_argument("--dgp", type=int, choices=(1, 2), required=True)
-    sim.add_argument("--n", type=int, default=200, help="per-arm size")
+    sim.add_argument("--dgp", type=int, required=True, help="1 or 2")
+    sim.add_argument("--n", type=float, default=200, help="whole per-arm size")
     sim.add_argument("--te", type=float, default=0.0)
     sim.add_argument("--rho", type=float, default=0.0)
     sim.add_argument("--seed", type=int, default=0)
@@ -796,42 +799,32 @@ def _warn_if_critical_value_is_largest_draw(bootstrap: int, alpha: float) -> Non
         )
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args):
     flags = dict(vars(args))
     del flags["command"]
     out = flags.pop("out")
     config = RunConfig(**flags)
     _warn_if_critical_value_is_largest_draw(config.bootstrap, config.alpha)
     result = run_estimation(config)
-    for path in _flag_value("--out", lambda: write_report(result, out), OSError):
-        print(f"wrote {path}")
-    return EXIT_OK
+    return lambda: write_report(result, out)
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args):
+    ns = _flag_value("--n", lambda: _float_list(args.n))
+    rhos = _flag_value("--rho", lambda: _float_list(args.rho))
+    designs = [_design(args.dgp, n, args.te, rho) for n in ns for rho in rhos]
+    # a table varies n (dgp 1) or rho_bar (dgp 2); the other flag takes one value
+    param_name, other, others = ("n", "--rho", rhos) if args.dgp == 1 else ("rho_bar", "--n", ns)
+    if len(others) != 1:
+        raise FlagError(f"{other}: dgp {args.dgp} tables vary {param_name}; pass a single {other}")
     _check_draw_flags(args.estimators, args.bootstrap, args.alpha, args.seed, args.scheme, mc=True)
     _flag_value("--reps", lambda: check_mc_counts(reps=args.reps))
     taus = _flag_value("--taus", lambda: checked_grid(_float_list(args.taus)))
     _check_draws_fit(args.estimators, args.bootstrap, len(taus))
-    ns = _flag_value("--n", lambda: [_per_arm_size(n) for n in _float_list(args.n)])
-    if args.dgp == 1:
-        if _flag_value("--rho", lambda: _float_list(args.rho)) != [0.0]:
-            raise FlagError(f"--rho {args.rho}: applies to --dgp 2 only")
-        param_name = "n"
-        designs = [(n, _flag_value("--n/--te", lambda: DgpSpec(1, n, args.te))) for n in ns]
-    else:
-        param_name = "rho_bar"
-        if len(ns) != 1:
-            raise FlagError("--n: dgp 2 tables vary rho_bar; pass a single --n")
-        rhos = _flag_value("--rho", lambda: _float_list(args.rho))
-        designs = [
-            (rho, _flag_value("--n/--te/--rho", lambda: DgpSpec(2, ns[0], args.te, rho)))
-            for rho in rhos
-        ]
     _warn_if_critical_value_is_largest_draw(args.bootstrap, args.alpha)
     results = [
         (
-            param,
+            spec.n_per_arm if args.dgp == 1 else spec.rho_bar,
             run_mc(
                 spec,
                 args.reps,
@@ -843,19 +836,14 @@ def _cmd_mc(args) -> int:
                 seed=args.seed,
             ),
         )
-        for param, spec in designs
+        for spec in designs
     ]
-    for path in _flag_value(
-        "--out", lambda: write_mc_outputs(results, param_name, args.out), OSError
-    ):
-        print(f"wrote {path}")
-    return EXIT_OK
+    return lambda: write_mc_outputs(results, param_name, args.out)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
+    spec = _design(args.dgp, args.n, args.te, args.rho)
     _flag_value("--seed", lambda: check_test_settings(seed=args.seed))
-    n = _flag_value("--n", lambda: _per_arm_size(args.n))
-    spec = _flag_value("--n/--te/--rho", lambda: DgpSpec(args.dgp, n, args.te, args.rho))
     data = simulate(spec, substream(args.seed, 0))
 
     def write():
@@ -866,10 +854,9 @@ def _cmd_simulate(args) -> int:
                 d = int(data.treated[i])
                 writer.writerow([int(data.unit_ids[i]), 0, _fnum(data.y_pre[i]), d])
                 writer.writerow([int(data.unit_ids[i]), 1, _fnum(data.y_post[i]), d])
+        return [args.out]
 
-    _flag_value("--out", write, OSError)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return write
 
 
 def main(argv=None) -> int:
@@ -877,9 +864,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         command = {"estimate": _cmd_estimate, "mc": _cmd_mc}.get(args.command, _cmd_simulate)
-        code = command(args)
+        write = command(args)  # every check and all the work; then its outputs
+        for path in _flag_value("--out", write, OSError):
+            print(f"wrote {path}")
         sys.stdout.flush()  # a reader that is gone shows here, not in the exit flush
-        return code
+        return EXIT_OK
     except (LoadError, FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -57,10 +57,11 @@ class DgpSpec:
 
     def __post_init__(self):
         if self.variant not in (1, 2):
-            raise ValueError("variant must be 1 or 2")
+            raise ValueError(f"variant must be 1 or 2, not {self.variant!r}")
         check_whole("n_per_arm", self.n_per_arm, 1)
-        if not np.isfinite([self.te, self.rho_bar]).all():
-            raise ValueError("te and rho_bar must be finite")
+        for name, value in (("te", self.te), ("rho_bar", self.rho_bar)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if self.variant == 1 and self.rho_bar != 0:
             raise ValueError("rho_bar applies to variant 2 only")
         if self.variant == 2:

@@ -47,7 +47,7 @@ def no_simulation(monkeypatch):
         (["--n", "inf"], "--n"),
         (["--estimators", "ddid,qr"], "--estimators"),
         (["--seed", "-1"], "--seed"),
-        (["--te", "nan"], "--n/--te"),
+        (["--te", "nan"], "--te"),
         (["--estimators", ""], "--estimators"),
         (["--estimators", "ddid,ddid"], "--estimators"),
         # past the bound on the draw count (inference.MAX_ITERATIONS)
@@ -163,6 +163,26 @@ LIBRARY_RULES = [
     ("mc", "--estimators", "", _run_mc(estimators=())),
     ("mc", "--reps", "0", _run_mc(reps=0)),
     ("simulate", "--seed", "-1", _run_mc(seed=-1)),
+    ("estimate", "--mode", "x", lambda: RunConfig("unused.csv", mode="x")),
+    ("estimate", "--format", "x", lambda: RunConfig("unused.csv", output_format="x")),
+]
+NAN = float("nan")
+# (--dgp, flag, value, the DgpSpec call whose rule refuses that value); a
+# later --dgp takes the place of an earlier one
+DESIGN_RULES = [
+    ("1", "--n", "0", lambda: DgpSpec(1, 0)),
+    ("1", "--n", "20.7", lambda: DgpSpec(1, 20.7)),
+    ("1", "--n", "nan", lambda: DgpSpec(1, NAN)),
+    ("1", "--te", "nan", lambda: DgpSpec(1, 1, NAN)),
+    ("1", "--rho", "0.7", lambda: DgpSpec(1, 1, 0.0, 0.7)),
+    ("2", "--rho", "0.99", lambda: DgpSpec(2, 1, 0.0, 0.99)),
+    ("1", "--rho", "nan", lambda: DgpSpec(1, 1, 0.0, NAN)),
+    ("1", "--dgp", "3", lambda: DgpSpec(3, 1)),
+]
+LIBRARY_RULES += [
+    (f"{command} --dgp {dgp}", flag, value, library)
+    for command in ("mc", "simulate")
+    for dgp, flag, value, library in DESIGN_RULES
 ]
 
 
@@ -179,16 +199,33 @@ def test_a_flag_is_refused_with_the_library_rule_s_own_message(
     monkeypatch.setattr(inference, "_parallel", lambda *args: pytest.fail("started its draws"))
     with pytest.raises(ValueError) as refused:
         library()
+    name, *later = command.split()
     argv = {
         "estimate": ["estimate", "-i", str(tmp_path / "missing.csv")],
         "mc": ["mc", "--dgp", "1", "--reps", "2"],
         "simulate": ["simulate", "--dgp", "1"],
-    }[command]
-    assert main(argv + ["-o", str(tmp_path / "out"), flag, value]) == EXIT_VALIDATION
+    }[name]
+    assert main(argv + later + ["-o", str(tmp_path / "out"), flag, value]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ")
     assert err.endswith(f": {refused.value}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("dgp, flag, value",
+                         [case[:3] for case in DESIGN_RULES] + [("1", "--n", "2.5")])
+def test_mc_and_simulate_refuse_a_design_value_alike(
+    tmp_path, capsys, no_simulation, dgp, flag, value
+):
+    """Both commands build each design through one helper, so a bad design
+    value reads the same after ``error: `` in both."""
+    errors = []
+    for command in (["mc", "--reps", "2"], ["simulate"]):
+        argv = command + ["--dgp", dgp, "-o", str(tmp_path / "out"), flag, value]
+        assert main(argv) == EXIT_VALIDATION
+        errors.append(capsys.readouterr().err.partition("error: ")[2])
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"{flag}: ")
 
 
 def test_unexpected_value_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
